@@ -93,17 +93,17 @@ def soft_kmeans(
     k: int,
     beta: float,
     max_iter: int = 100,
-    seed: int = 0,
     rng=None,
 ):
     """Weighted soft k-means; returns an (n, k) membership matrix.
 
     Centroids are weighted means under effective weight
     ``row_weight * responsibility``; iteration stops at ``max_iter`` or
-    when the largest centroid shift falls below 1e-6.
+    when the largest centroid shift falls below 1e-6.  ``rng=None``
+    seeds the k-means++ initialisation with ``default_rng(0)``.
     """
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
     weights = np.asarray(weights, dtype=float)
     n = weights.size
     k = min(k, n)
@@ -131,17 +131,6 @@ def soft_kmeans(
     return softmax_memberships(encoded, centroids, beta)
 
 
-def _fit_component(matrix, weights, scope, schema, alpha, sigma_floor):
-    dists = []
-    for v in scope:
-        col = matrix[:, v]
-        if schema.is_cat(v):
-            dists.append(estimators.fit_multinomial(col, weights, schema[v].arity, alpha))
-        else:
-            dists.append(estimators.fit_gaussian(col, weights, sigma_floor))
-    return dists
-
-
 def _component_loglik(matrix, scope, component):
     ll = np.zeros(matrix.shape[0])
     for v, dist in zip(scope, component):
@@ -157,9 +146,7 @@ def em_factorized(
     k: int,
     max_iter: int = 100,
     tol: float = 1e-4,
-    seed: int = 0,
     alpha: float = 0.01,
-    sigma_floor: float = estimators.SIGMA_FLOOR,
     rng=None,
     init_membership=None,
     return_trace: bool = False,
@@ -170,17 +157,18 @@ def em_factorized(
     log-likelihood is nondecreasing across iterations; iteration stops
     when the improvement drops below ``tol`` or after ``max_iter`` steps.
     Unless ``init_membership`` is supplied, responsibilities are seeded
-    from a short soft k-means pass.  With ``return_trace`` the per-iteration
-    weighted log-likelihoods are returned as a third value.
+    from a short soft k-means pass, drawn from ``rng`` (``default_rng(0)``
+    when ``None``).  With ``return_trace`` the per-iteration weighted
+    log-likelihoods are returned as a third value.
     """
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
     matrix = np.asarray(matrix, dtype=float)
     weights = np.asarray(weights, dtype=float)
     n = weights.size
     k = min(k, n)
     if k == 1:
-        comp = _fit_component(matrix, weights, scope, schema, alpha, sigma_floor)
+        comp = estimators.fit_factorized(matrix, weights, scope, schema, alpha)
         out = np.ones((n, 1)), FactorizedMixture(np.ones(1), [comp], tuple(scope))
         return (*out, []) if return_trace else out
 
@@ -203,11 +191,11 @@ def em_factorized(
             try:
                 if priors[i] < COLLAPSE_TOL:
                     raise ValueError("collapsed component")
-                comp = _fit_component(matrix, eff[:, i], scope, schema, alpha, sigma_floor)
+                comp = estimators.fit_factorized(matrix, eff[:, i], scope, schema, alpha)
             except ValueError:
                 # collapsed or starved component: restart it from a high-weight row
                 j = int(np.argmax(weights))
-                comp = _fit_component(matrix[j : j + 1], np.ones(1), scope, schema, alpha, sigma_floor)
+                comp = estimators.fit_factorized(matrix[j : j + 1], np.ones(1), scope, schema, alpha)
                 priors[i] = max(priors[i], COLLAPSE_TOL)
             components.append(comp)
         priors = priors / priors.sum()

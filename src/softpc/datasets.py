@@ -235,35 +235,3 @@ def load_mixed_csv(
         encoded[idx_test],
     )
 
-
-def standardize(matrix, schema, weights=None):
-    """Weighted zero-mean/unit-std transform of continuous columns.
-
-    Returns ``(transformed, means, stds)``; categorical columns pass
-    through with mean 0 / std 1 recorded, as do zero-variance columns.
-    ``inverse_standardize`` undoes the transform.
-    """
-    matrix = np.asarray(matrix, dtype=float).copy()
-    n = matrix.shape[0]
-    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    total = weights.sum()
-    means = np.zeros(matrix.shape[1])
-    stds = np.ones(matrix.shape[1])
-    for j in range(matrix.shape[1]):
-        if schema.is_cat(j):
-            continue
-        mean = float(np.dot(weights, matrix[:, j]) / total)
-        var = float(np.dot(weights, (matrix[:, j] - mean) ** 2) / total)
-        if var > 0:
-            means[j] = mean
-            stds[j] = np.sqrt(var)
-            matrix[:, j] = (matrix[:, j] - mean) / stds[j]
-    return matrix, means, stds
-
-
-def inverse_standardize(matrix, schema, means, stds):
-    matrix = np.asarray(matrix, dtype=float).copy()
-    for j in range(matrix.shape[1]):
-        if not schema.is_cat(j):
-            matrix[:, j] = matrix[:, j] * stds[j] + means[j]
-    return matrix

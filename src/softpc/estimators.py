@@ -88,6 +88,21 @@ def fit_gaussian(values, weights, sigma_floor: float = SIGMA_FLOOR) -> Gaussian:
     return Gaussian(mu, max(sigma, sigma_floor))
 
 
+def fit_factorized(matrix, weights, scope, schema, alpha: float = 0.0) -> list:
+    """Fit one leaf distribution per ``scope`` variable, in scope order.
+
+    Categorical columns get ``fit_multinomial`` with pseudo-count
+    ``alpha``; continuous columns get ``fit_gaussian``.
+    """
+    dists = []
+    for v in scope:
+        if schema.is_cat(v):
+            dists.append(fit_multinomial(matrix[:, v], weights, schema[v].arity, alpha))
+        else:
+            dists.append(fit_gaussian(matrix[:, v], weights))
+    return dists
+
+
 def leaf_log_pdf(dist, x):
     """Log pmf/pdf of a leaf distribution; ``x`` may be a scalar or array."""
     if isinstance(dist, Multinomial):

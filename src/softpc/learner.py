@@ -5,7 +5,8 @@ scope splits into approximately independent variable groups, a product
 node is created; otherwise instances are clustered and a sum node is
 created.  The hard learner assigns each row to exactly one child; the
 soft learner passes every row to every child, reweighted by its cluster
-responsibility (rows whose weight falls below ``epsilon_w`` are dropped).
+responsibility (rows whose weight falls below ``estimators.EPSILON_W``
+are dropped).
 
 Also provided are the "alternative circuit" constructions used to reason
 about the greedy likelihood behaviour of the recursion: the circuit
@@ -26,18 +27,31 @@ from .schema import Schema
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """Learner settings; the ``bench-cli`` flag that sets each is in brackets.
+
+    - ``p_threshold`` (``--p``): chi-square p-value below which two
+      variables count as dependent.
+    - ``alpha`` (``--alpha``): multinomial pseudo-count for leaf fits.
+    - ``beta`` (``--beta``): softmax sharpness of soft k-means.
+    - ``n_clusters`` (``--clusters``): children per sum node.
+    - ``min_instances`` (``--min-instances``): subproblems with less
+      weight than this are fully factorized.
+    - ``max_cluster_iters`` (``--max-cluster-iters``): iteration cap of
+      the clusterer.
+    - ``clusterer`` (``--clusterer``): ``"em"`` or ``"kmeans"``.
+    - ``seed`` (``--seed``): seeds the clustering random stream.
+    - ``track_alternative_ll`` (no flag): record in each trace step the
+      train log-likelihood of the circuit capped at that step.
+    """
+
     p_threshold: float = 0.01
     alpha: float = 0.01
     beta: float = 4.0
     n_clusters: int = 2
     min_instances: float = 50.0
     max_cluster_iters: int = 100
-    bins: int = 4
-    sigma_floor: float = estimators.SIGMA_FLOOR
-    epsilon_w: float = estimators.EPSILON_W
     clusterer: str = "em"  # "em" | "kmeans"
     seed: int = 0
-    em_tol: float = 1e-4
     track_alternative_ll: bool = False
 
     def __post_init__(self):
@@ -53,7 +67,12 @@ class Hyperparams:
 
 @dataclass
 class WeightedDataset:
-    """Dense data matrix with per-row positive weights and an active scope."""
+    """Dense data matrix with per-row positive weights and an active scope.
+
+    All input checks of the learners happen here: values must be finite,
+    categorical values integers in ``[0, arity)`` and row weights at
+    least ``estimators.EPSILON_W``.
+    """
 
     matrix: np.ndarray
     row_weights: np.ndarray
@@ -66,13 +85,21 @@ class WeightedDataset:
             raise ValueError("matrix must be a nonempty 2-d array")
         if self.matrix.shape[1] != len(self.schema):
             raise ValueError("matrix width does not match schema")
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValueError("matrix values must be finite")
+        for v, var in enumerate(self.schema):
+            col = self.matrix[:, v]
+            if var.kind == "cat" and (
+                np.any(col != np.floor(col)) or col.min() < 0 or col.max() >= var.arity
+            ):
+                raise ValueError(f"column {v}: categorical values must be integers in [0, arity)")
         if self.row_weights is None:
             self.row_weights = np.ones(self.matrix.shape[0])
         self.row_weights = np.asarray(self.row_weights, dtype=float)
         if self.row_weights.shape != (self.matrix.shape[0],):
             raise ValueError("row_weights length mismatch")
-        if np.any(self.row_weights <= 0):
-            raise ValueError("row weights must be positive")
+        if not np.all(np.isfinite(self.row_weights) & (self.row_weights >= estimators.EPSILON_W)):
+            raise ValueError(f"row weights must be finite and at least {estimators.EPSILON_W}")
         if self.scope is None:
             self.scope = tuple(range(len(self.schema)))
         else:
@@ -94,76 +121,66 @@ class LearnTrace:
     steps: list = field(default_factory=list)
 
 
-class _Slot:
-    """A position in the circuit under construction.
+class _Sub:
+    """A subproblem of the recursion and the node it is decided into.
 
-    A slot is either pending (holds the subproblem it will be learned
-    from) or resolved into a leaf / product / sum over child slots.
+    An open subproblem holds its rows (indices into the data matrix), their
+    weights and its scope.  Deciding it sets either ``dists`` (one leaf
+    distribution per scope variable: a leaf, or a fully factorized product)
+    or ``children`` (a product, or a sum when ``sum_weights`` is set) and
+    releases the rows.
     """
 
-    __slots__ = ("kind", "children", "weights", "var", "dist", "rows", "row_weights", "scope")
+    __slots__ = ("rows", "weights", "scope", "dists", "children", "sum_weights")
 
-    def __init__(self, rows, row_weights, scope):
-        self.kind = "pending"
-        self.rows = rows
-        self.row_weights = row_weights
-        self.scope = scope
-        self.children = None
-        self.weights = None
-        self.var = None
-        self.dist = None
-
-    def resolve_leaf(self, var, dist):
-        self.kind = "leaf"
-        self.var, self.dist = var, dist
-        self.rows = self.row_weights = None
-
-    def resolve_internal(self, kind, children, weights=None):
-        self.kind = kind
-        self.children = children
-        self.weights = weights
-        self.rows = self.row_weights = None
+    def __init__(self, rows, weights, scope):
+        self.rows, self.weights, self.scope = rows, weights, scope
+        self.dists = self.children = self.sum_weights = None
 
 
-def _fit_leaf_dist(values, weights, var, schema, hp):
-    if schema.is_cat(var):
-        return estimators.fit_multinomial(values, weights, schema[var].arity, hp.alpha)
-    return estimators.fit_gaussian(values, weights, hp.sigma_floor)
-
-
-def _emit_slot(slot, schema, hp, nodes, cap_pending, full_matrix):
-    """Post-order emission of a slot tree into a node table; returns node id."""
-    if slot.kind == "leaf":
-        nodes.append(LeafNode(slot.var, slot.dist))
-        return len(nodes) - 1
-    if slot.kind == "pending":
-        if not cap_pending:
-            raise RuntimeError("unresolved slot in finished structure")
-        # cap with a fully factorized fit on the slot's subproblem
-        sub = full_matrix[slot.rows]
-        child_ids = []
-        for v in slot.scope:
-            dist = _fit_leaf_dist(sub[:, v], slot.row_weights, v, schema, hp)
+def _emit(sub, matrix, schema, alpha, nodes):
+    """Post-order emission of the tree under ``sub`` into ``nodes``; returns
+    the node id.  Open subproblems are capped with a fully factorized fit."""
+    if sub.children is None:
+        dists = sub.dists
+        if dists is None:
+            dists = estimators.fit_factorized(matrix[sub.rows], sub.weights, sub.scope, schema, alpha)
+        ids = []
+        for v, dist in zip(sub.scope, dists):
             nodes.append(LeafNode(v, dist))
-            child_ids.append(len(nodes) - 1)
-        if len(child_ids) == 1:
-            return child_ids[0]
-        nodes.append(ProductNode(tuple(child_ids)))
+            ids.append(len(nodes) - 1)
+        if len(ids) == 1:
+            return ids[0]
+        nodes.append(ProductNode(tuple(ids)))
         return len(nodes) - 1
-    child_ids = tuple(
-        _emit_slot(c, schema, hp, nodes, cap_pending, full_matrix) for c in slot.children
-    )
-    if slot.kind == "prod":
-        nodes.append(ProductNode(child_ids))
-    else:
-        nodes.append(SumNode(child_ids, tuple(slot.weights)))
+    ids = tuple(_emit(c, matrix, schema, alpha, nodes) for c in sub.children)
+    nodes.append(ProductNode(ids) if sub.sum_weights is None else SumNode(ids, sub.sum_weights))
     return len(nodes) - 1
 
 
-def _assemble(root_slot, schema, hp, cap_pending=False, full_matrix=None):
+def _assemble(root, matrix, schema, alpha) -> Circuit:
     nodes = []
-    root = _emit_slot(root_slot, schema, hp, nodes, cap_pending, full_matrix)
-    return Circuit(nodes, root, schema)
+    return Circuit(nodes, _emit(root, matrix, schema, alpha, nodes), schema)
+
+
+def _split_children(rows, weights, membership):
+    """Share a subproblem's rows out over the clusters of ``membership``.
+
+    Cluster i receives weight ``membership[:, i] * weights``; rows whose
+    share falls below ``estimators.EPSILON_W`` are dropped from it, and a
+    cluster left with no row or no mass is dropped.  Returns the kept
+    children as ``(rows, weights)`` pairs, their masses before dropping,
+    and the total mass over all clusters.
+    """
+    child_w = membership * weights[:, None]
+    masses = child_w.sum(axis=0)
+    children, kept = [], []
+    for i in range(membership.shape[1]):
+        keep = child_w[:, i] >= estimators.EPSILON_W
+        if masses[i] > 0 and np.any(keep):
+            children.append((rows[keep], child_w[keep, i]))
+            kept.append(masses[i])
+    return children, np.asarray(kept), masses.sum()
 
 
 def _cluster(matrix, weights, scope, schema, hp, rng):
@@ -174,8 +191,7 @@ def _cluster(matrix, weights, scope, schema, hp, rng):
         )
     resp, _ = clustering.em_factorized(
         matrix, weights, scope, schema, hp.n_clusters,
-        max_iter=hp.max_cluster_iters, tol=hp.em_tol,
-        alpha=hp.alpha, sigma_floor=hp.sigma_floor, rng=rng,
+        max_iter=hp.max_cluster_iters, alpha=hp.alpha, rng=rng,
     )
     return resp
 
@@ -186,108 +202,51 @@ def _learn(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split=None)
     rng = np.random.default_rng(np.random.SeedSequence(hp.seed))
     trace = LearnTrace()
 
-    root_slot = _Slot(np.arange(full.shape[0]), data.row_weights.copy(), data.scope)
-    stack = [root_slot]
-    first_split_pending = first_split is not None
-
-    def record(kind, slot):
-        rec = StepRecord(kind, tuple(slot.scope), float(slot.row_weights.sum())
-                         if slot.row_weights is not None else 0.0)
-        if hp.track_alternative_ll:
-            alt = _assemble(root_slot, schema, hp, cap_pending=True, full_matrix=full)
-            rec.alternative_pc_train_ll = float(np.mean(alt.log_density(full)))
-        trace.steps.append(rec)
-
+    root = _Sub(np.arange(full.shape[0]), data.row_weights.copy(), data.scope)
+    stack = [root]
     while stack:
-        slot = stack.pop()
-        rows, weights, scope = slot.rows, slot.row_weights, slot.scope
+        node = stack.pop()
+        rows, weights, scope = node.rows, node.weights, node.scope
         sub = full[rows]
         mass = weights.sum()
 
+        kind = "factorize"
         if len(scope) == 1:
-            v = scope[0]
-            dist = _fit_leaf_dist(sub[:, v], weights, v, schema, hp)
-            slot.resolve_leaf(v, dist)
-            record("leaf", _SlotView(scope, weights))
-            continue
-
-        def factorize():
-            children = []
-            for v in scope:
-                dist = _fit_leaf_dist(sub[:, v], weights, v, schema, hp)
-                child = _Slot(None, None, (v,))
-                child.resolve_leaf(v, dist)
-                children.append(child)
-            slot.resolve_internal("prod", children)
-            record("factorize", _SlotView(scope, weights))
-
-        if mass < hp.min_instances:
-            factorize()
-            continue
-
-        groups = independence.partition_scope(
-            sub, weights, scope, schema, hp.p_threshold, hp.bins
-        )
-        if len(groups) > 1:
-            children = []
-            for group in groups:  # groups arrive ordered by smallest variable
-                children.append(_Slot(rows, weights, tuple(group)))
-            slot.resolve_internal("prod", children)
-            record("product", _SlotView(scope, weights))
-            # depth-first, first group processed first
-            stack.extend(reversed(children))
-            continue
-
-        if first_split_pending:
-            resp = np.asarray(first_split, dtype=float)
-            first_split_pending = False
+            kind = "leaf"
+        elif mass >= hp.min_instances:
+            groups = independence.partition_scope(sub, weights, scope, schema, hp.p_threshold)
+            if len(groups) > 1:  # groups arrive ordered by smallest variable
+                kind = "product"
+                node.children = [_Sub(rows, weights, tuple(g)) for g in groups]
+            else:
+                if first_split is not None:
+                    resp, first_split = np.asarray(first_split, dtype=float), None
+                else:
+                    resp = _cluster(sub, weights, scope, schema, hp, rng)
+                if not soft:
+                    resp = clustering.harden(resp)
+                children, kept, total = _split_children(rows, weights, resp)
+                # a child that absorbed the whole parent mass would not
+                # shrink the subproblem, so such a split factorizes instead
+                if len(children) >= 2 and kept.max() < mass * (1.0 - 1e-9):
+                    kind = "sum"
+                    node.children = [_Sub(r, w, scope) for r, w in children]
+                    sum_w = kept / total
+                    node.sum_weights = tuple((sum_w / sum_w.sum()).tolist())
+        if node.children is None:
+            node.dists = estimators.fit_factorized(sub, weights, scope, schema, hp.alpha)
         else:
-            resp = _cluster(sub, weights, scope, schema, hp, rng)
+            stack.extend(reversed(node.children))  # depth-first, first child first
+        node.rows = node.weights = None
 
-        if not soft:
-            resp = clustering.harden(resp)
+        step = StepRecord(kind, tuple(scope), float(mass))
+        if hp.track_alternative_ll:
+            step.alternative_pc_train_ll = alternative_ll(
+                _assemble(root, full, schema, hp.alpha), full
+            )
+        trace.steps.append(step)
 
-        if resp.shape[1] < 2:
-            factorize()
-            continue
-
-        # mass per child before any epsilon-dropping (Σ_i V_i(d) = parent weight)
-        child_weights_full = resp * weights[:, None]
-        s = child_weights_full.sum(axis=0)
-
-        children, kept_s = [], []
-        for i in range(resp.shape[1]):
-            wi = child_weights_full[:, i]
-            keep = wi >= hp.epsilon_w if hp.epsilon_w > 0 else wi > 0
-            if not np.any(keep) or s[i] <= 0:
-                continue
-            children.append(_Slot(rows[keep], wi[keep], scope))
-            kept_s.append(s[i])
-        if len(children) < 2:
-            factorize()
-            continue
-        if max(kept_s) >= mass * (1.0 - 1e-9):
-            # one child absorbed the whole parent mass; recursing would not
-            # shrink the subproblem, so stop here
-            factorize()
-            continue
-
-        sum_w = np.asarray(kept_s) / s.sum()
-        sum_w = sum_w / sum_w.sum()
-        slot.resolve_internal("sum", children, tuple(sum_w.tolist()))
-        record("sum", _SlotView(scope, weights))
-        stack.extend(reversed(children))
-
-    circuit = _assemble(root_slot, schema, hp)
-    return circuit, trace
-
-
-class _SlotView:
-    """Minimal view used for trace records after a slot was resolved."""
-
-    def __init__(self, scope, weights):
-        self.scope = scope
-        self.row_weights = weights
+    return _assemble(root, full, schema, hp.alpha), trace
 
 
 def learn_spn(data: WeightedDataset, hp: Hyperparams, first_split=None):
@@ -309,8 +268,8 @@ def soft_learn(data: WeightedDataset, hp: Hyperparams, first_split=None):
 
 def factorized_circuit(data: WeightedDataset, hp: Hyperparams) -> Circuit:
     """Fully factorized circuit over the data's scope (the iteration-0 cap)."""
-    slot = _Slot(np.arange(data.matrix.shape[0]), data.row_weights, data.scope)
-    return _assemble(slot, data.schema, hp, cap_pending=True, full_matrix=data.matrix)
+    root = _Sub(np.arange(data.matrix.shape[0]), data.row_weights, data.scope)
+    return _assemble(root, data.matrix, data.schema, hp.alpha)
 
 
 def split_circuit(data: WeightedDataset, membership, hp: Hyperparams) -> Circuit:
@@ -321,24 +280,15 @@ def split_circuit(data: WeightedDataset, membership, hp: Hyperparams) -> Circuit
     one-hot rows reproduce a hard split.
     """
     membership = np.asarray(membership, dtype=float)
-    weights = data.row_weights
-    child_w = membership * weights[:, None]
-    s = child_w.sum(axis=0)
-    nodes = []
-    child_ids, kept = [], []
-    for i in range(membership.shape[1]):
-        wi = child_w[:, i]
-        keep = wi >= hp.epsilon_w if hp.epsilon_w > 0 else wi > 0
-        if not np.any(keep) or s[i] <= 0:
-            continue
-        slot = _Slot(np.flatnonzero(keep), wi[keep], data.scope)
-        child_ids.append(_emit_slot(slot, data.schema, hp, nodes, True, data.matrix))
-        kept.append(s[i])
-    if len(child_ids) == 1:
-        return Circuit(nodes, child_ids[0], data.schema)
-    w = np.asarray(kept) / sum(kept)
-    nodes.append(SumNode(tuple(child_ids), tuple(w.tolist())))
-    return Circuit(nodes, len(nodes) - 1, data.schema)
+    rows = np.arange(data.matrix.shape[0])
+    children, kept, _ = _split_children(rows, data.row_weights, membership)
+    subs = [_Sub(r, w, data.scope) for r, w in children]
+    if len(subs) == 1:
+        return _assemble(subs[0], data.matrix, data.schema, hp.alpha)
+    root = _Sub(None, None, data.scope)
+    root.children = subs
+    root.sum_weights = tuple((kept / sum(kept)).tolist())
+    return _assemble(root, data.matrix, data.schema, hp.alpha)
 
 
 def alternative_ll(circuit: Circuit, matrix) -> float:

@@ -28,7 +28,7 @@ class Variable:
     def from_dict(cls, d):
         if d["kind"] == "cat":
             return cls("cat", int(d["arity"]))
-        return cls("cont")
+        return cls(d["kind"])
 
 
 class Schema(tuple):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -249,6 +250,12 @@ class TestSerialization:
             Circuit.from_json('{"schema":[],"root":0,"nodes":[{"type":"nope"}]}')
         with pytest.raises(ModelParseError):
             Circuit.from_json('{"root":0}')
+
+    def test_unknown_variable_kind_is_parse_error(self):
+        doc = json.loads(fig1_circuit().to_json())
+        doc["schema"][0] = {"kind": "bogus"}
+        with pytest.raises(ModelParseError, match="bogus"):
+            Circuit.from_json(json.dumps(doc))
 
     def test_invalid_weights_rejected_on_load(self):
         text = fig1_circuit().to_json().replace("[0.5,0.5]", "[0.6,0.6]")

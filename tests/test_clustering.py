@@ -98,8 +98,10 @@ class TestSoftKmeans:
 
     def test_deterministic_under_seed(self, rng):
         matrix = rng.normal(size=(60, 2))
-        a = soft_kmeans(matrix, np.ones(60), (0, 1), Schema.continuous(2), 2, 4.0, seed=5)
-        b = soft_kmeans(matrix, np.ones(60), (0, 1), Schema.continuous(2), 2, 4.0, seed=5)
+        a = soft_kmeans(matrix, np.ones(60), (0, 1), Schema.continuous(2), 2, 4.0,
+                        rng=np.random.default_rng(5))
+        b = soft_kmeans(matrix, np.ones(60), (0, 1), Schema.continuous(2), 2, 4.0,
+                        rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
 
 

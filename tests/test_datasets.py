@@ -5,14 +5,11 @@ from softpc.datasets import (
     DataError,
     DISCRETE_MANIFEST,
     check_manifest,
-    inverse_standardize,
     load_discrete,
     load_manifest,
     load_mixed_csv,
     read_schema_spec,
-    standardize,
 )
-from softpc.schema import Schema
 
 
 def write_discrete(tmp_path, name, train, valid=None, test=None):
@@ -178,30 +175,3 @@ class TestMixedCsv:
         with pytest.raises(DataError, match="missing columns"):
             load_mixed_csv(csv, {"color": "cat"})
 
-
-class TestStandardize:
-    def test_two_point_column(self):
-        schema = Schema.continuous(1)
-        out, means, stds = standardize(np.array([[0.0], [2.0]]), schema)
-        assert out[:, 0].tolist() == [-1.0, 1.0]
-        assert means[0] == 1.0 and stds[0] == 1.0
-
-    def test_constant_column_untouched(self):
-        schema = Schema.continuous(1)
-        out, means, stds = standardize(np.full((4, 1), 7.0), schema)
-        assert np.all(out == 7.0)
-        assert stds[0] == 1.0
-
-    def test_categorical_columns_pass_through(self):
-        schema = Schema([*Schema.categorical([3]), *Schema.continuous(1)])
-        matrix = np.array([[2.0, 10.0], [0.0, 20.0]])
-        out, _, _ = standardize(matrix, schema)
-        assert out[:, 0].tolist() == [2.0, 0.0]
-
-    def test_round_trip(self, rng):
-        schema = Schema.continuous(3)
-        matrix = rng.normal(5, 3, size=(30, 3))
-        weights = rng.uniform(0.5, 2.0, size=30)
-        out, means, stds = standardize(matrix, schema, weights)
-        back = inverse_standardize(out, schema, means, stds)
-        assert np.allclose(back, matrix, atol=1e-12)

@@ -57,6 +57,22 @@ class TestWeightedDataset:
         with pytest.raises(ValueError):
             WeightedDataset(rng.normal(size=(5, 2)), None, Schema.continuous(2), scope=(0, 7))
 
+    def test_rejects_non_finite_values(self, rng):
+        matrix = rng.normal(size=(5, 2))
+        for bad in (np.nan, np.inf):
+            matrix[2, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                WeightedDataset(matrix, None, Schema.continuous(2))
+
+    def test_rejects_categorical_values_outside_arity(self):
+        for bad in (2.0, -1.0, 0.5):
+            with pytest.raises(ValueError, match="arity"):
+                WeightedDataset(np.array([[0.0], [1.0], [bad]]), None, Schema.binary(1))
+
+    def test_rejects_row_weights_below_epsilon(self, rng):
+        with pytest.raises(ValueError, match="row weights"):
+            WeightedDataset(rng.normal(size=(5, 2)), np.full(5, 1e-7), Schema.continuous(2))
+
 
 class TestLearnSpn:
     def test_single_variable_gives_one_leaf(self):
@@ -275,3 +291,58 @@ class TestAlternativeConstructions:
         assert kinds <= {"leaf", "product", "sum", "factorize"}
         assert len(trace.steps) >= 1
         assert trace.steps[0].effective_mass == pytest.approx(300.0)
+
+
+def pinned_data(kind):
+    """Fixed 400-row sets: 6 binary columns, or cat(3), 2 continuous, binary."""
+    rng = np.random.default_rng(7)
+    z = rng.integers(0, 2, size=400)
+    if kind == "binary":
+        p = np.array([[0.2, 0.8, 0.3, 0.7, 0.1, 0.6], [0.8, 0.3, 0.7, 0.2, 0.5, 0.6]])
+        return (rng.random((400, 6)) < p[z]).astype(float), Schema.binary(6)
+    cat = (z + (rng.random(400) < 0.2)) % 2 + (rng.random(400) < 0.1)
+    cols = [cat, z * 2.0 + rng.normal(0, 0.5, 400), rng.normal(0, 1, 400), rng.integers(0, 2, 400)]
+    schema = Schema([*Schema.categorical([3]), *Schema.continuous(2), *Schema.binary(1)])
+    return np.column_stack(cols).astype(float), schema
+
+
+def step_counts(trace):
+    return tuple(sum(s.step_kind == k for s in trace.steps) for k in ("sum", "product", "factorize", "leaf"))
+
+
+class TestPinnedOutput:
+    """Learner output on fixed data, recorded from the reference recursion:
+    node count, (sum, product, factorize, leaf) step counts, train mean LL."""
+
+    @pytest.mark.parametrize(
+        "learn, clusterer, kind, nodes, steps, train_ll",
+        [
+            (learn_spn, "em", "binary", 25, (3, 6, 1, 13), -3.8353681795253998),
+            (learn_spn, "kmeans", "binary", 24, (3, 5, 1, 13), -3.8369658396974553),
+            (soft_learn, "em", "binary", 15, (1, 3, 0, 11), -3.8269548804355007),
+            (soft_learn, "kmeans", "binary", 57, (7, 9, 4, 21), -4.049936069945985),
+            (learn_spn, "em", "mixed", 10, (1, 3, 0, 6), -4.263554037648191),
+            (learn_spn, "kmeans", "mixed", 10, (1, 3, 0, 6), -4.270119536885327),
+            (soft_learn, "em", "mixed", 10, (1, 3, 0, 6), -4.2626113483255565),
+            (soft_learn, "kmeans", "mixed", 18, (3, 5, 0, 10), -4.388091686658757),
+        ],
+    )
+    def test_learner_output(self, learn, clusterer, kind, nodes, steps, train_ll):
+        matrix, schema = pinned_data(kind)
+        circuit, trace = learn(WeightedDataset(matrix, None, schema), Hyperparams(clusterer=clusterer))
+        assert circuit.n_nodes == nodes
+        assert step_counts(trace) == steps
+        assert alternative_ll(circuit, matrix) == pytest.approx(train_ll, abs=1e-9)
+
+    def test_alternative_ll_trace(self):
+        matrix, schema = pinned_data("binary")
+        hp = Hyperparams(clusterer="kmeans", track_alternative_ll=True)
+        circuit, trace = learn_spn(WeightedDataset(matrix, None, schema), hp)
+        assert circuit.n_nodes == 24
+        assert "".join(s.step_kind[0] for s in trace.steps) == "psplllllplspllspllflll"
+        # the capped LL changes only at sum steps, and ends at the learned LL
+        lls = [s.alternative_pc_train_ll for s in trace.steps]
+        distinct = [ll for i, ll in enumerate(lls) if i == 0 or ll != lls[i - 1]]
+        expected = [-4.049936056116659, -3.840289834335433, -3.8802226555259125, -3.8369658396974553]
+        assert distinct == pytest.approx(expected, abs=1e-9)
+        assert [s.effective_mass for s in trace.steps if s.step_kind == "sum"] == [400.0, 210.0, 99.0]
