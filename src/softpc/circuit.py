@@ -34,6 +34,14 @@ class InvalidCircuitError(ValueError):
         self.violations = list(violations)
 
 
+def _require_types(values, types, what):
+    """Raise TypeError unless each value's type is in ``types``; JSON bools
+    are not integers and strings are not numbers."""
+    if not set(map(type, values)) <= types:
+        bad = next(v for v in values if type(v) not in types)
+        raise TypeError(f"expected {what}, got {bad!r}")
+
+
 @dataclass(frozen=True)
 class SumNode:
     children: tuple
@@ -69,6 +77,7 @@ class Circuit:
         self.root = int(root)
         self.schema = schema
         self.scopes = self._compute_scopes()
+        self._leaves = None
 
     def _compute_scopes(self):
         scopes = []
@@ -131,13 +140,18 @@ class Circuit:
                         violations.append(
                             f"node {i}: arity {node.dist.arity} != schema arity {var.arity}"
                         )
-                    if abs(sum(node.dist.probs) - 1.0) > WEIGHT_TOL:
+                    total = sum(node.dist.probs)
+                    if not math.isfinite(total):
+                        violations.append(f"node {i}: non-finite multinomial prob total {total!r}")
+                    elif abs(total - 1.0) > WEIGHT_TOL:
                         violations.append(f"node {i}: multinomial probs do not sum to 1")
                     if any(p < 0 for p in node.dist.probs):
                         violations.append(f"node {i}: negative multinomial prob")
                 elif isinstance(node.dist, Gaussian):
                     if var.kind != "cont":
                         violations.append(f"node {i}: gaussian leaf on categorical variable")
+                    if not (math.isfinite(node.dist.mu) and math.isfinite(node.dist.sigma)):
+                        violations.append(f"node {i}: non-finite mu or sigma")
                     if node.dist.sigma <= 0:
                         violations.append(f"node {i}: nonpositive sigma")
                 else:
@@ -159,10 +173,11 @@ class Circuit:
                     violations.append(f"node {i}: child/weight count mismatch")
                 if any(w < 0 for w in node.weights):
                     violations.append(f"node {i}: negative sum weight")
-                if abs(sum(node.weights) - 1.0) > WEIGHT_TOL:
-                    violations.append(
-                        f"node {i}: sum weights total {sum(node.weights)!r}, expected 1"
-                    )
+                total = sum(node.weights)
+                if not math.isfinite(total):
+                    violations.append(f"node {i}: non-finite sum weight total {total!r}")
+                elif abs(total - 1.0) > WEIGHT_TOL:
+                    violations.append(f"node {i}: sum weights total {total!r}, expected 1")
                 child_scopes = {self.scopes[c] for c in node.children if 0 <= c < i}
                 if len(child_scopes) > 1:
                     violations.append(f"node {i}: sum children have differing scopes (A1)")
@@ -190,9 +205,43 @@ class Circuit:
     # ------------------------------------------------------------------
     # inference
 
-    def _propagate(self, leaf_logvals):
-        """Bottom-up pass given per-node leaf log values of shape (n_nodes, batch)."""
-        vals = leaf_logvals
+    def _leaf_layer(self):
+        """Per variable, its leaf ids and their parameters stacked once into a
+        ``(k, arity)`` probs table or ``(k, 1)`` mu/sigma columns."""
+        if self._leaves is None:
+            by_var = {}
+            for i, node in enumerate(self.nodes):
+                if isinstance(node, LeafNode):
+                    by_var.setdefault(node.var, []).append(i)
+            for v, ids in by_var.items():
+                dists = [self.nodes[i].dist for i in ids]
+                if isinstance(dists[0], Multinomial):
+                    stacked = Multinomial(np.array([d.probs for d in dists]))
+                else:
+                    stacked = Gaussian(np.array([[d.mu] for d in dists]),
+                                       np.array([[d.sigma] for d in dists]))
+                by_var[v] = (ids, stacked)
+            self._leaves = by_var  # assigned whole, so other threads never see it half built
+        return self._leaves
+
+    def _evaluate(self, columns, n):
+        """Root log values for ``n`` rows; ``columns[v]`` holds variable v's
+        observed values, ``None`` (marginalised) or an ``(lo, hi)`` interval."""
+        vals = np.zeros((len(self.nodes), n))
+        for v, (ids, dist) in self._leaf_layer().items():
+            entry = columns[v]
+            if entry is not None and np.isnan(entry).any():
+                raise ValueError(f"NaN value for variable {v}")
+            if isinstance(entry, tuple):
+                lo, hi = entry
+                with np.errstate(divide="ignore"):
+                    vals[ids] = np.log(gaussian_cdf(dist, hi) - gaussian_cdf(dist, lo))
+            elif entry is not None:
+                vals[ids] = leaf_log_pdf(dist, entry)
+        return self._propagate(vals)
+
+    def _propagate(self, vals):
+        """Bottom-up pass over a (n_nodes, batch) table; returns a copy of the root row."""
         for i, node in enumerate(self.nodes):
             if isinstance(node, SumNode):
                 stacked = np.stack([vals[c] for c in node.children])
@@ -204,22 +253,16 @@ class Circuit:
                 for c in node.children[1:]:
                     acc += vals[c]
                 vals[i] = acc
-        return vals[self.root]
+        return vals[self.root].copy()
 
     def log_density(self, x):
         """Log density of one full assignment (1-d) or a batch (2-d)."""
         arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.shape[1] != len(self.schema):
+        rows = np.atleast_2d(arr)
+        if rows.shape[1] != len(self.schema):
             raise ValueError("row length does not match schema")
-        vals = np.zeros((len(self.nodes), arr.shape[0]))
-        for i, node in enumerate(self.nodes):
-            if isinstance(node, LeafNode):
-                vals[i] = leaf_log_pdf(node.dist, arr[:, node.var])
-        out = self._propagate(vals)
-        return float(out[0]) if single else out
+        out = self._evaluate(rows.T, rows.shape[0])
+        return float(out[0]) if arr.ndim == 1 else out
 
     def log_marginal(self, query) -> float:
         """Log probability of a partial query.
@@ -231,75 +274,58 @@ class Circuit:
         """
         if len(query) != len(self.schema):
             raise ValueError("query length does not match schema")
-        leaf_val = {}
+        columns = []
         for v, entry in enumerate(query):
-            if entry is None:
-                continue
-            var = self.schema[v]
             if isinstance(entry, tuple):
-                if var.kind != "cont":
+                if self.schema[v].kind != "cont":
                     raise ValueError(f"interval query on categorical variable {v}")
                 lo, hi = entry
                 if lo > hi:
                     raise ValueError(f"interval with lo > hi on variable {v}")
-                leaf_val[v] = ("interval", lo, hi)
-            else:
-                leaf_val[v] = ("point", entry)
-
-        vals = np.zeros((len(self.nodes), 1))
-        for i, node in enumerate(self.nodes):
-            if not isinstance(node, LeafNode):
-                continue
-            spec = leaf_val.get(node.var)
-            if spec is None:
-                vals[i] = 0.0
-            elif spec[0] == "point":
-                vals[i] = leaf_log_pdf(node.dist, spec[1])
-            else:
-                _, lo, hi = spec
-                if not isinstance(node.dist, Gaussian):
-                    raise ValueError("interval query requires a Gaussian leaf")
-                mass = gaussian_cdf(node.dist, hi) - gaussian_cdf(node.dist, lo)
-                vals[i] = math.log(mass) if mass > 0 else -math.inf
-        return float(self._propagate(vals)[0])
+            elif entry is not None:
+                entry = np.array([entry], dtype=float)
+            columns.append(entry)
+        return float(self._evaluate(columns, 1)[0])
 
     # ------------------------------------------------------------------
     # sampling
 
     def sample(self, rng, n: int):
-        """Draw ``n`` independent full assignments, top-down.
-
-        Sum nodes pick one child categorically by weight; product nodes
-        descend into all children.
-        """
+        """Draw ``n`` independent full assignments, top-down, visiting each
+        node once (parents first) with the rows that reach it from any parent:
+        a sum sends each row to one child drawn by weight, a product to all."""
         out = np.empty((n, len(self.schema)))
-        sum_weights = {
-            i: np.asarray(node.weights)
-            for i, node in enumerate(self.nodes)
-            if isinstance(node, SumNode)
-        }
-        for r in range(n):
-            stack = [self.root]
-            while stack:
-                i = stack.pop()
-                node = self.nodes[i]
-                if isinstance(node, LeafNode):
-                    if isinstance(node.dist, Multinomial):
-                        out[r, node.var] = rng.choice(node.dist.arity, p=node.dist.probs)
-                    else:
-                        out[r, node.var] = node.dist.mu + node.dist.sigma * rng.standard_normal()
-                elif isinstance(node, SumNode):
-                    k = rng.choice(len(node.children), p=sum_weights[i])
-                    stack.append(node.children[k])
+        reach = {self.root: np.arange(n)}
+        for i in range(self.root, -1, -1):
+            rows = reach.pop(i, None)
+            if rows is None:
+                continue
+            node = self.nodes[i]
+            if isinstance(node, LeafNode):
+                d = node.dist
+                if isinstance(d, Multinomial):
+                    out[rows, node.var] = rng.choice(d.arity, size=rows.size, p=d.probs)
                 else:
-                    stack.extend(node.children)
+                    out[rows, node.var] = d.mu + d.sigma * rng.standard_normal(rows.size)
+                continue
+            if isinstance(node, SumNode):
+                pick = rng.choice(len(node.children), size=rows.size, p=node.weights)
+                parts = [rows[pick == k] for k in range(len(node.children))]
+            else:
+                parts = [rows] * len(node.children)
+            for c, part in zip(node.children, parts):
+                reach[c] = np.concatenate((reach[c], part)) if c in reach else part
         return out
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_json(self) -> str:
-        """Serialize to the documented JSON text format (full precision)."""
+        """Serialize to the documented JSON text format (full precision).
+
+        Schema entries hold ``kind``, ``arity`` for categorical variables,
+        and ``name`` when the variable has one.
+        """
         nodes = []
         for node in self.nodes:
             if isinstance(node, SumNode):
@@ -331,28 +357,34 @@ class Circuit:
         try:
             doc = json.loads(text)
             schema = Schema([Variable.from_dict(d) for d in doc["schema"]])
-            nodes = []
+            nodes, ints, numbers = [], [doc["root"]], []
             for nd in doc["nodes"]:
                 t = nd["type"]
                 if t == "sum":
-                    nodes.append(
-                        SumNode(tuple(nd["children"]), tuple(float(w) for w in nd["weights"]))
-                    )
+                    ints += nd["children"]
+                    numbers += nd["weights"]
+                    nodes.append(SumNode(tuple(nd["children"]), tuple(map(float, nd["weights"]))))
                 elif t == "prod":
+                    ints += nd["children"]
                     nodes.append(ProductNode(tuple(nd["children"])))
                 elif t == "leaf":
                     dd = nd["dist"]
                     if dd["type"] == "multinomial":
-                        dist = Multinomial(tuple(float(p) for p in dd["probs"]))
+                        numbers += dd["probs"]
+                        dist = Multinomial(tuple(map(float, dd["probs"])))
                     elif dd["type"] == "gaussian":
+                        numbers += (dd["mu"], dd["sigma"])
                         dist = Gaussian(float(dd["mu"]), float(dd["sigma"]))
                     else:
                         raise ValueError(f"unknown dist type {dd['type']!r}")
-                    nodes.append(LeafNode(int(nd["var"]), dist))
+                    ints.append(nd["var"])
+                    nodes.append(LeafNode(nd["var"], dist))
                 else:
                     raise ValueError(f"unknown node type {t!r}")
-            circuit = cls(nodes, int(doc["root"]), schema)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            _require_types(ints, {int}, "an integer")
+            _require_types(numbers, {int, float}, "a number")
+            circuit = cls(nodes, doc["root"], schema)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelParseError(f"cannot parse model: {exc}") from exc
         if check:
             violations = circuit.validate()

@@ -203,6 +203,8 @@ def load_mixed_csv(
                 encoded[:, j] = [float(v) for v in raw]
             except ValueError as exc:
                 raise DataError(f"{csv_path}: column {colname!r}: non-numeric value") from exc
+            if not np.isfinite(encoded[:, j]).all():
+                raise DataError(f"{csv_path}: column {colname!r}: non-finite value")
             variables.append(Variable("cont", name=colname))
         else:
             levels = {}

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
 # Weights below this are treated as zero and dropped before fitting.
 EPSILON_W = 1e-6
@@ -104,33 +105,24 @@ def fit_factorized(matrix, weights, scope, schema, alpha: float = 0.0) -> list:
 
 
 def leaf_log_pdf(dist, x):
-    """Log pmf/pdf of a leaf distribution; ``x`` may be a scalar or array."""
+    """Log pmf/pdf of a leaf; broadcasts over array ``x`` and stacked parameters."""
     if isinstance(dist, Multinomial):
-        xa = np.asarray(x)
-        iv = xa.astype(np.int64)
-        if np.any(iv != xa) or np.any(iv < 0) or np.any(iv >= dist.arity):
-            raise ValueError("categorical value out of range")
         with np.errstate(divide="ignore"):
             logp = np.log(np.asarray(dist.probs))
-        out = logp[iv]
-        return float(out) if np.isscalar(x) or xa.ndim == 0 else out
-    if isinstance(dist, Gaussian):
+        xa = np.asarray(x)
+        iv = xa.astype(np.int64)
+        if np.any(iv != xa) or np.any(iv < 0) or np.any(iv >= logp.shape[-1]):
+            raise ValueError("categorical value out of range")
+        out = logp[..., iv]
+    elif isinstance(dist, Gaussian):
         z = (np.asarray(x, dtype=float) - dist.mu) / dist.sigma
-        out = -0.5 * z * z - math.log(dist.sigma) - _LOG_SQRT_2PI
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
-    raise TypeError(f"unknown leaf distribution {type(dist)!r}")
+        out = -0.5 * z * z - np.log(dist.sigma) - _LOG_SQRT_2PI
+    else:
+        raise TypeError(f"unknown leaf distribution {type(dist)!r}")
+    return float(out) if out.ndim == 0 else out
 
 
 def gaussian_cdf(dist: Gaussian, x):
-    """Gaussian CDF via the complementary error function."""
-    if np.isscalar(x):
-        if x == math.inf:
-            return 1.0
-        if x == -math.inf:
-            return 0.0
-        z = (x - dist.mu) / dist.sigma
-        return 0.5 * math.erfc(-z / _SQRT2)
-    from scipy.special import erfc
-
+    """Gaussian CDF via the complementary error function; broadcasts like ``leaf_log_pdf``."""
     z = (np.asarray(x, dtype=float) - dist.mu) / dist.sigma
     return 0.5 * erfc(-z / _SQRT2)

@@ -20,15 +20,23 @@ class Variable:
             raise ValueError("continuous variables have no arity")
 
     def to_dict(self):
+        d = {"kind": self.kind}
         if self.kind == "cat":
-            return {"kind": "cat", "arity": self.arity}
-        return {"kind": "cont"}
+            d["arity"] = self.arity
+        if self.name is not None:
+            d["name"] = self.name
+        return d
 
     @classmethod
     def from_dict(cls, d):
-        if d["kind"] == "cat":
-            return cls("cat", int(d["arity"]))
-        return cls(d["kind"])
+        """Read the ``to_dict`` form; a mistyped arity or name is a TypeError."""
+        arity = d["arity"] if d["kind"] == "cat" else None
+        if arity is not None and type(arity) is not int:
+            raise TypeError(f"arity must be an integer, got {arity!r}")
+        name = d.get("name")
+        if name is not None and not isinstance(name, str):
+            raise TypeError(f"variable name must be a string, got {name!r}")
+        return cls(d["kind"], arity, name)
 
 
 class Schema(tuple):

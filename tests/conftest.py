@@ -1,9 +1,12 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from softpc.circuit import Circuit, LeafNode, ProductNode, SumNode
-from softpc.estimators import Gaussian, Multinomial
-from softpc.schema import Schema
+from softpc.estimators import Gaussian, Multinomial, leaf_log_pdf
+from softpc.schema import Schema, Variable
 
 
 def fig1_circuit() -> Circuit:
@@ -61,6 +64,110 @@ def random_binary_circuit(n_vars: int, rng, max_depth: int = 4) -> Circuit:
 
     root = build(list(range(n_vars)), 0)
     return Circuit(nodes, root, Schema.binary(n_vars))
+
+
+def small_mixed_circuit() -> Circuit:
+    """A named mixed schema (ternary, continuous, binary) under a two-way mixture."""
+    schema = Schema(
+        [Variable("cat", 3, name="colour"), Variable("cont", name="size"), Variable("cat", 2)]
+    )
+    nodes = [
+        LeafNode(0, Multinomial((0.2, 0.5, 0.3))),
+        LeafNode(1, Gaussian(-1.0, 0.5)),
+        LeafNode(2, Multinomial((0.9, 0.1))),
+        LeafNode(1, Gaussian(2.0, 1.5)),
+        LeafNode(2, Multinomial((0.25, 0.75))),
+        ProductNode((0, 1, 2)),
+        ProductNode((0, 3, 4)),
+        SumNode((5, 6), (0.4, 0.6)),
+    ]
+    return Circuit(nodes, 7, schema)
+
+
+def random_mixed_circuit(rng, n_vars: int = 5, max_depth: int = 3) -> Circuit:
+    """A random valid circuit over binary, ternary and continuous variables;
+    variable 0 is ternary and variable 1 continuous.
+
+    Some sum children get weight 0, and the last level of every ternary
+    variable has probability 0 in all its leaves, so rows using it have
+    log density -inf.
+    """
+    schema = Schema(
+        [Variable("cat", 3), Variable("cont")]
+        + [
+            Variable("cont") if rng.random() < 0.4 else Variable("cat", int(rng.integers(2, 4)))
+            for _ in range(n_vars - 2)
+        ]
+    )
+    nodes = []
+
+    def leaf(v):
+        var = schema[v]
+        if var.kind == "cont":
+            dist = Gaussian(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0)))
+        else:
+            p = rng.dirichlet(np.ones(var.arity))
+            if var.arity == 3:
+                p[2] = 0.0
+            dist = Multinomial(tuple((p / p.sum()).tolist()))
+        nodes.append(LeafNode(int(v), dist))
+        return len(nodes) - 1
+
+    def build(scope, depth):
+        deep = depth >= max_depth or rng.random() < 0.5
+        if len(scope) == 1 and deep:
+            return leaf(scope[0])
+        if len(scope) > 1 and deep:
+            k = int(rng.integers(1, len(scope)))
+            perm = rng.permutation(scope)
+            children = (build(sorted(perm[:k]), depth + 1), build(sorted(perm[k:]), depth + 1))
+            nodes.append(ProductNode(children))
+        else:
+            k = int(rng.integers(2, 4))
+            children = tuple(build(scope, depth + 1) for _ in range(k))
+            w = rng.dirichlet(np.ones(k))
+            if rng.random() < 0.4:
+                w[0] = 0.0
+            nodes.append(SumNode(children, tuple((w / w.sum()).tolist())))
+        return len(nodes) - 1
+
+    root = build(list(range(n_vars)), 0)
+    return Circuit(nodes, root, schema)
+
+
+def reference_log_value(circuit: Circuit, query) -> float:
+    """Log value of one query, evaluated node by node by recursion.
+
+    Entries are as in ``Circuit.log_marginal``: ``None``, a point, or an
+    ``(lo, hi)`` interval.  Leaves use ``leaf_log_pdf`` one at a time,
+    intervals use ``math.erfc`` and sums use ``np.logaddexp``; this is the
+    reference the batched evaluator is pinned to.
+    """
+
+    def leaf_value(node):
+        entry = query[node.var]
+        if entry is None:
+            return 0.0
+        if isinstance(entry, tuple):
+            lo, hi = ((b - node.dist.mu) / node.dist.sigma for b in entry)
+            mass = 0.5 * math.erfc(-hi / math.sqrt(2.0)) - 0.5 * math.erfc(-lo / math.sqrt(2.0))
+            return math.log(mass) if mass > 0 else -math.inf
+        return leaf_log_pdf(node.dist, entry)
+
+    @functools.lru_cache(maxsize=None)
+    def value(i):
+        node = circuit.nodes[i]
+        if isinstance(node, LeafNode):
+            return leaf_value(node)
+        if isinstance(node, ProductNode):
+            return sum(value(c) for c in node.children)
+        terms = [
+            (math.log(w) if w > 0 else -math.inf) + value(c)
+            for c, w in zip(node.children, node.weights)
+        ]
+        return functools.reduce(np.logaddexp, terms)
+
+    return float(value(circuit.root))
 
 
 def all_binary_rows(n_vars: int) -> np.ndarray:

@@ -1,8 +1,14 @@
+import copy
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from softpc.circuit import (
@@ -16,7 +22,14 @@ from softpc.circuit import (
 from softpc.estimators import Gaussian, Multinomial
 from softpc.schema import Schema
 
-from conftest import all_binary_rows, fig1_circuit, random_binary_circuit
+from conftest import (
+    all_binary_rows,
+    fig1_circuit,
+    random_binary_circuit,
+    random_mixed_circuit,
+    reference_log_value,
+    small_mixed_circuit,
+)
 
 
 def normal_pdf(x, mu, sigma):
@@ -194,6 +207,79 @@ class TestLogMarginal:
             fig1_circuit().log_marginal([(1.0, -1.0), None])
 
 
+def random_rows(schema, rng, n):
+    """Rows with every categorical level (zero-probability ones included)
+    and continuous values around the leaf means."""
+    cols = [
+        rng.integers(0, var.arity, size=n) if var.kind == "cat" else rng.normal(0.0, 1.5, size=n)
+        for var in schema
+    ]
+    return np.column_stack(cols).astype(float)
+
+
+def random_query(schema, row, rng):
+    """Each entry is None, the row's value, or (continuous only) an interval
+    that may be open on one side."""
+    query = []
+    for v, var in enumerate(schema):
+        u = rng.random()
+        if u < 0.3:
+            query.append(None)
+        elif var.kind == "cat" or u < 0.6:
+            query.append(int(row[v]) if var.kind == "cat" else float(row[v]))
+        else:
+            lo = float(rng.uniform(-2.0, 0.5))
+            hi = lo + float(rng.uniform(0.2, 2.0))
+            query.append(((-math.inf, hi), (lo, math.inf), (lo, hi))[int(rng.integers(3))])
+    return query
+
+
+class TestEvaluatorMatchesReference:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_circuits(self, seed):
+        rng = np.random.default_rng(seed)
+        neg_inf = 0
+        for circuit in (random_binary_circuit(6, rng), random_mixed_circuit(rng)):
+            rows = random_rows(circuit.schema, rng, 30)
+            expected = [reference_log_value(circuit, list(row)) for row in rows]
+            assert_allclose(circuit.log_density(rows), expected, rtol=0, atol=1e-12)
+            neg_inf += int(np.isneginf(expected).sum())
+            for row in rows:
+                query = random_query(circuit.schema, row, rng)
+                assert_allclose(
+                    circuit.log_marginal(query),
+                    reference_log_value(circuit, query),
+                    rtol=0,
+                    atol=1e-12,
+                )
+        assert neg_inf > 0  # zero-probability levels were exercised
+
+    def test_zero_weight_child_and_intervals(self):
+        c = small_mixed_circuit()
+        for query in ([None, (-1.0, 0.5), 1], [2, (0.0, math.inf), None], [None, None, None]):
+            expected = reference_log_value(c, query)
+            assert_allclose(c.log_marginal(query), expected, rtol=0, atol=1e-12)
+        nodes = list(c.nodes[:-1]) + [SumNode((5, 6), (0.0, 1.0))]
+        zero = Circuit(nodes, 7, c.schema)
+        rows = np.array([[0.0, 3.0, 1.0], [2.0, -1.0, 0.0]])
+        expected = [reference_log_value(zero, list(r)) for r in rows]
+        assert_allclose(zero.log_density(rows), expected, rtol=0, atol=1e-12)
+
+    def test_nan_input_rejected(self):
+        c = fig1_circuit()
+        with pytest.raises(ValueError, match="NaN"):
+            c.log_density([0.0, math.nan])
+        with pytest.raises(ValueError, match="NaN"):
+            c.log_marginal([math.nan, None])
+        with pytest.raises(ValueError, match="NaN"):
+            c.log_marginal([None, (math.nan, 1.0)])
+
+    def test_log_density_result_owns_its_data(self, rng):
+        c = random_binary_circuit(4, rng)
+        out = c.log_density(all_binary_rows(4))
+        assert out.base is None
+
+
 class TestSample:
     def test_gaussian_leaf_mean_within_clt_band(self, rng):
         c = Circuit([LeafNode(0, Gaussian(0.0, 1.0))], 0, Schema.continuous(1))
@@ -224,6 +310,28 @@ class TestSample:
         observed = np.bincount(codes, minlength=8)
         probs = np.exp(c.log_density(all_binary_rows(3)))
         result = chisquare(observed, 100_000 * probs / probs.sum())
+        assert result.pvalue > 0.001
+
+
+    def test_leaf_shared_by_two_products_gets_rows_from_both(self, rng):
+        from scipy.stats import chisquare
+
+        nodes = [
+            LeafNode(0, Multinomial((0.2, 0.5, 0.3))),  # under both products
+            LeafNode(1, Multinomial((0.9, 0.1))),
+            LeafNode(1, Multinomial((0.3, 0.7))),
+            ProductNode((0, 1)),
+            ProductNode((0, 2)),
+            SumNode((3, 4), (0.4, 0.6)),
+        ]
+        c = Circuit(nodes, 5, Schema.categorical([3, 2]))
+        assert c.validate() == []
+        n = 60_000
+        rows = c.sample(rng, n)
+        assert np.isin(rows[:, 0], (0, 1, 2)).all()
+        observed = np.bincount((rows @ np.array([2.0, 1.0])).astype(int), minlength=6)
+        grid = np.array([[a, b] for a in range(3) for b in range(2)], dtype=float)
+        result = chisquare(observed, n * np.exp(c.log_density(grid)))
         assert result.pvalue > 0.001
 
 
@@ -267,6 +375,89 @@ class TestSerialization:
         text = fig1_circuit().to_json().replace("[0.5,0.5]", "[0.6,0.6]")
         c = Circuit.from_json(text, check=False)
         assert c.validate() != []
+
+
+    def test_variable_names_survive_round_trip(self):
+        c = small_mixed_circuit()
+        again = Circuit.from_json(c.to_json())
+        assert [v.name for v in again.schema] == ["colour", "size", None]
+        assert again == c
+
+    @pytest.mark.parametrize(
+        "path, value, error, match",
+        [
+            (("nodes", 7, "weights", 0), math.nan, InvalidCircuitError, "non-finite sum"),
+            (("nodes", 0, "dist", "probs", 1), math.nan, InvalidCircuitError, "non-finite"),
+            (("nodes", 1, "dist", "sigma"), math.nan, InvalidCircuitError, "non-finite"),
+            (("nodes", 1, "dist", "sigma"), math.inf, InvalidCircuitError, "non-finite"),
+            (("nodes", 3, "dist", "mu"), math.nan, InvalidCircuitError, "non-finite"),
+            (("nodes", 1, "var"), False, ModelParseError, "integer"),
+            (("nodes", 5, "children"), [False, True, 2], ModelParseError, "integer"),
+            (("nodes", 7, "weights"), ["0.4", "0.6"], ModelParseError, "number"),
+            (("nodes", 3, "dist", "mu"), "2.0", ModelParseError, "number"),
+            (("root",), True, ModelParseError, "integer"),
+            (("root",), 7.0, ModelParseError, "integer"),
+            (("schema", 0, "arity"), 3.0, ModelParseError, "integer"),
+            (("schema", 0, "name"), 5, ModelParseError, "string"),
+        ],
+        ids=[
+            "nan-weight", "nan-prob", "nan-sigma", "inf-sigma", "nan-mu", "bool-var",
+            "bool-children", "string-weights", "string-mu", "bool-root", "float-root",
+            "float-arity", "int-name",
+        ],
+    )
+    def test_non_finite_or_mistyped_field_rejected(self, path, value, error, match):
+        doc = json.loads(small_mixed_circuit().to_json())
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+        with pytest.raises(error, match=match):
+            Circuit.from_json(json.dumps(doc))
+
+
+# Values a fuzzed document may hold in place of any field.
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, True, False, "x", None, 1.5, 10**400, []]
+FUZZ_BASES = [
+    (json.loads(fig1_circuit().to_json()), [0.3, -1.2]),
+    (json.loads(small_mixed_circuit().to_json()), [2.0, 0.7, 1.0]),
+]
+
+
+def _json_paths(doc, prefix=()):
+    """Paths to every value below the top level of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A base document with one value replaced or one key deleted, and a row
+    that is in range for the base schema."""
+    base, row = draw(st.sampled_from(FUZZ_BASES))
+    doc = copy.deepcopy(base)
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    return json.dumps(doc), row
+
+
+class TestFromJsonFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=800)
+    @given(mutated_documents())
+    def test_mutated_document_loads_valid_or_fails_cleanly(self, case):
+        text, row = case
+        try:
+            circuit = Circuit.from_json(text)
+        except (ModelParseError, InvalidCircuitError):
+            return
+        assert circuit.validate() == []
+        assert not math.isnan(circuit.log_density(row))
 
 
 class TestCounts:

@@ -101,6 +101,19 @@ class TestLearn:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_cell_is_data_error(self, tmp_path, capsys, cell):
+        rng = np.random.default_rng(3)
+        lines = ["colour,size"] + [
+            f"{('red', 'blue')[i % 2]},{rng.normal():.4f}" for i in range(200)
+        ]
+        lines[57] = f"red,{cell}"
+        (tmp_path / "mix.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "mix.schema").write_text("colour cat\nsize cont\n")
+        code = run(["--data-dir", tmp_path, "learn", "--data", "mix", "--method", "learnspn"])
+        assert code == EXIT_DATA
+        assert "'size'" in capsys.readouterr().err
+
 
 class TestValidateAndEval:
     @pytest.fixture()
