@@ -1,25 +1,37 @@
 """Probabilistic circuits: representation, validation, inference, sampling, IO.
 
 A circuit is a single-rooted DAG over sum, product, and leaf nodes stored in
-a topologically ordered table (children always precede their parents), which
-allows single-pass bottom-up evaluation.  All evaluation is done in
-log-space (log-sum-exp at sums, addition at products), so deep circuits do
-not underflow.
+a topologically ordered table (children always precede their parents).  All
+evaluation is done in log-space (log-sum-exp at sums, addition at products),
+so deep circuits do not underflow.
+
+Inference runs on a compiled form, built once per circuit on first use: the
+leaves grouped by variable with their parameters stacked, and the inner nodes
+grouped by height and kind, so that no node depends on a node in its own
+group.  Rows are evaluated in chunks of a bounded number of node-rows; per
+chunk there is one leaf call per variable and one vectorised step per group,
+lowest height first.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .estimators import Gaussian, Multinomial, gaussian_cdf, leaf_log_pdf
 from .schema import Schema, Variable
 
 WEIGHT_TOL = 1e-9
+# node-rows per evaluation chunk, so a chunk's table is 4 MiB: about 512 rows
+# of a 1000-node circuit.  Smaller chunks pay more per-step Python overhead,
+# larger ones fall out of cache; 2**19 and 2**20 measured fastest.
+_CHUNK_CELLS = 1 << 19
+# stands in for a sum's max when all its terms are -inf, so terms minus it stay -inf
+_LOG_FLOOR = np.finfo(float).min
 
 
 class ModelParseError(ValueError):
@@ -40,6 +52,11 @@ def _require_types(values, types, what):
     if not set(map(type, values)) <= types:
         bad = next(v for v in values if type(v) not in types)
         raise TypeError(f"expected {what}, got {bad!r}")
+
+
+def _is_number(value) -> bool:
+    """A real number, numpy scalars included; bools are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -77,7 +94,7 @@ class Circuit:
         self.root = int(root)
         self.schema = schema
         self.scopes = self._compute_scopes()
-        self._leaves = None
+        self._plan = None
 
     def _compute_scopes(self):
         scopes = []
@@ -205,59 +222,140 @@ class Circuit:
     # ------------------------------------------------------------------
     # inference
 
-    def _leaf_layer(self):
-        """Per variable, its leaf ids and their parameters stacked once into a
-        ``(k, arity)`` probs table or ``(k, 1)`` mu/sigma columns."""
-        if self._leaves is None:
-            by_var = {}
+    def _compiled(self):
+        """The circuit's compiled form for evaluation, built on first use.
+
+        Every node gets a slot in a ``(slots, rows)`` table: leaves first,
+        grouped by variable, then the inner nodes grouped by height (1 + the
+        tallest child's) and kind, so that each group fills one contiguous
+        block of slots from slots below it.  Returns ``(root_slot, chunk,
+        leaves, groups)``:
+
+        - ``leaves``: per variable, ``(v, lo, hi, stacked)``, its block of
+          slots and its leaf parameters stacked once into a ``(k, arity)``
+          probs table or ``(k, 1)`` mu/sigma columns;
+        - ``groups``: per group, ``(lo, hi, children, log_weights)``.  For a
+          product group ``children`` is a CSR matrix of ones, node by slot,
+          and ``log_weights`` is None.  For a sum group ``children`` is a
+          ``(width, nodes)`` array of child slots by position and
+          ``log_weights`` the matching ``(width, nodes, 1)`` log weights; a
+          sum with fewer children repeats its first child with weight 0.
+        """
+        if self._plan is None:
+            # here, not at module level: scipy.sparse adds ~15 ms to importing
+            # softpc, and only evaluation needs it
+            from scipy.sparse import csr_matrix
+
+            height = [0] * len(self.nodes)
+            by_var, by_group = {}, {}
             for i, node in enumerate(self.nodes):
                 if isinstance(node, LeafNode):
                     by_var.setdefault(node.var, []).append(i)
-            for v, ids in by_var.items():
-                dists = [self.nodes[i].dist for i in ids]
+                    continue
+                if not node.children or not 0 <= min(node.children) <= max(node.children) < i:
+                    raise ValueError(f"node {i}: children {node.children} do not precede it")
+                height[i] = 1 + max(height[c] for c in node.children)
+                by_group.setdefault((height[i], isinstance(node, SumNode)), []).append(i)
+            order = [i for v in sorted(by_var) for i in by_var[v]]
+            order += [i for key in sorted(by_group) for i in by_group[key]]
+            slot_of = np.empty(len(order), dtype=np.intp)
+            slot_of[order] = np.arange(len(order))
+
+            leaves, lo = [], 0
+            for v in sorted(by_var):
+                dists = [self.nodes[i].dist for i in by_var[v]]
                 if isinstance(dists[0], Multinomial):
                     stacked = Multinomial(np.array([d.probs for d in dists]))
                 else:
                     stacked = Gaussian(np.array([[d.mu] for d in dists]),
                                        np.array([[d.sigma] for d in dists]))
-                by_var[v] = (ids, stacked)
-            self._leaves = by_var  # assigned whole, so other threads never see it half built
-        return self._leaves
+                leaves.append((v, lo, lo + len(dists), stacked))
+                lo += len(dists)
+
+            groups = []
+            for (_, is_sum), ids in sorted(by_group.items()):
+                nodes = [self.nodes[i] for i in ids]
+                if is_sum:
+                    width = max(len(node.children) for node in nodes)
+                    pad = [(width - len(node.children)) for node in nodes]
+                    children = slot_of[[list(node.children) + [node.children[0]] * k
+                                        for node, k in zip(nodes, pad)]].T
+                    weights = np.array([list(node.weights) + [0.0] * k
+                                        for node, k in zip(nodes, pad)]).T[:, :, None]
+                    with np.errstate(divide="ignore"):
+                        log_weights = np.log(weights)
+                else:
+                    counts = [len(node.children) for node in nodes]
+                    flat = slot_of[[c for node in nodes for c in node.children]]
+                    children = csr_matrix((np.ones(len(flat)), flat, np.cumsum([0] + counts)),
+                                          shape=(len(nodes), len(self.nodes)))
+                    log_weights = None
+                groups.append((lo, lo + len(ids), children, log_weights))
+                lo += len(ids)
+
+            chunk = max(1, _CHUNK_CELLS // len(self.nodes))
+            # assigned whole, so other threads never see it half built
+            self._plan = (slot_of[self.root], chunk, leaves, groups)
+        return self._plan
 
     def _evaluate(self, columns, n):
         """Root log values for ``n`` rows; ``columns[v]`` holds variable v's
-        observed values, ``None`` (marginalised) or an ``(lo, hi)`` interval."""
-        vals = np.zeros((len(self.nodes), n))
-        for v, (ids, dist) in self._leaf_layer().items():
-            entry = columns[v]
+        observed values, ``None`` (marginalised) or an ``(lo, hi)`` interval.
+
+        Rows go through in chunks, so the table holds ``slots x chunk``
+        floats whatever ``n`` is.  Per chunk, each variable's leaves take one
+        ``leaf_log_pdf`` call (or two ``gaussian_cdf`` calls for an interval,
+        or 0 when marginalised).  Then each inner group, lowest first, is one
+        vectorised step.  A product group is its CSR matrix times the table,
+        which adds each node's children in order.  A sum group gathers its
+        children by position and adds the log weights; then it takes the max
+        over positions, sums ``exp(term - max)`` over positions in order and
+        adds the max back to the log (a sum whose terms are all -inf gives
+        -inf, as ``logsumexp`` does).
+        """
+        root_slot, chunk, leaves, groups = self._compiled()
+        for v, entry in enumerate(columns):
             if entry is not None and np.isnan(entry).any():
                 raise ValueError(f"NaN value for variable {v}")
-            if isinstance(entry, tuple):
-                lo, hi = entry
-                with np.errstate(divide="ignore"):
-                    vals[ids] = np.log(gaussian_cdf(dist, hi) - gaussian_cdf(dist, lo))
-            elif entry is not None:
-                vals[ids] = leaf_log_pdf(dist, entry)
-        return self._propagate(vals)
-
-    def _propagate(self, vals):
-        """Bottom-up pass over a (n_nodes, batch) table; returns a copy of the root row."""
-        for i, node in enumerate(self.nodes):
-            if isinstance(node, SumNode):
-                stacked = np.stack([vals[c] for c in node.children])
-                with np.errstate(divide="ignore"):
-                    logw = np.log(np.asarray(node.weights))
-                vals[i] = logsumexp(stacked + logw[:, None], axis=0)
-            elif isinstance(node, ProductNode):
-                acc = vals[node.children[0]].copy()
-                for c in node.children[1:]:
-                    acc += vals[c]
-                vals[i] = acc
-        return vals[self.root].copy()
+        out = np.empty(n)
+        for first in range(0, n, chunk):
+            rows = slice(first, min(first + chunk, n))
+            vals = np.empty((len(self.nodes), rows.stop - first))
+            for v, lo, hi, dist in leaves:
+                entry = columns[v]
+                if entry is None:
+                    vals[lo:hi] = 0.0
+                elif isinstance(entry, tuple):
+                    with np.errstate(divide="ignore"):
+                        vals[lo:hi] = np.log(gaussian_cdf(dist, entry[1])
+                                             - gaussian_cdf(dist, entry[0]))
+                else:
+                    vals[lo:hi] = leaf_log_pdf(dist, entry[rows])
+            for lo, hi, children, log_weights in groups:
+                if log_weights is None:
+                    vals[lo:hi] = children @ vals
+                else:
+                    terms = vals[children]
+                    terms += log_weights
+                    top = terms.max(axis=0)
+                    np.maximum(top, _LOG_FLOOR, out=top)  # an all -inf sum stays -inf
+                    terms -= top
+                    np.exp(terms, out=terms)
+                    total = vals[lo:hi]
+                    np.copyto(total, terms[0])
+                    for term in terms[1:]:
+                        total += term
+                    with np.errstate(divide="ignore"):
+                        np.log(total, out=total)
+                    total += top
+            out[rows] = vals[root_slot]
+        return out
 
     def log_density(self, x):
         """Log density of one full assignment (1-d) or a batch (2-d)."""
         arr = np.asarray(x, dtype=float)
+        if arr.ndim not in (1, 2):
+            raise ValueError(f"expected one row (1-d) or a batch of rows (2-d), got {arr.ndim}-d")
         rows = np.atleast_2d(arr)
         if rows.shape[1] != len(self.schema):
             raise ValueError("row length does not match schema")
@@ -270,7 +368,8 @@ class Circuit:
         ``query`` is a sequence with one entry per variable: ``None`` for a
         marginalized-out variable, an int (categorical) or float
         (continuous) for an observed value, or an ``(lo, hi)`` pair for a
-        closed interval over a continuous variable.
+        closed interval over a continuous variable.  Values and bounds must
+        be real numbers; a bool or a string is a ``ValueError``.
         """
         if len(query) != len(self.schema):
             raise ValueError("query length does not match schema")
@@ -280,9 +379,13 @@ class Circuit:
                 if self.schema[v].kind != "cont":
                     raise ValueError(f"interval query on categorical variable {v}")
                 lo, hi = entry
+                if not (_is_number(lo) and _is_number(hi)):
+                    raise ValueError(f"non-numeric interval bound on variable {v}: {entry!r}")
                 if lo > hi:
                     raise ValueError(f"interval with lo > hi on variable {v}")
             elif entry is not None:
+                if not _is_number(entry):
+                    raise ValueError(f"non-numeric value for variable {v}: {entry!r}")
                 entry = np.array([entry], dtype=float)
             columns.append(entry)
         return float(self._evaluate(columns, 1)[0])

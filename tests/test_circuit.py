@@ -3,6 +3,9 @@ import functools
 import json
 import math
 import operator
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import softpc.circuit as circuit_module
 from softpc.circuit import (
     Circuit,
     InvalidCircuitError,
@@ -137,6 +141,11 @@ class TestLogDensity:
         with pytest.raises(ValueError):
             fig1_circuit().log_density([0.0])
 
+    @pytest.mark.parametrize("shape", [(1, 2, 4), (3, 2, 1), ()])
+    def test_input_that_is_not_rows_rejected(self, shape):
+        with pytest.raises(ValueError, match="1-d.*2-d"):
+            fig1_circuit().log_density(np.zeros(shape))
+
     def test_deep_chain_does_not_underflow(self):
         # 200 leaves each contributing probability 1e-3: the linear-domain
         # product (1e-600) underflows double precision, the log result must not
@@ -205,6 +214,28 @@ class TestLogMarginal:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             fig1_circuit().log_marginal([(1.0, -1.0), None])
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            ["1", None, None],
+            [True, None, None],
+            [np.True_, None, None],
+            [[1], None, None],
+            [None, "0.5", None],
+            [None, (0, "a"), None],
+            [None, ("a", 1.0), None],
+            [None, (False, 1.0), None],
+        ],
+    )
+    def test_non_numeric_entry_rejected(self, query):
+        with pytest.raises(ValueError, match="non-numeric"):
+            small_mixed_circuit().log_marginal(query)
+
+    def test_numpy_scalars_accepted(self):
+        c = small_mixed_circuit()
+        query = [np.int64(1), (np.float32(-1.0), 0.5), None]
+        assert c.log_marginal(query) == c.log_marginal([1, (-1.0, 0.5), None])
 
 
 def random_rows(schema, rng, n):
@@ -278,6 +309,115 @@ class TestEvaluatorMatchesReference:
         c = random_binary_circuit(4, rng)
         out = c.log_density(all_binary_rows(4))
         assert out.base is None
+
+    @pytest.mark.parametrize("chunks", [(1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_chunk_boundaries(self, chunks, monkeypatch):
+        """Batches of CHUNK-1, CHUNK, CHUNK+1 and 3*CHUNK+7 rows give each
+        row exactly its one-row value, whichever chunk it falls in."""
+        rng = np.random.default_rng(11)
+        c = random_mixed_circuit(rng, n_vars=6)
+        monkeypatch.setattr(circuit_module, "_CHUNK_CELLS", 16 * c.n_nodes)
+        chunk = c._compiled()[1]
+        assert chunk == 16
+        rows = random_rows(c.schema, rng, chunks[0] * chunk + chunks[1])
+        batch = c.log_density(rows)
+        single = np.array([c.log_density(row) for row in rows])
+        assert np.array_equal(batch, single)
+        assert np.isneginf(batch).any() and np.isfinite(batch).any()
+        expected = [reference_log_value(c, list(row)) for row in rows]
+        assert_allclose(batch, expected, rtol=0, atol=1e-12)
+
+    def test_root_leaf_without_inner_layers(self):
+        gaussian = Circuit([LeafNode(0, Gaussian(0.5, 2.0))], 0, Schema.continuous(1))
+        categorical = Circuit([LeafNode(0, Multinomial((0.2, 0.0, 0.8)))], 0,
+                              Schema.categorical([3]))
+        rows = np.array([[0.0], [1.0], [2.0]])
+        for c in (gaussian, categorical):
+            expected = [reference_log_value(c, list(row)) for row in rows]
+            assert_allclose(c.log_density(rows), expected, rtol=0, atol=1e-12)
+            assert c.log_marginal([None]) == 0.0
+        assert categorical.log_density(rows)[1] == -math.inf
+        query = [(-1.0, 2.0)]
+        assert_allclose(gaussian.log_marginal(query), reference_log_value(gaussian, query),
+                        rtol=0, atol=1e-12)
+
+    def test_dag_with_nodes_at_mixed_heights(self):
+        """Leaves 0 and 1 feed parents at heights 1, 2 and 3, and sums 4
+        and 7 have children at different heights."""
+        nodes = [
+            LeafNode(0, Multinomial((0.3, 0.7))),
+            LeafNode(1, Multinomial((0.6, 0.4))),
+            LeafNode(1, Multinomial((0.1, 0.9))),
+            SumNode((1, 2), (0.5, 0.5)),  # height 1
+            SumNode((3, 1), (0.7, 0.3)),  # height 2, children at heights 1 and 0
+            ProductNode((0, 4)),  # height 3
+            ProductNode((0, 1)),  # height 1
+            SumNode((5, 6), (0.4, 0.6)),  # height 4, children at heights 3 and 1
+        ]
+        c = Circuit(nodes, 7, Schema.binary(2))
+        assert c.validate() == []
+        rows = all_binary_rows(2)
+        expected = [reference_log_value(c, list(row)) for row in rows]
+        assert_allclose(c.log_density(rows), expected, rtol=0, atol=1e-12)
+        assert np.exp(c.log_density(rows)).sum() == pytest.approx(1.0, abs=1e-12)
+        for query in ([None, 1], [0, None], [None, None]):
+            assert_allclose(c.log_marginal(query), reference_log_value(c, query), atol=1e-12)
+
+    def test_first_evaluation_from_several_threads(self):
+        """Threads that race to build the compiled form of a fresh circuit
+        all get the single-threaded result."""
+        text = random_mixed_circuit(np.random.default_rng(3), n_vars=8).to_json()
+        rows = random_rows(Circuit.from_json(text).schema, np.random.default_rng(4), 500)
+        expected = Circuit.from_json(text).log_density(rows)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                c = Circuit.from_json(text)
+                barrier = threading.Barrier(4)
+                results = [None] * 4
+
+                def work(k):
+                    barrier.wait(timeout=10)
+                    results[k] = c.log_density(rows)
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                for result in results:
+                    assert np.array_equal(result, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        """The node-by-row table covers one chunk of rows, never all of them:
+        a 20k-row batch on a 681-node circuit peaks near a few chunk tables,
+        where a full table would take n_nodes * n_rows * 8 bytes (109 MB)."""
+        rng = np.random.default_rng(5)
+        n_vars, n_parts, n_rows = 16, 40, 20_000
+        nodes, products = [], []
+        for _ in range(n_parts):
+            for v in range(n_vars):
+                p = float(rng.uniform(0.1, 0.9))
+                nodes.append(LeafNode(v, Multinomial((p, 1.0 - p))))
+            nodes.append(ProductNode(tuple(range(len(nodes) - n_vars, len(nodes)))))
+            products.append(len(nodes) - 1)
+        nodes.append(SumNode(tuple(products), (1.0 / n_parts,) * n_parts))
+        c = Circuit(nodes, len(nodes) - 1, Schema.binary(n_vars))
+        assert c.n_nodes >= 500
+        rows = rng.integers(0, 2, size=(n_rows, n_vars)).astype(float)
+        tracemalloc.start()
+        try:
+            out = c.log_density(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < c.n_nodes * n_rows * 8 / 10
+        table = c.n_nodes * c._compiled()[1] * 8
+        assert peak < 3 * table + out.nbytes
 
 
 class TestSample:
