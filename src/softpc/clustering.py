@@ -101,6 +101,12 @@ def soft_kmeans(
     ``row_weight * responsibility``; iteration stops at ``max_iter`` or
     when the largest centroid shift falls below 1e-6.  ``rng=None``
     seeds the k-means++ initialisation with ``default_rng(0)``.
+
+    Rows that are identical on the scope are clustered once, as one
+    distinct row carrying the sum of their weights, and share their
+    responsibilities; the k-means++ draws and a starved cluster's re-seed
+    still pick among the original rows, so the random stream is the same
+    as with every row clustered separately.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -112,23 +118,32 @@ def soft_kmeans(
         return np.ones((n, 1))
 
     centroids = _kmeanspp_init(encoded, weights, k, rng)
+    row_bytes = np.dtype((np.void, encoded.itemsize * encoded.shape[1]))
+    _, first, inv = np.unique(
+        np.ascontiguousarray(encoded).view(row_bytes).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    distinct = encoded[first]
+    del encoded  # only the distinct rows are kept through the iterations
+    group_w = np.bincount(inv, weights=weights, minlength=first.size)
     for _ in range(max_iter):
-        resp = softmax_memberships(encoded, centroids, beta)
-        eff = weights[:, None] * resp
+        resp = softmax_memberships(distinct, centroids, beta)
+        eff = group_w[:, None] * resp
         mass = eff.sum(axis=0)
         new_centroids = centroids.copy()
         for i in range(k):
             if mass[i] > COLLAPSE_TOL:
-                new_centroids[i] = eff[:, i] @ encoded / mass[i]
+                new_centroids[i] = eff[:, i] @ distinct / mass[i]
             else:
                 # re-seed a starved cluster at the point farthest from its centroid
-                dists = np.linalg.norm(encoded - centroids[i], axis=1)
-                new_centroids[i] = encoded[int(np.argmax(weights * dists))]
+                dists = np.linalg.norm(distinct - centroids[i], axis=1)
+                new_centroids[i] = distinct[inv[int(np.argmax(weights * dists[inv]))]]
         shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
         if shift < CENTROID_TOL:
             break
-    return softmax_memberships(encoded, centroids, beta)
+    return softmax_memberships(distinct, centroids, beta)[inv]
 
 
 def _component_loglik(matrix, scope, component):

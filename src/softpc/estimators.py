@@ -111,7 +111,8 @@ def leaf_log_pdf(dist, x):
             logp = np.log(np.asarray(dist.probs))
         xa = np.asarray(x)
         iv = xa.astype(np.int64)
-        if np.any(iv != xa) or np.any(iv < 0) or np.any(iv >= logp.shape[-1]):
+        # negative codes wrap to huge unsigned ones, so one bound covers both ends
+        if (iv != xa).any() or iv.view(np.uint64).max(initial=0) >= logp.shape[-1]:
             raise ValueError("categorical value out of range")
         out = logp[..., iv]
     elif isinstance(dist, Gaussian):

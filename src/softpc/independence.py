@@ -1,9 +1,13 @@
 """Weighted chi-square independence testing and scope partitioning.
 
-Pairwise tests over the active scope build an undirected dependency graph;
-connected components of that graph become the child scopes of a product
-node.  Continuous variables are discretized into weighted equal-frequency
-bins before testing, so all tests share the same frequency interpretation.
+Chi-square tests of every variable pair in the active scope build an
+undirected dependency graph; connected components of that graph become
+the child scopes of a product node.  Continuous variables are discretized
+into weighted equal-frequency bins before testing, so all tests share the
+same frequency interpretation.  ``partition_scope`` reads every pair's
+contingency table from one weighted Gram matrix ``Eᵀ·diag(w)·E`` of the
+one-hot scope codes and tests all pairs in one vectorised pass, with the
+same rules as a single ``weighted_chi2`` call.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc
+
+# one-hot cells per row block of the Gram matrix in partition_scope (64 KiB)
+_GRAM_BLOCK_CELLS = 2**13
 
 
 @dataclass(frozen=True)
@@ -70,22 +77,35 @@ def weighted_chi2(x, y, weights) -> Chi2Result:
         raise ValueError("weights must be positive")
 
     nx, ny = int(x.max()) + 1, int(y.max()) + 1
-    table = np.bincount(x * ny + y, weights=weights, minlength=nx * ny).reshape(nx, ny)
-    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
-    r, c = table.shape
-    if r <= 1 or c <= 1:
-        return Chi2Result(0.0, 0, 1.0)
+    table = np.bincount(x * ny + y, weights=weights, minlength=nx * ny).reshape(1, nx, ny)
+    stat, dof, p = _chi2_tables(table)
+    return Chi2Result(float(stat[0]), int(dof[0]), float(p[0]))
 
-    total = table.sum()
-    if total < 2.0 * r * c:
-        # too little effective mass for the asymptotic test to mean anything
-        return Chi2Result(0.0, (r - 1) * (c - 1), 1.0)
 
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
+def _chi2_tables(tables):
+    """Statistic, dof and p-value of each table in a ``(pairs, r, c)`` stack.
+
+    The rules are ``weighted_chi2``'s: levels with zero margin are left
+    out, a table with at most one level left on a side gets dof 0, and
+    one whose mass is below ``2 * r * c`` gets statistic 0; both get
+    p-value 1.
+    """
+    rows, cols = tables.sum(axis=2), tables.sum(axis=1)
+    r, c = (rows > 0).sum(axis=1), (cols > 0).sum(axis=1)
+    total = rows.sum(axis=1)
+    expected = rows[:, :, None] * cols[:, None, :] / total[:, None, None]
     mask = expected > 0
-    stat = float(((table - expected)[mask] ** 2 / expected[mask]).sum())
-    dof = (r - 1) * (c - 1)
-    return Chi2Result(stat, dof, chi2_sf(stat, dof))
+    cells = np.zeros_like(expected)
+    cells[mask] = (tables[mask] - expected[mask]) ** 2 / expected[mask]
+    testable = (r > 1) & (c > 1)
+    # too little effective mass for the asymptotic test to mean anything
+    usable = testable & (total >= 2.0 * r * c)
+    stat = np.where(usable, cells.sum(axis=(1, 2)), 0.0)
+    dof = np.where(testable, (r - 1) * (c - 1), 0)
+    p = np.ones(stat.size)
+    tested = stat > 0
+    p[tested] = chdtrc(dof[tested], stat[tested])
+    return stat, dof, p
 
 
 def chi2_sf(stat: float, dof: int) -> float:
@@ -103,29 +123,49 @@ def partition_scope(matrix, weights, scope, schema, p_threshold: float, bins: in
     Runs the weighted chi-square test on every pair of scope variables
     (continuous columns discretized first) and returns the connected
     components of the resulting dependency graph, each sorted, ordered by
-    their smallest variable.
+    their smallest variable.  All pair tables come from one weighted Gram
+    matrix of the one-hot scope codes.
     """
     scope = list(scope)
     if len(scope) < 2:
         return [sorted(scope)]
     matrix = np.asarray(matrix)
     weights = np.asarray(weights, dtype=float)
+    if np.any(weights <= 0):
+        raise ValueError("weights must be positive")
 
-    codes = {}
-    for v in scope:
+    codes = np.empty((weights.size, len(scope)), dtype=np.int64)
+    for j, v in enumerate(scope):
         col = matrix[:, v]
         if schema.is_cat(v):
-            codes[v] = col.astype(np.int64)
+            codes[:, j] = col.astype(np.int64)
         else:
-            codes[v], _ = discretize(col, weights, bins)
+            codes[:, j], _ = discretize(col, weights, bins)
+
+    # one-hot columns per variable at its own offset; column `width` stays
+    # zero and pads every variable to the widest one in the pair tables.
+    # The one-hot rows are built a block at a time to bound the temporaries.
+    levels = codes.max(axis=0) + 1
+    offsets = np.concatenate(([0], np.cumsum(levels)[:-1]))
+    width = int(levels.sum())
+    gram = np.zeros((width + 1, width + 1))
+    step = max(1, _GRAM_BLOCK_CELLS // (width + 1))
+    for lo in range(0, weights.size, step):
+        block = codes[lo : lo + step] + offsets
+        onehot = np.zeros((block.shape[0], width + 1))
+        np.put_along_axis(onehot, block, 1.0, axis=1)
+        gram += (onehot.T * weights[lo : lo + step]) @ onehot
+
+    pad = np.arange(int(levels.max()))
+    slots = np.where(pad < levels[:, None], offsets[:, None] + pad, width)
+    a, b = np.triu_indices(len(scope), 1)
+    _, _, p = _chi2_tables(gram[slots[a][:, :, None], slots[b][:, None, :]])
+    dependent = p < p_threshold
 
     adj = {v: set() for v in scope}
-    for i, a in enumerate(scope):
-        for b in scope[i + 1 :]:
-            res = weighted_chi2(codes[a], codes[b], weights)
-            if res.p_value < p_threshold:
-                adj[a].add(b)
-                adj[b].add(a)
+    for i, j in zip(a[dependent], b[dependent]):
+        adj[scope[i]].add(scope[j])
+        adj[scope[j]].add(scope[i])
 
     seen = set()
     groups = []

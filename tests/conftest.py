@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from softpc import clustering
 from softpc.circuit import Circuit, LeafNode, ProductNode, SumNode
 from softpc.estimators import Gaussian, Multinomial, leaf_log_pdf
+from softpc.independence import discretize, weighted_chi2
 from softpc.schema import Schema, Variable
 
 
@@ -168,6 +170,64 @@ def reference_log_value(circuit: Circuit, query) -> float:
         return functools.reduce(np.logaddexp, terms)
 
     return float(value(circuit.root))
+
+
+def reference_soft_kmeans(matrix, weights, scope, schema, k, beta, max_iter=100, rng=None):
+    """Soft k-means with every row clustered on its own, duplicates included.
+
+    This is the loop ``soft_kmeans`` ran before identical rows were
+    collapsed into one; it is the reference the collapsed loop is pinned to.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    weights = np.asarray(weights, dtype=float)
+    n = weights.size
+    k = min(k, n)
+    encoded = clustering.encode_rows(matrix, weights, scope, schema)
+    if k == 1:
+        return np.ones((n, 1))
+
+    centroids = clustering._kmeanspp_init(encoded, weights, k, rng)
+    for _ in range(max_iter):
+        resp = clustering.softmax_memberships(encoded, centroids, beta)
+        eff = weights[:, None] * resp
+        mass = eff.sum(axis=0)
+        new_centroids = centroids.copy()
+        for i in range(k):
+            if mass[i] > clustering.COLLAPSE_TOL:
+                new_centroids[i] = eff[:, i] @ encoded / mass[i]
+            else:
+                dists = np.linalg.norm(encoded - centroids[i], axis=1)
+                new_centroids[i] = encoded[int(np.argmax(weights * dists))]
+        shift = np.abs(new_centroids - centroids).max()
+        centroids = new_centroids
+        if shift < clustering.CENTROID_TOL:
+            break
+    return clustering.softmax_memberships(encoded, centroids, beta)
+
+
+def reference_partition_scope(matrix, weights, scope, schema, p_threshold, bins=4):
+    """``partition_scope`` with one ``weighted_chi2`` call per variable pair.
+
+    Groups are the connected components of the dependency graph, each
+    sorted and ordered by their smallest variable; this is the reference
+    the one-Gram-matrix batch is pinned to.
+    """
+    scope = sorted(scope)
+    codes = {
+        v: matrix[:, v].astype(np.int64)
+        if schema.is_cat(v)
+        else discretize(matrix[:, v], weights, bins)[0]
+        for v in scope
+    }
+    group = {v: {v} for v in scope}
+    for i, a in enumerate(scope):
+        for b in scope[i + 1 :]:
+            if weighted_chi2(codes[a], codes[b], weights).p_value < p_threshold:
+                merged = group[a] | group[b]
+                for v in merged:
+                    group[v] = merged
+    return [list(g) for g in sorted({tuple(sorted(g)) for g in group.values()})]
 
 
 def all_binary_rows(n_vars: int) -> np.ndarray:

@@ -10,7 +10,9 @@ from softpc.clustering import (
     softmax_memberships,
 )
 from softpc.estimators import Gaussian
-from softpc.schema import Schema
+from softpc.schema import Schema, Variable
+
+from conftest import reference_soft_kmeans
 
 
 def blobs(rng, centers, n_per, sigma=0.1):
@@ -103,6 +105,57 @@ class TestSoftKmeans:
         b = soft_kmeans(matrix, np.ones(60), (0, 1), Schema.continuous(2), 2, 4.0,
                         rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+
+def _repeated_binary(rng, n=1500, n_vars=6, patterns=12):
+    table = rng.integers(0, 2, size=(patterns, n_vars))
+    return table[rng.integers(0, patterns, size=n)].astype(float)
+
+
+def _repeated_mixed(rng, n=1200):
+    # a ternary, a continuous column holding few distinct values, and a binary
+    table = np.column_stack(
+        [rng.integers(0, 3, size=8), rng.normal(size=8).round(1), rng.integers(0, 2, size=8)]
+    )
+    schema = Schema([Variable("cat", 3), Variable("cont"), Variable("cat", 2)])
+    return table[rng.integers(0, 8, size=n)], schema
+
+
+def _starved_cluster(rng):
+    # k-means++ seeds one centroid on each of the two groups near 0, then on
+    # the far outlier, whose weight is too small for it to keep a cluster;
+    # the re-seed must pick the single heavy row at 0 (weight * distance
+    # 5 * 10, against at most 1.5 * 9 for a row at 1), not the twenty rows
+    # at 1 that outweigh it as a group
+    matrix = np.concatenate([[0.0], np.ones(20), [10.0]])[:, None]
+    weights = np.concatenate([[5.0], rng.uniform(0.5, 1.5, size=20), [1e-9]])
+    return matrix, weights, Schema.continuous(1), 3, 60.0
+
+
+class TestSoftKmeansMatchesRowByRowReference:
+    @pytest.mark.parametrize(
+        "case", ["heavy_duplication", "unequal_duplicate_weights", "mixed", "starved_cluster"]
+    )
+    def test_collapsed_rows_match_every_row_clustered(self, rng, case):
+        if case == "starved_cluster":
+            matrix, weights, schema, k, beta = _starved_cluster(rng)
+        elif case == "mixed":
+            matrix, schema = _repeated_mixed(rng)
+            weights, k, beta = rng.uniform(0.01, 3.0, size=matrix.shape[0]), 4, 4.0
+        else:
+            matrix = _repeated_binary(rng)
+            schema, k, beta = Schema.binary(matrix.shape[1]), 3, 4.0
+            weights = np.ones(matrix.shape[0])
+            if case == "unequal_duplicate_weights":
+                weights = rng.uniform(0.01, 3.0, size=matrix.shape[0])
+        scope = tuple(range(matrix.shape[1]))
+        for seed in range(4):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = soft_kmeans(matrix, weights, scope, schema, k, beta, rng=got_rng)
+            ref = reference_soft_kmeans(matrix, weights, scope, schema, k, beta, rng=ref_rng)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestEmFactorized:

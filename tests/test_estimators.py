@@ -166,6 +166,17 @@ class TestLeafLogPdf:
         with pytest.raises(ValueError):
             leaf_log_pdf(Multinomial((0.5, 0.5)), 2)
 
+    @pytest.mark.parametrize(
+        "codes", [-1, 0.5, math.nan, math.inf, [0, -1], [1.0, 2.0], [0.0, 1.5], np.int8(-1)]
+    )
+    def test_multinomial_rejects_codes_that_are_not_levels(self, codes):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="out of range"):
+            leaf_log_pdf(Multinomial((0.5, 0.5)), codes)
+
+    def test_multinomial_empty_input(self):
+        out = leaf_log_pdf(Multinomial(np.array([[0.5, 0.5], [0.1, 0.9]])), np.empty(0))
+        assert out.shape == (2, 0)
+
     def test_zero_probability_gives_neg_inf(self):
         assert leaf_log_pdf(Multinomial((1.0, 0.0)), 1) == -math.inf
 

@@ -6,7 +6,9 @@ from scipy.integrate import quad
 from scipy.stats import chi2_contingency
 
 from softpc.independence import chi2_sf, discretize, partition_scope, weighted_chi2
-from softpc.schema import Schema
+from softpc.schema import Schema, Variable
+
+from conftest import reference_partition_scope
 
 
 def chi2_tail_oracle(stat, dof):
@@ -197,3 +199,52 @@ class TestPartitionScope:
             matrix, np.ones(3000), (0, 1), Schema.continuous(2), 0.001
         )
         assert groups == [[0], [1]]
+
+
+def _random_scope_data(rng):
+    """Weighted rows over 2-7 variables: categorical arities 2-5 with unused
+    levels, continuous columns, constant columns and coupled pairs."""
+    n_vars, n = int(rng.integers(2, 8)), int(rng.integers(5, 400))
+    variables, cols = [], []
+    for _ in range(n_vars):
+        kind = rng.random()
+        if kind < 0.25:
+            variables.append(Variable("cont"))
+            cols.append(rng.normal(size=n).round(int(rng.integers(0, 3))))
+        elif kind < 0.35:
+            variables.append(Variable("cont") if rng.random() < 0.5 else Variable("cat", 3))
+            cols.append(np.full(n, 1.0))
+        else:
+            arity = int(rng.integers(2, 6))
+            variables.append(Variable("cat", arity))
+            used = rng.choice(arity, size=int(rng.integers(1, arity + 1)), replace=False)
+            cols.append(rng.choice(used, size=n).astype(float))
+    matrix = np.column_stack(cols)
+    for _ in range(int(rng.integers(0, n_vars))):
+        # b copies a function of a on a random share of the rows
+        a, b = rng.choice(n_vars, size=2, replace=False)
+        copied = matrix[:, a]
+        if variables[b].kind == "cat":
+            copied = np.floor(copied) % variables[b].arity
+        matrix[:, b] = np.where(rng.random(n) < rng.uniform(0.5, 1.0), copied, matrix[:, b])
+    # row weights from 0.002 to 20, so some tables hold less than 2*r*c
+    weights = rng.uniform(0.05, 2.0, size=n) * 10 ** rng.uniform(-1.5, 1.0)
+    return matrix, weights, Schema(variables)
+
+
+class TestPartitionScopeMatchesPairwiseReference:
+    def test_random_weighted_mixed_scopes(self, rng):
+        split = joined = 0
+        for _ in range(150):
+            matrix, weights, schema = _random_scope_data(rng)
+            scope = list(rng.permutation(len(schema))[: int(rng.integers(2, len(schema) + 1))])
+            for threshold in (1e-6, 0.01, 0.2, 0.9):
+                got = partition_scope(matrix, weights, scope, schema, threshold)
+                assert got == reference_partition_scope(matrix, weights, scope, schema, threshold)
+                split += len(got) > 1
+                joined += any(len(g) > 1 for g in got)
+        assert split > 50 and joined > 50
+
+    def test_rejects_nonpositive_weights(self):
+        with pytest.raises(ValueError):
+            partition_scope(np.zeros((2, 2)), [1.0, 0.0], (0, 1), Schema.binary(2), 0.01)
