@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import estimators
+from .estimators import Gaussian, Multinomial
+# unused here; the benchmark's tracer wraps this module-level name
 from .estimators import leaf_log_pdf
 
 CENTROID_TOL = 1e-6
@@ -146,13 +147,6 @@ def soft_kmeans(
     return softmax_memberships(distinct, centroids, beta)[inv]
 
 
-def _component_loglik(matrix, scope, component):
-    ll = np.zeros(matrix.shape[0])
-    for v, dist in zip(scope, component):
-        ll += leaf_log_pdf(dist, matrix[:, v])
-    return ll
-
-
 def em_factorized(
     matrix,
     weights,
@@ -175,6 +169,20 @@ def em_factorized(
     from a short soft k-means pass, drawn from ``rng`` (``default_rng(0)``
     when ``None``).  With ``return_trace`` the per-iteration weighted
     log-likelihoods are returned as a third value.
+
+    Each iteration is a few whole-matrix steps over all K components at
+    once.  The categorical scope columns form an ``(n, L)`` one-hot matrix
+    ``E`` (each variable at its own offset) and the continuous ones an
+    ``(n, g)`` matrix ``X``.  The effective weights ``W = weights * resp``
+    have entries below ``estimators.EPSILON_W`` zeroed, as the leaf fits
+    drop them.  The M-step takes multinomial counts from ``Eᵀ·W`` and
+    Gaussian means and Bessel-corrected deviations from ``X`` and ``W``,
+    with ``fit_multinomial``'s and ``fit_gaussian``'s formulas; a
+    component whose prior falls below ``COLLAPSE_TOL``, or that keeps no
+    row, restarts from the heaviest row alone.  The E-step sums the log
+    prior, the categorical log probabilities and the Gaussian log
+    densities, then normalises with a log-sum-exp.  The mixture's leaf
+    distributions are built once, from the last M-step.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -193,41 +201,72 @@ def em_factorized(
         resp = soft_kmeans(matrix, weights, scope, schema, k, beta=4.0, max_iter=10, rng=rng)
     k = resp.shape[1]
 
-    mixture = None
+    # component-major layout: responsibilities and weights are (K, n) and the
+    # Gaussian deviations (K, g, n), so every reduction runs along the rows
+    resp = resp.T
+    cats = [v for v in scope if schema.is_cat(v)]
+    conts = [v for v in scope if not schema.is_cat(v)]
+    arities = np.array([schema[v].arity for v in cats], dtype=np.int64)
+    offsets = np.cumsum(arities) - arities
+    onehot = np.zeros((n, int(arities.sum())))
+    np.put_along_axis(onehot, matrix[:, cats].astype(np.int64) + offsets, 1.0, axis=1)
+    slot_arity = np.repeat(arities, arities)
+    x_t = np.ascontiguousarray(matrix[:, conts].T)
+    heaviest = int(np.argmax(weights))
+
     prev_ll = -np.inf
     ll_trace = []
     total_w = weights.sum()
     for _ in range(max_iter):
         # M-step
-        eff = weights[:, None] * resp
-        priors = eff.sum(axis=0) / total_w
-        components = []
-        for i in range(k):
-            try:
-                if priors[i] < COLLAPSE_TOL:
-                    raise ValueError("collapsed component")
-                comp = estimators.fit_factorized(matrix, eff[:, i], scope, schema, alpha)
-            except ValueError:
-                # collapsed or starved component: restart it from a high-weight row
-                j = int(np.argmax(weights))
-                comp = estimators.fit_factorized(matrix[j : j + 1], np.ones(1), scope, schema, alpha)
-                priors[i] = max(priors[i], COLLAPSE_TOL)
-            components.append(comp)
+        eff = weights * resp
+        priors = eff.sum(axis=1) / total_w
+        w = np.where(eff >= estimators.EPSILON_W, eff, 0.0)
+        restart = (priors < COLLAPSE_TOL) | ~w.any(axis=1)
+        if restart.any():
+            # collapsed or starved component: restart it from the heaviest row
+            w[restart] = 0.0
+            w[restart, heaviest] = 1.0
+            priors[restart] = np.maximum(priors[restart], COLLAPSE_TOL)
         priors = priors / priors.sum()
-        mixture = FactorizedMixture(priors, components, tuple(scope))
+        s = w.sum(axis=1)
+        probs = (w @ onehot + alpha) / (s[:, None] + slot_arity * alpha)
+        mu = w @ x_t.T / s[:, None]
+        dev2 = (x_t - mu[:, :, None]) ** 2
+        ssq = np.matmul(dev2, w[:, :, None])[:, :, 0]
+        # a component with one kept row has s * s == sum(w * w) exactly
+        denom = s * s - np.einsum("kn,kn->k", w, w)
+        bessel = np.divide(s, denom, out=np.zeros(k), where=denom > 0.0)
+        sigma = np.maximum(np.sqrt(bessel[:, None] * ssq), estimators.SIGMA_FLOOR)
 
         # E-step
-        joint = np.empty((n, k))
-        for i in range(k):
-            joint[:, i] = np.log(priors[i]) + _component_loglik(matrix, scope, components[i])
-        row_ll = logsumexp(joint, axis=1)
-        resp = np.exp(joint - row_ll[:, None])
+        empty = probs == 0.0  # a level without weight, possible only with alpha = 0
+        joint = np.log(np.where(empty, 1.0, probs)) @ onehot.T
+        if empty.any():
+            joint[empty @ onehot.T > 0] = -np.inf
+        joint += np.matmul((-0.5 / sigma**2)[:, None, :], dev2)[:, 0, :]
+        joint += (np.log(priors) - (np.log(sigma) + estimators._LOG_SQRT_2PI).sum(axis=1))[:, None]
+        top = joint.max(axis=0)
+        top[~np.isfinite(top)] = 0.0
+        expd = np.exp(joint - top)
+        total = expd.sum(axis=0)
+        row_ll = np.log(total) + top
+        resp = expd / total
         ll = float(np.dot(weights, row_ll))
         ll_trace.append(ll)
         if ll - prev_ll < tol and np.isfinite(prev_ll):
-            prev_ll = ll
             break
         prev_ll = ll
+
+    mixture = None
+    if ll_trace:
+        leaves = {v: [Gaussian(float(m), float(sd)) for m, sd in zip(mu[:, j], sigma[:, j])]
+                  for j, v in enumerate(conts)}
+        for v, lo, a in zip(cats, offsets, arities):
+            leaves[v] = [Multinomial(tuple(row.tolist())) for row in probs[:, lo : lo + a]]
+        components = [[leaves[v][i] for v in scope] for i in range(k)]
+        mixture = FactorizedMixture(priors, components, tuple(scope))
+    resp = np.ascontiguousarray(resp.T)
     if return_trace:
         return resp, mixture, ll_trace
     return resp, mixture

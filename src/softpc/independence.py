@@ -108,15 +108,6 @@ def _chi2_tables(tables):
     return stat, dof, p
 
 
-def chi2_sf(stat: float, dof: int) -> float:
-    """Upper tail of the chi-square distribution (regularized incomplete gamma)."""
-    if dof <= 0:
-        return 1.0
-    if stat <= 0:
-        return 1.0
-    return float(chdtrc(dof, stat))
-
-
 def partition_scope(matrix, weights, scope, schema, p_threshold: float, bins: int = 4):
     """Split the active scope into approximately independent variable groups.
 

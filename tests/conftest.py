@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from softpc import clustering
+from softpc import clustering, estimators
 from softpc.circuit import Circuit, LeafNode, ProductNode, SumNode
 from softpc.estimators import Gaussian, Multinomial, leaf_log_pdf
 from softpc.independence import discretize, weighted_chi2
@@ -204,6 +205,78 @@ def reference_soft_kmeans(matrix, weights, scope, schema, k, beta, max_iter=100,
         if shift < clustering.CENTROID_TOL:
             break
     return clustering.softmax_memberships(encoded, centroids, beta)
+
+
+def reference_em_factorized(
+    matrix, weights, scope, schema, k, max_iter=100, tol=1e-4, alpha=0.01, rng=None,
+    init_membership=None, return_trace=False,
+):
+    """EM with one leaf fit and one ``leaf_log_pdf`` call per component and variable.
+
+    This is the loop ``em_factorized`` ran before its iterations became
+    whole-matrix steps: ``fit_factorized`` drops weights below
+    ``EPSILON_W`` and raises when none is left, which restarts the
+    component from the heaviest row; it is the reference the matrix form
+    is pinned to.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    matrix = np.asarray(matrix, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n = weights.size
+    k = min(k, n)
+    if k == 1:
+        comp = estimators.fit_factorized(matrix, weights, scope, schema, alpha)
+        out = np.ones((n, 1)), clustering.FactorizedMixture(np.ones(1), [comp], tuple(scope))
+        return (*out, []) if return_trace else out
+
+    if init_membership is not None:
+        resp = np.asarray(init_membership, dtype=float)
+    else:
+        resp = clustering.soft_kmeans(
+            matrix, weights, scope, schema, k, beta=4.0, max_iter=10, rng=rng
+        )
+    k = resp.shape[1]
+
+    mixture = None
+    prev_ll = -np.inf
+    ll_trace = []
+    total_w = weights.sum()
+    for _ in range(max_iter):
+        eff = weights[:, None] * resp
+        priors = eff.sum(axis=0) / total_w
+        components = []
+        for i in range(k):
+            try:
+                if priors[i] < clustering.COLLAPSE_TOL:
+                    raise ValueError("collapsed component")
+                comp = estimators.fit_factorized(matrix, eff[:, i], scope, schema, alpha)
+            except ValueError:
+                j = int(np.argmax(weights))
+                comp = estimators.fit_factorized(
+                    matrix[j : j + 1], np.ones(1), scope, schema, alpha
+                )
+                priors[i] = max(priors[i], clustering.COLLAPSE_TOL)
+            components.append(comp)
+        priors = priors / priors.sum()
+        mixture = clustering.FactorizedMixture(priors, components, tuple(scope))
+
+        joint = np.empty((n, k))
+        for i in range(k):
+            ll = np.zeros(n)
+            for v, dist in zip(scope, components[i]):
+                ll += leaf_log_pdf(dist, matrix[:, v])
+            joint[:, i] = np.log(priors[i]) + ll
+        row_ll = logsumexp(joint, axis=1)
+        resp = np.exp(joint - row_ll[:, None])
+        ll = float(np.dot(weights, row_ll))
+        ll_trace.append(ll)
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+    if return_trace:
+        return resp, mixture, ll_trace
+    return resp, mixture
 
 
 def reference_partition_scope(matrix, weights, scope, schema, p_threshold, bins=4):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from softpc import toy
+from softpc import clustering, estimators, toy
 from softpc.clustering import (
     em_factorized,
     encode_rows,
@@ -9,10 +9,10 @@ from softpc.clustering import (
     soft_kmeans,
     softmax_memberships,
 )
-from softpc.estimators import Gaussian
+from softpc.estimators import SIGMA_FLOOR, Gaussian
 from softpc.schema import Schema, Variable
 
-from conftest import reference_soft_kmeans
+from conftest import reference_em_factorized, reference_soft_kmeans
 
 
 def blobs(rng, centers, n_per, sigma=0.1):
@@ -246,6 +246,136 @@ class TestEmFactorized:
         )
         assert np.allclose(resp.sum(axis=1), 1.0)
         assert np.isfinite(mixture.priors).all()
+
+
+def _latent_mixed(rng, n=400, n_cat=3, n_cont=3, k=2):
+    # rows from k latent groups, so EM has structure to find; continuous
+    # values and uneven weights leave no row equidistant from two centroids
+    group = rng.integers(0, k, size=n)
+    arities = rng.integers(2, 5, size=n_cat)
+    cat = [
+        np.where(rng.random(n) < 0.7, group % a, rng.integers(0, a, size=n)) for a in arities
+    ]
+    cont = [rng.normal(2.0 * group * (j + 1), 1.0 + 0.5 * j) for j in range(n_cont)]
+    matrix = np.column_stack(cat + cont).astype(float)
+    schema = Schema(
+        [Variable("cat", int(a)) for a in arities] + [Variable("cont")] * n_cont
+    )
+    return matrix, schema
+
+
+def _assert_matches_reference(matrix, weights, scope, schema, k, seed=0, **kwargs):
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, got_mix, got_trace = em_factorized(
+        matrix, weights, scope, schema, k, rng=got_rng, return_trace=True, **kwargs
+    )
+    ref, ref_mix, ref_trace = reference_em_factorized(
+        matrix, weights, scope, schema, k, rng=ref_rng, return_trace=True, **kwargs
+    )
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12
+    assert np.abs(got_mix.priors - ref_mix.priors).max() <= 1e-12
+    assert len(got_mix.components) == len(ref_mix.components)
+    for got_comp, ref_comp in zip(got_mix.components, ref_mix.components):
+        assert [type(d) for d in got_comp] == [type(d) for d in ref_comp]
+        for a, b in zip(got_comp, ref_comp):
+            if isinstance(b, Gaussian):
+                assert abs(a.mu - b.mu) <= 1e-12 and abs(a.sigma - b.sigma) <= 1e-12
+            else:
+                assert np.abs(np.subtract(a.probs, b.probs)).max() <= 1e-12
+    assert len(got_trace) == len(ref_trace)
+    assert np.allclose(got_trace, ref_trace, rtol=1e-12, atol=0.0)
+    return got, got_mix
+
+
+class TestEmFactorizedMatchesLoopReference:
+    @pytest.mark.parametrize(
+        "case", ["mixed", "categorical", "continuous", "uniform_weights", "k3", "init"]
+    )
+    def test_matrix_steps_match_one_fit_per_leaf(self, rng, case):
+        k = 3 if case == "k3" else 2
+        matrix, schema = _latent_mixed(rng, k=k)
+        weights = rng.uniform(0.05, 3.0, size=matrix.shape[0])
+        if case == "uniform_weights":
+            weights = np.ones(matrix.shape[0])
+        scope = {"categorical": (2, 0, 1), "continuous": (3, 4, 5)}.get(case, (0, 3, 1, 4, 2, 5))
+        init = rng.dirichlet((2.0, 2.0), size=matrix.shape[0]) if case == "init" else None
+        for seed in range(3):
+            _assert_matches_reference(
+                matrix, weights, scope, schema, k, seed=seed, init_membership=init
+            )
+
+    def test_exact_fits_with_zero_pseudo_count(self, rng):
+        # alpha = 0 leaves levels without weight at probability 0 (log -inf)
+        matrix = rng.integers(0, 2, size=(300, 4)).astype(float)
+        matrix[:150, :2] = 1.0 - matrix[:150, :2]
+        matrix[:150, 3] = 0.0
+        weights = rng.uniform(0.5, 2.0, size=300)
+        init = np.zeros((300, 2))
+        init[:150, 0] = init[150:, 1] = 1.0
+        resp, mixture = _assert_matches_reference(
+            matrix, weights, (0, 1, 2, 3), Schema.binary(4), 2, alpha=0.0, init_membership=init
+        )
+        assert 0.0 in [p for comp in mixture.components for p in comp[3].probs]
+
+    def test_collapsed_prior_restarts_from_heaviest_row(self, rng):
+        matrix, schema = _latent_mixed(rng, n=60)
+        weights = rng.uniform(0.5, 1.5, size=60)
+        init = np.column_stack([np.ones(60) - 1e-12, np.full(60, 1e-12)])
+        _, mixture = _assert_matches_reference(
+            matrix, weights, tuple(range(6)), schema, 2, init_membership=init, max_iter=1
+        )
+        heaviest = matrix[int(np.argmax(weights))]
+        assert [d.mu for d in mixture.components[1][3:]] == heaviest[3:].tolist()
+        _assert_matches_reference(matrix, weights, tuple(range(6)), schema, 2, init_membership=init)
+
+    def test_every_row_share_below_drop_threshold_restarts(self, rng):
+        # the prior, 5e-7, is above COLLAPSE_TOL, but no single row's share
+        # reaches EPSILON_W, so the component keeps no row
+        matrix, schema = _latent_mixed(rng, n=60)
+        weights = np.ones(60)
+        weights[17] = 1.2
+        init = np.column_stack([np.ones(60) - 5e-7, np.full(60, 5e-7)])
+        assert 5e-7 < estimators.EPSILON_W and 5e-7 > clustering.COLLAPSE_TOL
+        _, mixture = _assert_matches_reference(
+            matrix, weights, tuple(range(6)), schema, 2, init_membership=init, max_iter=1
+        )
+        assert [d.mu for d in mixture.components[1][3:]] == matrix[17, 3:].tolist()
+        assert {d.sigma for d in mixture.components[1][3:]} == {SIGMA_FLOOR}
+        _assert_matches_reference(matrix, weights, tuple(range(6)), schema, 2, init_membership=init)
+
+    def test_component_keeping_one_row_gets_the_sigma_floor(self, rng):
+        matrix, schema = _latent_mixed(rng, n=60)
+        weights = rng.uniform(0.5, 1.5, size=60)
+        init = np.column_stack([np.ones(60) - 1e-9, np.full(60, 1e-9)])
+        init[5] = (0.5, 0.5)
+        _, mixture = _assert_matches_reference(
+            matrix, weights, tuple(range(6)), schema, 2, init_membership=init, max_iter=1
+        )
+        assert [d.mu for d in mixture.components[1][3:]] == pytest.approx(matrix[5, 3:].tolist())
+        assert {d.sigma for d in mixture.components[1][3:]} == {SIGMA_FLOOR}
+        _assert_matches_reference(matrix, weights, tuple(range(6)), schema, 2, init_membership=init)
+
+    def test_constant_continuous_column(self, rng):
+        matrix, schema = _latent_mixed(rng)
+        matrix[:, 4] = 3.25
+        weights = rng.uniform(0.05, 3.0, size=matrix.shape[0])
+        _, mixture = _assert_matches_reference(matrix, weights, tuple(range(6)), schema, 2)
+        assert [comp[4].sigma for comp in mixture.components] == [SIGMA_FLOOR] * 2
+
+    def test_iterations_make_no_per_leaf_calls(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-leaf call inside the EM iterations")
+
+        for name in ("fit_multinomial", "fit_gaussian", "_clean", "leaf_log_pdf"):
+            monkeypatch.setattr(estimators, name, forbidden)
+        monkeypatch.setattr(clustering, "leaf_log_pdf", forbidden)
+        matrix, schema = _latent_mixed(rng)
+        resp, mixture = em_factorized(
+            matrix, np.ones(matrix.shape[0]), tuple(range(6)), schema, 2, rng=rng
+        )
+        assert np.allclose(resp.sum(axis=1), 1.0)
 
 
 class TestHarden:
