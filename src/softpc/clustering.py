@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .estimators import Gaussian, Multinomial
-# unused here; the benchmark's tracer wraps this module-level name
-from .estimators import leaf_log_pdf
+from .estimators import Gaussian, Multinomial, leaf_log_pdf
 
 CENTROID_TOL = 1e-6
 COLLAPSE_TOL = 1e-8
@@ -147,6 +145,19 @@ def soft_kmeans(
     return softmax_memberships(distinct, centroids, beta)[inv]
 
 
+def _normalize(joint):
+    """Column-wise log-sum-exp of ``(K, n)`` log joints: ``(memberships, row log-likelihoods)``.
+
+    A row whose terms are all ``-inf`` gets the max floored at 0, as
+    ``scipy.special.logsumexp`` does.
+    """
+    top = joint.max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    expd = np.exp(joint - top)
+    total = expd.sum(axis=0)
+    return expd / total, np.log(total) + top
+
+
 def em_factorized(
     matrix,
     weights,
@@ -182,7 +193,12 @@ def em_factorized(
     row, restarts from the heaviest row alone.  The E-step sums the log
     prior, the categorical log probabilities and the Gaussian log
     densities, then normalises with a log-sum-exp.  The mixture's leaf
-    distributions are built once, from the last M-step.
+    distributions are built once, from the last M-step, and the returned
+    memberships are its posterior, evaluated leaf by leaf
+    (``leaf_log_pdf``, one call per component and variable).
+
+    Raises ``ValueError`` if a categorical scope column holds a value
+    that is not an integer in ``[0, arity)``.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -195,6 +211,16 @@ def em_factorized(
         out = np.ones((n, 1)), FactorizedMixture(np.ones(1), [comp], tuple(scope))
         return (*out, []) if return_trace else out
 
+    cats = [v for v in scope if schema.is_cat(v)]
+    conts = [v for v in scope if not schema.is_cat(v)]
+    arities = np.array([schema[v].arity for v in cats], dtype=np.int64)
+    codes = matrix[:, cats]
+    with np.errstate(invalid="ignore"):  # a NaN casts to some integer and fails the check
+        icodes = codes.astype(np.int64)
+    # negative codes wrap to huge unsigned ones, so one bound covers both ends
+    if (icodes != codes).any() or (icodes.view(np.uint64) >= arities.astype(np.uint64)).any():
+        raise ValueError("categorical value out of range")
+
     if init_membership is not None:
         resp = np.asarray(init_membership, dtype=float)
     else:
@@ -204,12 +230,9 @@ def em_factorized(
     # component-major layout: responsibilities and weights are (K, n) and the
     # Gaussian deviations (K, g, n), so every reduction runs along the rows
     resp = resp.T
-    cats = [v for v in scope if schema.is_cat(v)]
-    conts = [v for v in scope if not schema.is_cat(v)]
-    arities = np.array([schema[v].arity for v in cats], dtype=np.int64)
     offsets = np.cumsum(arities) - arities
     onehot = np.zeros((n, int(arities.sum())))
-    np.put_along_axis(onehot, matrix[:, cats].astype(np.int64) + offsets, 1.0, axis=1)
+    np.put_along_axis(onehot, icodes + offsets, 1.0, axis=1)
     slot_arity = np.repeat(arities, arities)
     x_t = np.ascontiguousarray(matrix[:, conts].T)
     heaviest = int(np.argmax(weights))
@@ -246,12 +269,7 @@ def em_factorized(
             joint[empty @ onehot.T > 0] = -np.inf
         joint += np.matmul((-0.5 / sigma**2)[:, None, :], dev2)[:, 0, :]
         joint += (np.log(priors) - (np.log(sigma) + estimators._LOG_SQRT_2PI).sum(axis=1))[:, None]
-        top = joint.max(axis=0)
-        top[~np.isfinite(top)] = 0.0
-        expd = np.exp(joint - top)
-        total = expd.sum(axis=0)
-        row_ll = np.log(total) + top
-        resp = expd / total
+        resp, row_ll = _normalize(joint)
         ll = float(np.dot(weights, row_ll))
         ll_trace.append(ll)
         if ll - prev_ll < tol and np.isfinite(prev_ll):
@@ -266,6 +284,13 @@ def em_factorized(
             leaves[v] = [Multinomial(tuple(row.tolist())) for row in probs[:, lo : lo + a]]
         components = [[leaves[v][i] for v in scope] for i in range(k)]
         mixture = FactorizedMixture(priors, components, tuple(scope))
+        # repeats the last E-step leaf by leaf: bench/spans.py counts EM work
+        # as leaf_log_pdf calls under an em_factorized call
+        joint = np.log(priors)[:, None] + np.array(
+            [sum(leaf_log_pdf(dist, matrix[:, v]) for v, dist in zip(scope, comp))
+             for comp in components]
+        )
+        resp, _ = _normalize(joint)
     resp = np.ascontiguousarray(resp.T)
     if return_trace:
         return resp, mixture, ll_trace

@@ -366,16 +366,36 @@ class TestEmFactorizedMatchesLoopReference:
 
     def test_iterations_make_no_per_leaf_calls(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("per-leaf call inside the EM iterations")
+            raise AssertionError("per-leaf fit inside the EM iterations")
 
         for name in ("fit_multinomial", "fit_gaussian", "_clean", "leaf_log_pdf"):
             monkeypatch.setattr(estimators, name, forbidden)
-        monkeypatch.setattr(clustering, "leaf_log_pdf", forbidden)
+        leaf_evals = []
+        leaf_log_pdf = clustering.leaf_log_pdf
+
+        def counted(dist, x):
+            leaf_evals.append(dist)
+            return leaf_log_pdf(dist, x)
+
+        monkeypatch.setattr(clustering, "leaf_log_pdf", counted)
         matrix, schema = _latent_mixed(rng)
-        resp, mixture = em_factorized(
-            matrix, np.ones(matrix.shape[0]), tuple(range(6)), schema, 2, rng=rng
+        resp, mixture, trace = em_factorized(
+            matrix, np.ones(matrix.shape[0]), tuple(range(6)), schema, 2, rng=rng,
+            return_trace=True,
         )
+        assert len(trace) > 1
+        # only the membership pass after the loop evaluates leaves one by one
+        assert leaf_evals == [dist for comp in mixture.components for dist in comp]
         assert np.allclose(resp.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("code", ["negative", "arity", "fraction", "nan"])
+    def test_categorical_code_out_of_range_raises(self, rng, code):
+        # an arity code would land in the next variable's one-hot slot
+        matrix, schema = _latent_mixed(rng)
+        matrix[7, 1] = {"negative": -1.0, "arity": schema[1].arity, "fraction": 0.5,
+                        "nan": np.nan}[code]
+        with pytest.raises(ValueError, match="out of range"):
+            em_factorized(matrix, np.ones(matrix.shape[0]), tuple(range(6)), schema, 2, rng=rng)
 
 
 class TestHarden:
