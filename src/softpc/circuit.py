@@ -5,12 +5,13 @@ a topologically ordered table (children always precede their parents).  All
 evaluation is done in log-space (log-sum-exp at sums, addition at products),
 so deep circuits do not underflow.
 
-Inference runs on a compiled form, built once per circuit on first use: the
-leaves grouped by variable with their parameters stacked, and the inner nodes
-grouped by height and kind, so that no node depends on a node in its own
-group.  Rows are evaluated in chunks of a bounded number of node-rows; per
-chunk there is one leaf call per variable and one vectorised step per group,
-lowest height first.
+Inference and sampling run on a compiled form, built once per circuit on
+first use: the leaves grouped by variable with their parameters stacked, and
+the inner nodes grouped by height and kind, so that no node depends on a node
+in its own group.  Rows are evaluated in chunks of a bounded number of
+node-rows; per chunk there is one leaf call per variable and one vectorised
+step per group, lowest height first.  Sampling is one pass the other way:
+one vectorised step per group, highest first, then one draw per variable.
 """
 
 from __future__ import annotations
@@ -57,6 +58,31 @@ def _require_types(values, types, what):
 def _is_number(value) -> bool:
     """A real number, numpy scalars included; bools are not numbers here."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _cumulative(weights):
+    """Inverse-CDF table for a ``(width, nodes)`` array of weights by position.
+
+    Row ``j`` of the ``(width - 1, nodes)`` result holds each node's total
+    weight over positions ``0..j``, so the number of entries in a node's
+    column that are ``<=`` a uniform draw is the position drawn.  From each
+    node's last positive weight on the column holds +inf, so neither padding
+    nor weights that sum to slightly less than 1 can draw a zero-weight
+    position.
+    """
+    cumulative = np.cumsum(weights, axis=0)[:-1]
+    last = len(weights) - 1 - np.argmax(weights[::-1] > 0, axis=0)
+    cumulative[np.arange(len(cumulative))[:, None] >= last] = np.inf
+    return cumulative
+
+
+def _inverse_cdf(cumulative, index, u):
+    """Per draw, the position that uniform ``u`` picks from column ``index``
+    of a ``_cumulative`` table: the count of the column's entries ``<= u``."""
+    hits = cumulative.take(index, axis=1) <= u
+    # summed into the smallest type that holds the count: an intp sum over
+    # axis 0 of a bool array is several times slower
+    return hits.sum(axis=0, dtype=np.min_scalar_type(len(cumulative))).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -231,15 +257,19 @@ class Circuit:
         block of slots from slots below it.  Returns ``(root_slot, chunk,
         leaves, groups)``:
 
-        - ``leaves``: per variable, ``(v, lo, hi, stacked)``, its block of
-          slots and its leaf parameters stacked once into a ``(k, arity)``
-          probs table or ``(k, 1)`` mu/sigma columns;
-        - ``groups``: per group, ``(lo, hi, children, log_weights)``.  For a
-          product group ``children`` is a CSR matrix of ones, node by slot,
-          and ``log_weights`` is None.  For a sum group ``children`` is a
-          ``(width, nodes)`` array of child slots by position and
-          ``log_weights`` the matching ``(width, nodes, 1)`` log weights; a
-          sum with fewer children repeats its first child with weight 0.
+        - ``leaves``: per variable, ``(v, lo, hi, stacked, cumulative)``,
+          its block of slots and its leaf parameters stacked once into a
+          ``(k, arity)`` probs table or ``(k, 1)`` mu/sigma columns; for a
+          categorical variable ``cumulative`` is the ``(arity - 1, k)``
+          ``_cumulative`` table of the probs, for a continuous one None;
+        - ``groups``: per group, ``(lo, hi, children, log_weights,
+          cumulative)``.  For a product group ``children`` is a CSR matrix of
+          ones, node by slot, and ``log_weights`` and ``cumulative`` are
+          None.  For a sum group ``children`` is a ``(width, nodes)`` array
+          of child slots by position, ``log_weights`` the matching
+          ``(width, nodes, 1)`` log weights and ``cumulative`` the
+          ``(width - 1, nodes)`` ``_cumulative`` table of the weights; a sum
+          with fewer children repeats its first child with weight 0.
         """
         if self._plan is None:
             # here, not at module level: scipy.sparse adds ~15 ms to importing
@@ -266,10 +296,12 @@ class Circuit:
                 dists = [self.nodes[i].dist for i in by_var[v]]
                 if isinstance(dists[0], Multinomial):
                     stacked = Multinomial(np.array([d.probs for d in dists]))
+                    cumulative = _cumulative(stacked.probs.T)
                 else:
                     stacked = Gaussian(np.array([[d.mu] for d in dists]),
                                        np.array([[d.sigma] for d in dists]))
-                leaves.append((v, lo, lo + len(dists), stacked))
+                    cumulative = None
+                leaves.append((v, lo, lo + len(dists), stacked, cumulative))
                 lo += len(dists)
 
             groups = []
@@ -281,16 +313,17 @@ class Circuit:
                     children = slot_of[[list(node.children) + [node.children[0]] * k
                                         for node, k in zip(nodes, pad)]].T
                     weights = np.array([list(node.weights) + [0.0] * k
-                                        for node, k in zip(nodes, pad)]).T[:, :, None]
+                                        for node, k in zip(nodes, pad)]).T
+                    cumulative = _cumulative(weights)
                     with np.errstate(divide="ignore"):
-                        log_weights = np.log(weights)
+                        log_weights = np.log(weights)[:, :, None]
                 else:
                     counts = [len(node.children) for node in nodes]
                     flat = slot_of[[c for node in nodes for c in node.children]]
                     children = csr_matrix((np.ones(len(flat)), flat, np.cumsum([0] + counts)),
                                           shape=(len(nodes), len(self.nodes)))
-                    log_weights = None
-                groups.append((lo, lo + len(ids), children, log_weights))
+                    log_weights = cumulative = None
+                groups.append((lo, lo + len(ids), children, log_weights, cumulative))
                 lo += len(ids)
 
             chunk = max(1, _CHUNK_CELLS // len(self.nodes))
@@ -321,7 +354,7 @@ class Circuit:
         for first in range(0, n, chunk):
             rows = slice(first, min(first + chunk, n))
             vals = np.empty((len(self.nodes), rows.stop - first))
-            for v, lo, hi, dist in leaves:
+            for v, lo, hi, dist, _ in leaves:
                 entry = columns[v]
                 if entry is None:
                     vals[lo:hi] = 0.0
@@ -331,7 +364,7 @@ class Circuit:
                                              - gaussian_cdf(dist, entry[0]))
                 else:
                     vals[lo:hi] = leaf_log_pdf(dist, entry[rows])
-            for lo, hi, children, log_weights in groups:
+            for lo, hi, children, log_weights, _ in groups:
                 if log_weights is None:
                     vals[lo:hi] = children @ vals
                 else:
@@ -394,31 +427,80 @@ class Circuit:
     # sampling
 
     def sample(self, rng, n: int):
-        """Draw ``n`` independent full assignments, top-down, visiting each
-        node once (parents first) with the rows that reach it from any parent:
-        a sum sends each row to one child drawn by weight, a product to all."""
-        out = np.empty((n, len(self.schema)))
-        reach = {self.root: np.arange(n)}
-        for i in range(self.root, -1, -1):
-            rows = reach.pop(i, None)
-            if rows is None:
+        """Draw ``n`` independent full assignments as an ``(n, vars)`` array.
+
+        Ancestral sampling on the compiled form, top-down.  A row that
+        reaches a node is the int64 key ``slot << b | row``, where ``b`` is
+        the bit length of ``n - 1``, so that a shift and a mask split it
+        again.  The root's ``n`` keys start it; then each inner group,
+        highest first, takes the keys in its block of slots and sends each
+        row on: a product group to all of a node's children, a sum group to
+        one child drawn by weight.  Each batch of new keys is sorted and
+        split by one ``searchsorted`` into the blocks below it.  Last, each
+        variable's leaves draw values for the rows that reached them.  In a
+        decomposable circuit a row reaches a node at most once, so the keys
+        are unique; where they are not, sorting integers is still
+        deterministic.
+
+        Draw order from ``rng``: one ``rng.random(pairs)`` per sum group that
+        rows reach, highest group first, counted against the group's
+        cumulative weights; then, per variable in order, one
+        ``rng.random(pairs)`` counted against the cumulative probabilities of
+        a categorical variable's leaves, or one ``rng.standard_normal(pairs)``
+        for a continuous variable's.
+        """
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"expected a non-negative integer number of rows, got {n!r}")
+        n = int(n)
+        # an int64 shift, so keys are int64 whatever the dtype of the slots
+        shift = np.int64(max(n - 1, 0).bit_length())
+        root_slot, _, leaves, groups = self._compiled()
+        starts = [entry[1] for entry in leaves] + [group[0] for group in groups]
+        bounds = np.array(starts + [len(self.nodes)], dtype=np.int64) << shift
+        pending = [[] for _ in starts]
+
+        def push(keys):
+            keys.sort()
+            cuts = keys.searchsorted(bounds)
+            hit = (cuts[1:] > cuts[:-1]).nonzero()[0].tolist()
+            cuts = cuts.tolist()
+            for b in hit:
+                pending[b].append(keys[cuts[b]:cuts[b + 1]])
+
+        def reached(b, lo):
+            """The nodes (counted from slot ``lo``) and rows of block b's keys."""
+            parts = pending[b]
+            keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            return (keys >> shift) - lo, keys & ((1 << shift) - 1)
+
+        push((root_slot << shift) + np.arange(n))
+        for b, (lo, _, children, _, cumulative) in reversed(list(enumerate(groups, len(leaves)))):
+            if not pending[b]:
                 continue
-            node = self.nodes[i]
-            if isinstance(node, LeafNode):
-                d = node.dist
-                if isinstance(d, Multinomial):
-                    out[rows, node.var] = rng.choice(d.arity, size=rows.size, p=d.probs)
-                else:
-                    out[rows, node.var] = d.mu + d.sigma * rng.standard_normal(rows.size)
-                continue
-            if isinstance(node, SumNode):
-                pick = rng.choice(len(node.children), size=rows.size, p=node.weights)
-                parts = [rows[pick == k] for k in range(len(node.children))]
+            node, row = reached(b, lo)
+            if cumulative is None:
+                first = children.indptr.take(node)
+                counts = children.indptr.take(node + 1) - first
+                ends = counts.cumsum()
+                child = children.indices.take(np.arange(ends[-1])
+                                              + (first - ends + counts).repeat(counts))
+                row = row.repeat(counts)
             else:
-                parts = [rows] * len(node.children)
-            for c, part in zip(node.children, parts):
-                reach[c] = np.concatenate((reach[c], part)) if c in reach else part
-        return out
+                pick = _inverse_cdf(cumulative, node, rng.random(row.size))
+                child = children.take(pick * children.shape[1] + node)
+            push((child << shift) + row)
+
+        out = np.empty((len(self.schema), n))
+        for b, (v, lo, _, dist, cumulative) in enumerate(leaves):
+            if not pending[b]:
+                continue
+            leaf, row = reached(b, lo)
+            if cumulative is None:
+                out[v][row] = (dist.mu[:, 0].take(leaf)
+                               + dist.sigma[:, 0].take(leaf) * rng.standard_normal(row.size))
+            else:
+                out[v][row] = _inverse_cdf(cumulative, leaf, rng.random(row.size))
+        return out.T
 
     # ------------------------------------------------------------------
     # serialization

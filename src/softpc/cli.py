@@ -245,13 +245,14 @@ def cmd_sample(args) -> int:
     circuit = Circuit.from_json(Path(args.model).read_text())
     rng = np.random.default_rng(args.seed)
     rows = circuit.sample(rng, args.n)
-    lines = []
-    for row in rows:
-        fields = []
-        for v, var in zip(row, circuit.schema):
-            fields.append(str(int(v)) if var.kind == "cat" else repr(float(v)))
-        lines.append(",".join(fields))
-    text = "\n".join(lines) + ("\n" if lines else "")
+    # a column at a time from Python ints and floats, not cell by cell
+    # through numpy scalars: the same text, formatted in about 2/3 the time
+    columns = [
+        list(map(str, column.astype(np.int64).tolist())) if var.kind == "cat"
+        else list(map(repr, column.tolist()))
+        for column, var in zip(rows.T, circuit.schema)
+    ]
+    text = "".join(",".join(fields) + "\n" for fields in zip(*columns))
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -340,6 +341,13 @@ def _add_common_hp(sp, grid=False):
                     help="iteration cap inside clustering (2 = early-stop mode)")
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bench-cli",
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="draw samples from a model file")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_non_negative_int, required=True)
     sp.add_argument("--out", dest="out", default=None)
     sp.set_defaults(func=cmd_sample)
 

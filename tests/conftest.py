@@ -173,6 +173,39 @@ def reference_log_value(circuit: Circuit, query) -> float:
     return float(value(circuit.root))
 
 
+def reference_sample(circuit: Circuit, rng, n: int) -> np.ndarray:
+    """``n`` rows drawn top-down, one node at a time.
+
+    Each node is visited once, parents first, with the rows that reach it
+    from any parent: a sum sends each row to one child drawn by weight with
+    ``rng.choice``, a product to all its children.  This is the sampler
+    ``Circuit.sample`` ran before it worked on the compiled form; it is the
+    reference the compiled sampler is pinned to.
+    """
+    out = np.empty((n, len(circuit.schema)))
+    reach = {circuit.root: np.arange(n)}
+    for i in range(circuit.root, -1, -1):
+        rows = reach.pop(i, None)
+        if rows is None:
+            continue
+        node = circuit.nodes[i]
+        if isinstance(node, LeafNode):
+            d = node.dist
+            if isinstance(d, Multinomial):
+                out[rows, node.var] = rng.choice(d.arity, size=rows.size, p=d.probs)
+            else:
+                out[rows, node.var] = d.mu + d.sigma * rng.standard_normal(rows.size)
+            continue
+        if isinstance(node, SumNode):
+            pick = rng.choice(len(node.children), size=rows.size, p=node.weights)
+            parts = [rows[pick == k] for k in range(len(node.children))]
+        else:
+            parts = [rows] * len(node.children)
+        for c, part in zip(node.children, parts):
+            reach[c] = np.concatenate((reach[c], part)) if c in reach else part
+    return out
+
+
 def reference_soft_kmeans(matrix, weights, scope, schema, k, beta, max_iter=100, rng=None):
     """Soft k-means with every row clustered on its own, duplicates included.
 

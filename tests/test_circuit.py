@@ -32,6 +32,7 @@ from conftest import (
     random_binary_circuit,
     random_mixed_circuit,
     reference_log_value,
+    reference_sample,
     small_mixed_circuit,
 )
 
@@ -473,6 +474,160 @@ class TestSample:
         grid = np.array([[a, b] for a in range(3) for b in range(2)], dtype=float)
         result = chisquare(observed, n * np.exp(c.log_density(grid)))
         assert result.pvalue > 0.001
+
+
+class FixedDraws:
+    """Stands in for a numpy Generator: every uniform is ``u``, every normal 0."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+# the largest and the smallest uniform a numpy Generator can return
+U_TOP = np.nextafter(1.0, 0.0)
+U_BOTTOM = 0.0
+
+
+def joint_codes(circuit, rows):
+    """One integer per row over all variables; a continuous variable
+    contributes its sign."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for v, var in enumerate(circuit.schema):
+        level = rows[:, v].astype(np.int64) if var.kind == "cat" else (rows[:, v] > 0)
+        codes = codes * (var.arity if var.kind == "cat" else 2) + level
+    return codes
+
+
+def two_sample_pvalue(a, b):
+    """Chi-square p-value that integer codes ``a`` and ``b`` share one distribution."""
+    from scipy.stats import chi2_contingency
+
+    size = max(a.max(), b.max()) + 1
+    table = np.array([np.bincount(a, minlength=size), np.bincount(b, minlength=size)])
+    return chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+class TestSampleMatchesReference:
+    """The compiled sampler against the node-by-node ``reference_sample``."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_binary_circuit(3, rng),
+        lambda rng: small_mixed_circuit(),
+    ], ids=["binary", "mixed"])
+    def test_joint_codes_share_a_distribution(self, make, rng):
+        c = make(rng)
+        assert len(c.schema) == 3
+        n = 100_000
+        new = joint_codes(c, c.sample(np.random.default_rng(1), n))
+        old = joint_codes(c, reference_sample(c, np.random.default_rng(2), n))
+        assert two_sample_pvalue(new, old) > 0.001
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_level_matches_its_marginal(self, seed):
+        rng = np.random.default_rng(seed)
+        c = random_mixed_circuit(rng, n_vars=6)
+        n = 40_000
+        rows = c.sample(rng, n)
+        for v, var in enumerate(c.schema):
+            events = ([(level, rows[:, v] == level) for level in range(var.arity)]
+                      if var.kind == "cat" else [((-math.inf, 0.0), rows[:, v] < 0.0)])
+            for entry, hit in events:
+                query = [None] * len(c.schema)
+                query[v] = entry
+                p = math.exp(c.log_marginal(query))
+                se = math.sqrt(p * (1.0 - p) / n)
+                assert abs(hit.mean() - p) <= 4.5 * se + 1e-12, (v, entry)
+
+    def test_each_width_of_a_padded_sum_group(self, rng):
+        """Sums of widths 2, 3 and 5 at one height share one group, so the
+        narrower ones are padded; each child's frequency matches its weight."""
+        from scipy.stats import chisquare
+
+        weights = [(0.3, 0.7), (0.2, 0.5, 0.3), (0.1, 0.3, 0.05, 0.25, 0.3)]
+        nodes, sums = [], []
+        for v, w in enumerate(weights):
+            for level in range(len(w)):  # leaf k puts all its mass on level k
+                nodes.append(LeafNode(v, Multinomial(tuple(float(j == level)
+                                                           for j in range(len(w))))))
+            nodes.append(SumNode(tuple(range(len(nodes) - len(w), len(nodes))), w))
+            sums.append(len(nodes) - 1)
+        nodes.append(ProductNode(tuple(sums)))
+        c = Circuit(nodes, len(nodes) - 1, Schema.categorical([2, 3, 5]))
+        assert c.validate() == []
+        sum_groups = [g for g in c._compiled()[3] if g[4] is not None]
+        assert [g[4].shape for g in sum_groups] == [(4, 3)]
+        n = 50_000
+        rows = c.sample(rng, n)
+        for v, w in enumerate(weights):
+            observed = np.bincount(rows[:, v].astype(int), minlength=len(w))
+            assert chisquare(observed, n * np.array(w)).pvalue > 0.001
+
+
+class TestSampleEdgeCases:
+    def test_zero_weight_last_child_never_picked_when_weights_fall_short(self):
+        schema = Schema.continuous(1)
+        nodes = [
+            LeafNode(0, Gaussian(0.0, 1.0)),
+            LeafNode(0, Gaussian(1.0, 1.0)),
+            LeafNode(0, Gaussian(100.0, 1.0)),
+            SumNode((0, 1, 2), (0.5, 0.5 - 1e-10, 0.0)),
+        ]
+        c = Circuit(nodes, 3, schema)
+        assert c.validate() == []
+        assert c.sample(FixedDraws(U_TOP), 10).ravel().tolist() == [1.0] * 10
+        assert c.sample(FixedDraws(U_BOTTOM), 10).ravel().tolist() == [0.0] * 10
+        assert c.sample(np.random.default_rng(0), 20_000).max() < 50.0
+
+    def test_zero_weight_first_and_middle_children_never_picked(self):
+        nodes = [LeafNode(0, Gaussian(float(k), 1.0)) for k in range(4)]
+        nodes.append(SumNode((0, 1, 2, 3), (0.0, 0.6, 0.0, 0.4)))
+        c = Circuit(nodes, 4, Schema.continuous(1))
+        assert c.sample(FixedDraws(U_BOTTOM), 3).ravel().tolist() == [1.0] * 3
+        assert c.sample(FixedDraws(0.6), 3).ravel().tolist() == [3.0] * 3
+        assert c.sample(FixedDraws(U_TOP), 3).ravel().tolist() == [3.0] * 3
+
+    def test_zero_probability_last_level_never_drawn(self):
+        c = Circuit([LeafNode(0, Multinomial((0.4, 0.6 - 1e-10, 0.0)))], 0,
+                    Schema.categorical([3]))
+        assert c.validate() == []
+        assert c.sample(FixedDraws(U_TOP), 5).ravel().tolist() == [1.0] * 5
+        assert c.sample(FixedDraws(U_BOTTOM), 5).ravel().tolist() == [0.0] * 5
+        assert set(c.sample(np.random.default_rng(0), 20_000).ravel()) == {0.0, 1.0}
+
+    def test_zero_rows(self):
+        c = small_mixed_circuit()
+        out = c.sample(np.random.default_rng(0), 0)
+        assert out.shape == (0, 3)
+
+    def test_numpy_integer_count_accepted(self):
+        assert fig1_circuit().sample(np.random.default_rng(0), np.int64(4)).shape == (4, 2)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0, 2.5, "3", None])
+    def test_bad_count_rejected_before_drawing(self, n):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="non-negative integer"):
+            fig1_circuit().sample(rng, n)
+        assert rng.bit_generator.state == state
+
+    def test_bit_identical_for_one_seed(self, rng):
+        def fresh():
+            r = np.random.default_rng(3)
+            return random_mixed_circuit(r, n_vars=6)
+
+        c = fresh()
+        first = c.sample(np.random.default_rng(7), 1_000)
+        again = c.sample(np.random.default_rng(7), 1_000)
+        planned = fresh()
+        planned.log_density(first)
+        after_density = planned.sample(np.random.default_rng(7), 1_000)
+        assert first.tobytes() == again.tobytes() == after_density.tobytes()
 
 
 class TestSerialization:

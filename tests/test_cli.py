@@ -4,6 +4,8 @@ import pytest
 from softpc.circuit import Circuit
 from softpc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RESULT_COLUMNS, main
 
+from conftest import small_mixed_circuit
+
 
 def write_split(data_dir, name, train, valid, test):
     for part, rows in (("train", train), ("valid", valid), ("test", test)):
@@ -193,6 +195,28 @@ class TestSample:
         out = tmp_path / "z.txt"
         assert run(["sample", "--model", model_path, "--n", 0, "--out", out]) == EXIT_OK
         assert out.read_text() == ""
+
+    def test_negative_count_is_usage_error(self, model_path, tmp_path, capsys):
+        out = tmp_path / "neg.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(["sample", "--model", model_path, "--n", -1, "--out", out])
+        assert exc.value.code == EXIT_USAGE
+        assert "count >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_text_matches_per_cell_formatting(self, tmp_path):
+        circuit = small_mixed_circuit()
+        model, out = tmp_path / "mixed.json", tmp_path / "mixed.txt"
+        model.write_text(circuit.to_json())
+        assert run(["--seed", 9, "sample", "--model", model, "--n", 300, "--out", out]) == EXIT_OK
+        rows = circuit.sample(np.random.default_rng(9), 300)
+        expected = "".join(
+            ",".join(str(int(v)) if var.kind == "cat" else repr(float(v))
+                     for v, var in zip(row, circuit.schema)) + "\n"
+            for row in rows
+        )
+        assert out.read_text() == expected
+        assert {line.count(",") for line in expected.splitlines()} == {2}
 
 
 class TestGrid:
