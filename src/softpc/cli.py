@@ -61,16 +61,19 @@ def load_bundle(name: str, data_dir, seed: int) -> datasets.DatasetBundle:
 
 
 def _make_hp(args, p=None, alpha=None, clusterer=None, seed=None) -> Hyperparams:
-    return Hyperparams(
-        p_threshold=args.p if p is None else p,
-        alpha=args.alpha if alpha is None else alpha,
-        beta=args.beta,
-        n_clusters=args.clusters,
-        min_instances=args.min_instances,
-        max_cluster_iters=args.max_cluster_iters,
-        clusterer=(clusterer or args.clusterer),
-        seed=args.seed if seed is None else seed,
-    )
+    try:
+        return Hyperparams(
+            p_threshold=args.p if p is None else p,
+            alpha=args.alpha if alpha is None else alpha,
+            beta=args.beta,
+            n_clusters=args.clusters,
+            min_instances=args.min_instances,
+            max_cluster_iters=args.max_cluster_iters,
+            clusterer=(clusterer or args.clusterer),
+            seed=args.seed if seed is None else seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _train(bundle, method: str, hp: Hyperparams):
@@ -341,11 +344,19 @@ def _add_common_hp(sp, grid=False):
                     help="iteration cap inside clustering (2 = early-stop mode)")
 
 
-def _non_negative_int(text: str) -> int:
+def _count(text: str, least: int) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected a count >= {least}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    return _count(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _count(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--clusterer", choices=CLUSTERERS, default=None,
                     help="restrict to one clusterer (default: both)")
     _add_common_hp(sp, grid=True)
-    sp.add_argument("--reps", type=int, default=9)
+    sp.add_argument("--reps", type=_positive_int, default=9)
     sp.add_argument("--force", action="store_true",
                     help="recompute cells already present in the results file")
     sp.set_defaults(func=cmd_grid)
@@ -395,11 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("learnspn", "softlearn"), required=True)
     sp.add_argument("--clusterer", choices=CLUSTERERS, default="em")
     _add_common_hp(sp)
-    sp.add_argument("--reps", type=int, default=3)
+    sp.add_argument("--reps", type=_positive_int, default=3)
     sp.set_defaults(func=cmd_synthetic_quality)
 
     sp = sub.add_parser("toy-example", help="reproduce the bad-split toy experiment")
-    sp.add_argument("--n", type=int, default=1000, help="points per mixture component")
+    sp.add_argument("--n", type=_positive_int, default=1000, help="points per mixture component")
     sp.add_argument("--adversarial", action="store_true")
     sp.add_argument("--clusterer", choices=CLUSTERERS, default="em")
     sp.add_argument("--out-dir", default="toy-out")

@@ -4,6 +4,12 @@ Two clusterers are provided: a soft k-means whose responsibilities come
 from a softmax over normalized centroid distances (sharpness ``beta``),
 and EM over a mixture of fully factorized univariate distributions.  Both
 accept per-row weights, treated as frequencies throughout.
+
+Both keep their per-iteration arrays component-major, so every reduction
+runs along the rows.  Soft k-means first collapses the rows that are
+identical on the scope into distinct rows, encodes only those, as a
+``(d, m)`` array, and spreads the result back to the rows at the end;
+its random draws still range over the original rows.
 """
 
 from __future__ import annotations
@@ -28,8 +34,40 @@ class FactorizedMixture:
     scope: tuple
 
 
+def _standardizers(matrix, weights, scope, schema):
+    """Per scope variable: ``None`` if categorical, else the ``(mean, std)``
+    that standardize it, weighted over every row of ``matrix``."""
+    total = weights.sum()
+    out = []
+    for v in scope:
+        if schema.is_cat(v):
+            out.append(None)
+            continue
+        col = matrix[:, v]
+        mean = float(np.dot(weights, col) / total)
+        var = float(np.dot(weights, (col - mean) ** 2) / total)
+        out.append((mean, np.sqrt(var) if var > 0 else 1.0))
+    return out
+
+
+def _encode_t(raw, scope, schema, standardizers):
+    """Encode ``raw``, the scope columns of m rows, as a component-major ``(d, m)`` array."""
+    m = raw.shape[0]
+    widths = [1 if st else schema[v].arity for v, st in zip(scope, standardizers)]
+    out = np.zeros((sum(widths), m))
+    at = 0
+    for j, (st, width) in enumerate(zip(standardizers, widths)):
+        col = raw[:, j]
+        if st:
+            out[at] = (col - st[0]) / st[1]
+        else:
+            out[at + col.astype(np.int64), np.arange(m)] = 1.0
+        at += width
+    return out
+
+
 def encode_rows(matrix, weights, scope, schema):
-    """Encode scope columns for distance computation.
+    """Encode scope columns for distance computation; returns ``(n, d)``.
 
     Categorical columns are one-hot encoded; continuous columns are
     standardized by their weighted mean/std (zero-variance columns pass
@@ -37,50 +75,48 @@ def encode_rows(matrix, weights, scope, schema):
     """
     matrix = np.asarray(matrix, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    blocks = []
-    total = weights.sum()
-    for v in scope:
-        col = matrix[:, v]
-        if schema.is_cat(v):
-            k = schema[v].arity
-            onehot = np.zeros((col.size, k))
-            onehot[np.arange(col.size), col.astype(np.int64)] = 1.0
-            blocks.append(onehot)
-        else:
-            mean = float(np.dot(weights, col) / total)
-            var = float(np.dot(weights, (col - mean) ** 2) / total)
-            std = np.sqrt(var) if var > 0 else 1.0
-            blocks.append(((col - mean) / std)[:, None])
-    return np.hstack(blocks)
+    standardizers = _standardizers(matrix, weights, scope, schema)
+    return _encode_t(matrix[:, list(scope)], scope, schema, standardizers).T
 
 
-def softmax_memberships(encoded, centroids, beta: float):
-    """Responsibilities softmax(beta * (1 - ||d - C_i|| / sum_j ||d - C_j||))."""
-    dists = np.linalg.norm(encoded[:, None, :] - centroids[None, :, :], axis=2)
-    denom = dists.sum(axis=1, keepdims=True)
-    # a point exactly on every centroid has no preference
-    safe = np.where(denom > 0, denom, 1.0)
-    rel = beta * (1.0 - dists / safe)
-    rel -= rel.max(axis=1, keepdims=True)
-    resp = np.exp(rel)
-    resp /= resp.sum(axis=1, keepdims=True)
-    resp[denom[:, 0] == 0] = 1.0 / centroids.shape[0]
+def softmax_memberships(encoded_t, centroids, beta: float):
+    """Responsibilities softmax(beta * (1 - ||d - C_i|| / sum_j ||d - C_j||)).
+
+    ``encoded_t`` is component-major, ``(d, m)``, and the result is
+    ``(k, m)``: one row of responsibilities per centroid.  Each centroid's
+    distances come from one ``(d, m)`` difference, squared in place and
+    summed over the components, so no ``(m, k, d)`` tensor is built.
+    """
+    k = centroids.shape[0]
+    dists = np.empty((k, encoded_t.shape[1]))
+    for i in range(k):
+        diff = encoded_t - centroids[i][:, None]
+        np.square(diff, out=diff)
+        diff.sum(axis=0, out=dists[i])
+    np.sqrt(dists, out=dists)
+    denom = dists.sum(axis=0)
+    # a point exactly on every centroid has all distances 0: a safe
+    # denominator leaves it equal scores, so no preference
+    rel = beta * (1.0 - dists / np.where(denom > 0, denom, 1.0))
+    rel -= rel.max(axis=0)
+    resp = np.exp(rel, out=rel)
+    resp /= resp.sum(axis=0)
     return resp
 
 
-def _kmeanspp_init(encoded, weights, k, rng):
-    # weighted k-means++: first seed by row weight, then by weight * D^2
-    n = encoded.shape[0]
+def _kmeanspp_init(encoded, inv, weights, k, rng):
+    # weighted k-means++ over the original rows: first seed by row weight,
+    # then by weight * D^2; D^2 is computed once per distinct row (``encoded``,
+    # row-major) and gathered to the rows through ``inv``
+    n = weights.size
     probs = weights / weights.sum()
-    idx = [rng.choice(n, p=probs)]
-    d2 = np.full(n, np.inf)
+    idx = [inv[rng.choice(n, p=probs)]]
+    d2 = np.full(encoded.shape[0], np.inf)
     for _ in range(1, k):
         d2 = np.minimum(d2, ((encoded - encoded[idx[-1]]) ** 2).sum(axis=1))
-        mass = weights * d2
-        if mass.sum() <= 0:
-            idx.append(rng.choice(n, p=probs))
-        else:
-            idx.append(rng.choice(n, p=mass / mass.sum()))
+        mass = weights * d2[inv]
+        total = mass.sum()
+        idx.append(inv[rng.choice(n, p=mass / total if total > 0 else probs)])
     return encoded[idx].copy()
 
 
@@ -101,48 +137,59 @@ def soft_kmeans(
     when the largest centroid shift falls below 1e-6.  ``rng=None``
     seeds the k-means++ initialisation with ``default_rng(0)``.
 
-    Rows that are identical on the scope are clustered once, as one
-    distinct row carrying the sum of their weights, and share their
-    responsibilities; the k-means++ draws and a starved cluster's re-seed
-    still pick among the original rows, so the random stream is the same
-    as with every row clustered separately.
+    Distinct rows come first: the raw scope columns are uniqued by their
+    bytes, and only the distinct rows are encoded, each carrying the sum
+    of its rows' weights; all rows share their distinct row's
+    responsibilities.  The continuous columns are still standardized by
+    statistics over every row, so each distinct row encodes to the same
+    floats as its rows would.  The encoded rows are kept component-major,
+    ``(d, m)``: each iteration is one ``(d, m)`` distance pass per centroid
+    (``softmax_memberships``) and one ``(k, m) @ (m, d)`` centroid update.
+
+    The random stream is the same as with every row clustered on its own.
+    Each k-means++ draw still picks one of the ``n`` original rows, with
+    ``rng.choice(n, p=...)``.  Its ``D^2`` is computed once per distinct
+    row, on a row-major ``(m, d)`` copy, with the same arithmetic that
+    each of its rows would get, and gathered to the rows through the
+    inverse index; so every draw sees the same ``n`` floats and takes the
+    same randomness.  A starved cluster's re-seed draws nothing: it takes
+    the original row of largest ``weight * distance``, the first one on a
+    tie.
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    matrix = np.asarray(matrix, dtype=float)
     weights = np.asarray(weights, dtype=float)
     n = weights.size
     k = min(k, n)
-    encoded = encode_rows(matrix, weights, scope, schema)
     if k == 1:
         return np.ones((n, 1))
 
-    centroids = _kmeanspp_init(encoded, weights, k, rng)
-    row_bytes = np.dtype((np.void, encoded.itemsize * encoded.shape[1]))
-    _, first, inv = np.unique(
-        np.ascontiguousarray(encoded).view(row_bytes).ravel(),
-        return_index=True,
-        return_inverse=True,
-    )
-    distinct = encoded[first]
-    del encoded  # only the distinct rows are kept through the iterations
+    raw = np.ascontiguousarray(matrix[:, list(scope)])
+    row_bytes = np.dtype((np.void, raw.itemsize * raw.shape[1]))
+    _, first, inv = np.unique(raw.view(row_bytes).ravel(), return_index=True, return_inverse=True)
+    standardizers = _standardizers(matrix, weights, scope, schema)
+    encoded_t = _encode_t(raw[first], scope, schema, standardizers)
+    encoded = np.ascontiguousarray(encoded_t.T)
     group_w = np.bincount(inv, weights=weights, minlength=first.size)
+
+    centroids = _kmeanspp_init(encoded, inv, weights, k, rng)
     for _ in range(max_iter):
-        resp = softmax_memberships(distinct, centroids, beta)
-        eff = group_w[:, None] * resp
-        mass = eff.sum(axis=0)
-        new_centroids = centroids.copy()
-        for i in range(k):
-            if mass[i] > COLLAPSE_TOL:
-                new_centroids[i] = eff[:, i] @ distinct / mass[i]
-            else:
-                # re-seed a starved cluster at the point farthest from its centroid
-                dists = np.linalg.norm(distinct - centroids[i], axis=1)
-                new_centroids[i] = distinct[inv[int(np.argmax(weights * dists[inv]))]]
+        eff = softmax_memberships(encoded_t, centroids, beta)
+        eff *= group_w
+        mass = eff.sum(axis=1)
+        fed = mass > COLLAPSE_TOL
+        new_centroids = np.divide(eff @ encoded, mass[:, None], out=centroids.copy(),
+                                  where=fed[:, None])
+        for i in np.flatnonzero(~fed):
+            # re-seed a starved cluster at the row farthest from its centroid
+            dists = np.sqrt(((encoded_t - centroids[i][:, None]) ** 2).sum(axis=0))
+            new_centroids[i] = encoded[inv[int(np.argmax(weights * dists[inv]))]]
         shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
         if shift < CENTROID_TOL:
             break
-    return softmax_memberships(distinct, centroids, beta)[inv]
+    return np.ascontiguousarray(softmax_memberships(encoded_t, centroids, beta).T)[inv]
 
 
 def _normalize(joint):

@@ -57,9 +57,15 @@ class Hyperparams:
     def __post_init__(self):
         if not 0.0 < self.p_threshold < 1.0:
             raise ValueError("p_threshold must be in (0, 1)")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.min_instances < 2:
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and nonnegative")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and nonnegative")
+        if self.n_clusters < 1:
+            raise ValueError("n_clusters must be >= 1")
+        if self.max_cluster_iters < 1:
+            raise ValueError("max_cluster_iters must be >= 1")
+        if not self.min_instances >= 2:  # NaN fails too
             raise ValueError("min_instances must be >= 2")
         if self.clusterer not in ("em", "kmeans"):
             raise ValueError(f"unknown clusterer {self.clusterer!r}")

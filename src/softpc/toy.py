@@ -76,7 +76,7 @@ def adversarial_membership(matrix, schema, soft: bool, beta: float = None):
     weights = np.ones(matrix.shape[0])
     encoded = clustering.encode_rows(matrix, weights, (0, 1), schema)
     centroids = np.stack([encoded[left].mean(axis=0), encoded[~left].mean(axis=0)])
-    return clustering.softmax_memberships(encoded, centroids, beta)
+    return np.ascontiguousarray(clustering.softmax_memberships(encoded.T, centroids, beta).T)
 
 
 @dataclass

@@ -206,24 +206,78 @@ def reference_sample(circuit: Circuit, rng, n: int) -> np.ndarray:
     return out
 
 
-def reference_soft_kmeans(matrix, weights, scope, schema, k, beta, max_iter=100, rng=None):
-    """Soft k-means with every row clustered on its own, duplicates included.
+def _reference_encode_rows(matrix, weights, scope, schema):
+    # one-hot categorical columns, continuous ones standardized by their
+    # weighted mean/std over every row; (n, d)
+    matrix = np.asarray(matrix, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    blocks = []
+    total = weights.sum()
+    for v in scope:
+        col = matrix[:, v]
+        if schema.is_cat(v):
+            k = schema[v].arity
+            onehot = np.zeros((col.size, k))
+            onehot[np.arange(col.size), col.astype(np.int64)] = 1.0
+            blocks.append(onehot)
+        else:
+            mean = float(np.dot(weights, col) / total)
+            var = float(np.dot(weights, (col - mean) ** 2) / total)
+            std = np.sqrt(var) if var > 0 else 1.0
+            blocks.append(((col - mean) / std)[:, None])
+    return np.hstack(blocks)
 
-    This is the loop ``soft_kmeans`` ran before identical rows were
-    collapsed into one; it is the reference the collapsed loop is pinned to.
+
+def _reference_softmax_memberships(encoded, centroids, beta):
+    # (n, d) rows against (k, d) centroids through one (n, k, d) difference tensor
+    dists = np.linalg.norm(encoded[:, None, :] - centroids[None, :, :], axis=2)
+    denom = dists.sum(axis=1, keepdims=True)
+    safe = np.where(denom > 0, denom, 1.0)
+    rel = beta * (1.0 - dists / safe)
+    rel -= rel.max(axis=1, keepdims=True)
+    resp = np.exp(rel)
+    resp /= resp.sum(axis=1, keepdims=True)
+    resp[denom[:, 0] == 0] = 1.0 / centroids.shape[0]
+    return resp
+
+
+def _reference_kmeanspp_init(encoded, weights, k, rng):
+    n = encoded.shape[0]
+    probs = weights / weights.sum()
+    idx = [rng.choice(n, p=probs)]
+    d2 = np.full(n, np.inf)
+    for _ in range(1, k):
+        d2 = np.minimum(d2, ((encoded - encoded[idx[-1]]) ** 2).sum(axis=1))
+        mass = weights * d2
+        if mass.sum() <= 0:
+            idx.append(rng.choice(n, p=probs))
+        else:
+            idx.append(rng.choice(n, p=mass / mass.sum()))
+    return encoded[idx].copy()
+
+
+def reference_soft_kmeans(matrix, weights, scope, schema, k, beta, max_iter=100, rng=None):
+    """Soft k-means with every row encoded and clustered on its own.
+
+    This is the row-major loop ``soft_kmeans`` ran before it worked on
+    distinct rows: every row, duplicates included, is one-hot encoded and
+    standardized, seeded by weighted k-means++ and scored against all
+    centroids through an ``(n, k, d)`` difference tensor.  The encoder, the
+    seeding and the memberships are copied here, so the reference calls
+    none of the code under test; it is what ``soft_kmeans`` is pinned to.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     weights = np.asarray(weights, dtype=float)
     n = weights.size
     k = min(k, n)
-    encoded = clustering.encode_rows(matrix, weights, scope, schema)
+    encoded = _reference_encode_rows(matrix, weights, scope, schema)
     if k == 1:
         return np.ones((n, 1))
 
-    centroids = clustering._kmeanspp_init(encoded, weights, k, rng)
+    centroids = _reference_kmeanspp_init(encoded, weights, k, rng)
     for _ in range(max_iter):
-        resp = clustering.softmax_memberships(encoded, centroids, beta)
+        resp = _reference_softmax_memberships(encoded, centroids, beta)
         eff = weights[:, None] * resp
         mass = eff.sum(axis=0)
         new_centroids = centroids.copy()
@@ -237,7 +291,7 @@ def reference_soft_kmeans(matrix, weights, scope, schema, k, beta, max_iter=100,
         centroids = new_centroids
         if shift < clustering.CENTROID_TOL:
             break
-    return clustering.softmax_memberships(encoded, centroids, beta)
+    return _reference_softmax_memberships(encoded, centroids, beta)
 
 
 def reference_em_factorized(

@@ -94,6 +94,17 @@ class TestLearn:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--p", 1.5), ("--clusters", 0), ("--clusters", -1), ("--max-cluster-iters", 0),
+         ("--beta", -1.0), ("--beta", "nan"), ("--alpha", "inf"), ("--min-instances", "nan")],
+    )
+    def test_bad_hyperparameter_is_usage_error(self, data_dir, capsys, flag, value):
+        code = run(["--data-dir", data_dir, "learn", "--data", "twoblock",
+                    "--method", "learnspn", flag, value])
+        assert code == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
     def test_corrupt_dataset_is_data_error(self, tmp_path):
         (tmp_path / "bad.train.data").write_text("0,zzz\n")
         (tmp_path / "bad.valid.data").write_text("0,1\n")
@@ -273,6 +284,14 @@ class TestGrid:
         assert strip_seconds(outs[0]) == strip_seconds(outs[1])
 
 
+    def test_zero_reps_is_usage_error(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--data-dir", data_dir, "grid", "--data", "coin", "--method", "learnspn",
+                 "--clusterer", "em", "--p", 0.01, "--alpha", 0.01, "--reps", 0])
+        assert exc.value.code == EXIT_USAGE
+        assert "count >= 1" in capsys.readouterr().err
+
+
 class TestSyntheticQuality:
     def test_one_variable_dataset_drop_near_zero(self, data_dir, capsys):
         code = run(
@@ -282,6 +301,14 @@ class TestSyntheticQuality:
         assert code == EXIT_OK
         _, rows = parse_table(capsys.readouterr().out)
         assert abs(float(rows[0]["drop"])) < 0.05
+
+
+    def test_zero_reps_is_usage_error(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--data-dir", data_dir, "synthetic-quality", "--data", "coin",
+                 "--method", "softlearn", "--reps", 0])
+        assert exc.value.code == EXIT_USAGE
+        assert "count >= 1" in capsys.readouterr().err
 
 
 class TestToyExample:
@@ -298,3 +325,12 @@ class TestToyExample:
         assert "softlearn" in leaf_text and "learnspn" in leaf_text
         assert point_text.startswith("x\ty\tseries\n")
         assert "\tdata" in point_text
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_count_is_usage_error(self, tmp_path, capsys, n):
+        out_dir = tmp_path / "toyout"
+        with pytest.raises(SystemExit) as exc:
+            run(["toy-example", "--n", n, "--out-dir", out_dir])
+        assert exc.value.code == EXIT_USAGE
+        assert "count >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -10,6 +10,7 @@ from softpc.clustering import (
     softmax_memberships,
 )
 from softpc.estimators import SIGMA_FLOOR, Gaussian
+from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
 from softpc.schema import Schema, Variable
 
 from conftest import reference_em_factorized, reference_soft_kmeans
@@ -26,25 +27,30 @@ def row_entropy(resp):
 
 
 class TestSoftmaxMemberships:
+    # rows are component-major, (d, m), and responsibilities come back (k, m)
     def test_equidistant_point_gets_uniform_responsibility(self):
         centroids = np.array([[1.0, 0.0], [-0.5, np.sqrt(3) / 2], [-0.5, -np.sqrt(3) / 2]])
-        resp = softmax_memberships(np.zeros((1, 2)), centroids, beta=4.0)
+        resp = softmax_memberships(np.zeros((2, 1)), centroids, beta=4.0)
+        assert resp.shape == (3, 1)
         assert np.allclose(resp, 1 / 3, atol=1e-12)
 
     def test_beta_zero_is_uniform(self, rng):
         encoded = rng.normal(size=(20, 3))
         centroids = rng.normal(size=(4, 3))
-        resp = softmax_memberships(encoded, centroids, beta=0.0)
+        resp = softmax_memberships(encoded.T, centroids, beta=0.0)
+        assert resp.shape == (4, 20)
         assert np.allclose(resp, 0.25, atol=1e-12)
 
     def test_rows_sum_to_one_and_lie_in_unit_interval(self, rng):
-        resp = softmax_memberships(rng.normal(size=(50, 2)), rng.normal(size=(3, 2)), 4.0)
-        assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-9)
+        resp = softmax_memberships(rng.normal(size=(50, 2)).T, rng.normal(size=(3, 2)), 4.0)
+        assert resp.shape == (3, 50)
+        assert np.allclose(resp.sum(axis=0), 1.0, atol=1e-9)
         assert np.all((resp >= 0) & (resp <= 1))
 
     def test_point_on_single_centroid(self):
         centroids = np.array([[0.0, 0.0], [0.0, 0.0]])
-        resp = softmax_memberships(np.zeros((1, 2)), centroids, beta=4.0)
+        resp = softmax_memberships(np.zeros((2, 1)), centroids, beta=4.0)
+        assert resp.shape == (2, 1)
         assert np.allclose(resp, 0.5)
 
 
@@ -132,9 +138,19 @@ def _starved_cluster(rng):
     return matrix, weights, Schema.continuous(1), 3, 60.0
 
 
+def _signed_zero_and_ulp(rng, n=300):
+    # a continuous column over 0.0, -0.0, 1.0 and the float 1 ulp above 1.0:
+    # the raw bytes of each pair differ, so each pair is two distinct rows
+    values = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 2.5])
+    matrix = np.column_stack([values[rng.integers(0, 5, size=n)], rng.integers(0, 2, size=n)])
+    return matrix, Schema([Variable("cont"), Variable("cat", 2)])
+
+
 class TestSoftKmeansMatchesRowByRowReference:
     @pytest.mark.parametrize(
-        "case", ["heavy_duplication", "unequal_duplicate_weights", "mixed", "starved_cluster"]
+        "case",
+        ["heavy_duplication", "unequal_duplicate_weights", "mixed", "starved_cluster",
+         "signed_zero_and_ulp", "more_clusters_than_distinct_rows", "one_row"],
     )
     def test_collapsed_rows_match_every_row_clustered(self, rng, case):
         if case == "starved_cluster":
@@ -142,6 +158,17 @@ class TestSoftKmeansMatchesRowByRowReference:
         elif case == "mixed":
             matrix, schema = _repeated_mixed(rng)
             weights, k, beta = rng.uniform(0.01, 3.0, size=matrix.shape[0]), 4, 4.0
+        elif case == "signed_zero_and_ulp":
+            matrix, schema = _signed_zero_and_ulp(rng)
+            weights, k, beta = rng.uniform(0.01, 3.0, size=matrix.shape[0]), 3, 4.0
+        elif case == "more_clusters_than_distinct_rows":
+            matrix = _repeated_binary(rng, n=200, n_vars=4, patterns=3)
+            schema, k, beta = Schema.binary(4), 6, 4.0
+            weights = rng.uniform(0.01, 3.0, size=matrix.shape[0])
+            assert len(np.unique(matrix, axis=0)) < k
+        elif case == "one_row":
+            matrix, schema = _repeated_mixed(rng, n=1)
+            weights, k, beta = np.array([0.7]), 3, 4.0
         else:
             matrix = _repeated_binary(rng)
             schema, k, beta = Schema.binary(matrix.shape[1]), 3, 4.0
@@ -156,6 +183,33 @@ class TestSoftKmeansMatchesRowByRowReference:
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _soft_binary_rows(rng, n, n_vars=16, n_components=4):
+    # a uniform mixture of Bernoulli products, the shape the soft-binary
+    # benchmark learns from: 16 binary variables whose rows repeat
+    probs = np.clip(rng.beta(0.5, 0.5, size=(n_components, n_vars)), 0.02, 0.98)
+    z = rng.integers(0, n_components, size=n)
+    return (rng.random((n, n_vars)) < probs[z]).astype(float), Schema.binary(n_vars)
+
+
+class TestLearnersMatchReferenceKmeans:
+    @pytest.mark.parametrize("learn", [learn_spn, soft_learn])
+    @pytest.mark.parametrize("rows", ["soft_binary", "mixed"])
+    def test_same_circuit_as_with_reference_kmeans(self, rng, monkeypatch, learn, rows):
+        if rows == "soft_binary":
+            matrix, schema = _soft_binary_rows(rng, 1200)
+        else:
+            matrix, schema = _latent_mixed(rng, n=1200)
+        train, test = matrix[:800], matrix[800:]
+        hp = Hyperparams(p_threshold=0.01, clusterer="kmeans", seed=3)
+        got, got_trace = learn(WeightedDataset(train, None, schema), hp)
+        monkeypatch.setattr(clustering, "soft_kmeans", reference_soft_kmeans)
+        ref, ref_trace = learn(WeightedDataset(train, None, schema), hp)
+        assert got.n_nodes == ref.n_nodes
+        assert [s.step_kind for s in got_trace.steps] == [s.step_kind for s in ref_trace.steps]
+        assert "sum" in {s.step_kind for s in got_trace.steps}
+        assert np.abs(got.log_density(test) - ref.log_density(test)).max() <= 1e-9
 
 
 class TestEmFactorized:

@@ -40,6 +40,20 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(clusterer="agglomerative")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_clusters", 0), ("n_clusters", -1), ("max_cluster_iters", 0),
+         ("beta", -0.5), ("beta", np.inf), ("beta", np.nan), ("alpha", np.nan),
+         ("alpha", np.inf), ("min_instances", np.nan)],
+    )
+    def test_rejects_non_finite_and_out_of_range_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Hyperparams(**{field: value})
+
+    def test_accepts_edge_clustering_values(self):
+        hp = Hyperparams(n_clusters=1, max_cluster_iters=1, beta=0.0)
+        assert (hp.n_clusters, hp.max_cluster_iters, hp.beta) == (1, 1, 0.0)
+
 
 class TestWeightedDataset:
     def test_defaults(self, rng):
