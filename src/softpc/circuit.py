@@ -7,11 +7,15 @@ so deep circuits do not underflow.
 
 Inference and sampling run on a compiled form, built once per circuit on
 first use: the leaves grouped by variable with their parameters stacked, and
-the inner nodes grouped by height and kind, so that no node depends on a node
-in its own group.  Rows are evaluated in chunks of a bounded number of
-node-rows; per chunk there is one leaf call per variable and one vectorised
-step per group, lowest height first.  Sampling is one pass the other way:
-one vectorised step per group, highest first, then one draw per variable.
+the inner nodes grouped into steps that alternate between products (odd
+steps) and sums (even steps).  Each inner node takes the first step of its
+kind after all of its children, so no node depends on a node in its own
+group, and a circuit that mixes sums and products at one height needs fewer
+groups than one per height and kind.  Rows are evaluated in chunks of a
+bounded number of node-rows; per chunk there is one leaf call per variable
+and one vectorised step per group, first step first.  Sampling is one pass
+the other way: one vectorised step per group, last step first, then one
+draw per variable.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Gaussian, Multinomial, gaussian_cdf, leaf_log_pdf
+from .estimators import (
+    CategoricalTable,
+    Gaussian,
+    Multinomial,
+    categorical_codes,
+    gaussian_cdf,
+    leaf_log_pdf,
+)
 from .schema import Schema, Variable
 
 WEIGHT_TOL = 1e-9
@@ -252,42 +263,48 @@ class Circuit:
         """The circuit's compiled form for evaluation, built on first use.
 
         Every node gets a slot in a ``(slots, rows)`` table: leaves first,
-        grouped by variable, then the inner nodes grouped by height (1 + the
-        tallest child's) and kind, so that each group fills one contiguous
-        block of slots from slots below it.  Returns ``(root_slot, chunk,
-        leaves, groups)``:
+        grouped by variable, then the inner nodes grouped by step.  Leaves
+        sit at step 0; a product takes the first odd step, and a sum the
+        first even step, after the steps of all its children.  So steps
+        alternate between products and sums, each group fills one
+        contiguous block of slots from slots below it, and a node waits
+        for its children only.  Returns ``(root_slot, chunk, leaves,
+        groups)``:
 
         - ``leaves``: per variable, ``(v, lo, hi, stacked, cumulative)``,
-          its block of slots and its leaf parameters stacked once into a
-          ``(k, arity)`` probs table or ``(k, 1)`` mu/sigma columns; for a
-          categorical variable ``cumulative`` is the ``(arity - 1, k)``
-          ``_cumulative`` table of the probs, for a continuous one None;
-        - ``groups``: per group, ``(lo, hi, children, log_weights,
-          cumulative)``.  For a product group ``children`` is a CSR matrix of
-          ones, node by slot, and ``log_weights`` and ``cumulative`` are
+          its block of slots and its leaf parameters stacked once: a
+          ``CategoricalTable`` of ``(k, arity)`` log probabilities with the
+          ``(arity - 1, k)`` ``_cumulative`` table of the probs, or a
+          ``Gaussian`` of ``(k, 1)`` mu/sigma columns with None;
+        - ``groups``: per nonempty step, ``(lo, hi, children, log_weights,
+          cumulative)``.  For a product group ``children`` is a CSR matrix
+          of ones, node by slot, and ``log_weights`` and ``cumulative`` are
           None.  For a sum group ``children`` is a ``(width, nodes)`` array
-          of child slots by position, ``log_weights`` the matching
-          ``(width, nodes, 1)`` log weights and ``cumulative`` the
-          ``(width - 1, nodes)`` ``_cumulative`` table of the weights; a sum
-          with fewer children repeats its first child with weight 0.
+          of child slots by position, ``width`` at least 2,
+          ``log_weights`` the matching ``(width, nodes, 1)`` log weights
+          and ``cumulative`` the ``(width - 1, nodes)`` ``_cumulative``
+          table of the weights; a sum with fewer children repeats its
+          first child with weight 0.
         """
         if self._plan is None:
             # here, not at module level: scipy.sparse adds ~15 ms to importing
             # softpc, and only evaluation needs it
             from scipy.sparse import csr_matrix
 
-            height = [0] * len(self.nodes)
-            by_var, by_group = {}, {}
+            step = [0] * len(self.nodes)
+            by_var, by_step = {}, {}
             for i, node in enumerate(self.nodes):
                 if isinstance(node, LeafNode):
                     by_var.setdefault(node.var, []).append(i)
                     continue
                 if not node.children or not 0 <= min(node.children) <= max(node.children) < i:
                     raise ValueError(f"node {i}: children {node.children} do not precede it")
-                height[i] = 1 + max(height[c] for c in node.children)
-                by_group.setdefault((height[i], isinstance(node, SumNode)), []).append(i)
+                last = max(step[c] for c in node.children)
+                # odd steps for products, even ones for sums
+                step[i] = last + 1 + (last % 2 != isinstance(node, SumNode))
+                by_step.setdefault(step[i], []).append(i)
             order = [i for v in sorted(by_var) for i in by_var[v]]
-            order += [i for key in sorted(by_group) for i in by_group[key]]
+            order += [i for s in sorted(by_step) for i in by_step[s]]
             slot_of = np.empty(len(order), dtype=np.intp)
             slot_of[order] = np.arange(len(order))
 
@@ -295,8 +312,10 @@ class Circuit:
             for v in sorted(by_var):
                 dists = [self.nodes[i].dist for i in by_var[v]]
                 if isinstance(dists[0], Multinomial):
-                    stacked = Multinomial(np.array([d.probs for d in dists]))
-                    cumulative = _cumulative(stacked.probs.T)
+                    probs = np.array([d.probs for d in dists])
+                    with np.errstate(divide="ignore"):
+                        stacked = CategoricalTable(np.log(probs))
+                    cumulative = _cumulative(probs.T)
                 else:
                     stacked = Gaussian(np.array([[d.mu] for d in dists]),
                                        np.array([[d.sigma] for d in dists]))
@@ -305,10 +324,10 @@ class Circuit:
                 lo += len(dists)
 
             groups = []
-            for (_, is_sum), ids in sorted(by_group.items()):
+            for s, ids in sorted(by_step.items()):
                 nodes = [self.nodes[i] for i in ids]
-                if is_sum:
-                    width = max(len(node.children) for node in nodes)
+                if s % 2 == 0:
+                    width = max(2, *(len(node.children) for node in nodes))
                     pad = [(width - len(node.children)) for node in nodes]
                     children = slot_of[[list(node.children) + [node.children[0]] * k
                                         for node, k in zip(nodes, pad)]].T
@@ -333,55 +352,57 @@ class Circuit:
 
     def _evaluate(self, columns, n):
         """Root log values for ``n`` rows; ``columns[v]`` holds variable v's
-        observed values, ``None`` (marginalised) or an ``(lo, hi)`` interval.
+        values, ``None`` (marginalised) or an ``(lo, hi)`` interval.  The
+        caller has checked them: no NaN, and a categorical variable's are
+        codes of its levels.
 
         Rows go through in chunks, so the table holds ``slots x chunk``
         floats whatever ``n`` is.  Per chunk, each variable's leaves take one
         ``leaf_log_pdf`` call (or two ``gaussian_cdf`` calls for an interval,
-        or 0 when marginalised).  Then each inner group, lowest first, is one
+        or 0 when marginalised).  Then each group, in step order, is one
         vectorised step.  A product group is its CSR matrix times the table,
         which adds each node's children in order.  A sum group gathers its
         children by position and adds the log weights; then it takes the max
-        over positions, sums ``exp(term - max)`` over positions in order and
+        over positions, adds ``exp(term - max)`` over positions in order and
         adds the max back to the log (a sum whose terms are all -inf gives
-        -inf, as ``logsumexp`` does).
+        -inf, as ``logsumexp`` does).  Each step is the same arithmetic
+        whatever the chunk's row count, so a row's value does not depend on
+        the batch it came in.
         """
         root_slot, chunk, leaves, groups = self._compiled()
-        for v, entry in enumerate(columns):
-            if entry is not None and np.isnan(entry).any():
-                raise ValueError(f"NaN value for variable {v}")
         out = np.empty(n)
-        for first in range(0, n, chunk):
-            rows = slice(first, min(first + chunk, n))
-            vals = np.empty((len(self.nodes), rows.stop - first))
-            for v, lo, hi, dist, _ in leaves:
-                entry = columns[v]
-                if entry is None:
-                    vals[lo:hi] = 0.0
-                elif isinstance(entry, tuple):
-                    with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore"):
+            for first in range(0, n, chunk):
+                rows = slice(first, min(first + chunk, n))
+                vals = np.empty((len(self.nodes), rows.stop - first))
+                for v, lo, hi, dist, _ in leaves:
+                    entry = columns[v]
+                    if entry is None:
+                        vals[lo:hi] = 0.0
+                    elif isinstance(entry, tuple):
                         vals[lo:hi] = np.log(gaussian_cdf(dist, entry[1])
                                              - gaussian_cdf(dist, entry[0]))
-                else:
-                    vals[lo:hi] = leaf_log_pdf(dist, entry[rows])
-            for lo, hi, children, log_weights, _ in groups:
-                if log_weights is None:
-                    vals[lo:hi] = children @ vals
-                else:
-                    terms = vals[children]
+                    else:
+                        vals[lo:hi] = leaf_log_pdf(dist, entry[rows])
+                for lo, hi, children, log_weights, _ in groups:
+                    if log_weights is None:
+                        vals[lo:hi] = children @ vals
+                        continue
+                    terms = vals.take(children, axis=0)
                     terms += log_weights
-                    top = terms.max(axis=0)
-                    np.maximum(top, _LOG_FLOOR, out=top)  # an all -inf sum stays -inf
+                    top = np.maximum(terms[0], _LOG_FLOOR)  # an all -inf sum stays -inf
+                    for term in terms[1:]:
+                        np.maximum(top, term, out=top)
                     terms -= top
                     np.exp(terms, out=terms)
-                    total = vals[lo:hi]
-                    np.copyto(total, terms[0])
-                    for term in terms[1:]:
+                    # one add per position, not np.add.reduce: that sums a
+                    # group of one node and one row pairwise, in another order
+                    total = np.add(terms[0], terms[1], out=vals[lo:hi])
+                    for term in terms[2:]:
                         total += term
-                    with np.errstate(divide="ignore"):
-                        np.log(total, out=total)
+                    np.log(total, out=total)
                     total += top
-            out[rows] = vals[root_slot]
+                out[rows] = vals[root_slot]
         return out
 
     def log_density(self, x):
@@ -392,6 +413,12 @@ class Circuit:
         rows = np.atleast_2d(arr)
         if rows.shape[1] != len(self.schema):
             raise ValueError("row length does not match schema")
+        nan = np.isnan(rows).any(axis=0)
+        if nan.any():
+            raise ValueError(f"NaN value for variable {int(nan.argmax())}")
+        # checked here once, so the evaluator's leaf calls check nothing
+        cats = [v for v, var in enumerate(self.schema) if var.kind == "cat"]
+        categorical_codes(rows[:, cats], [self.schema[v].arity for v in cats])
         out = self._evaluate(rows.T, rows.shape[0])
         return float(out[0]) if arr.ndim == 1 else out
 
@@ -407,18 +434,26 @@ class Circuit:
         if len(query) != len(self.schema):
             raise ValueError("query length does not match schema")
         columns = []
-        for v, entry in enumerate(query):
+        for v, (entry, var) in enumerate(zip(query, self.schema)):
             if isinstance(entry, tuple):
-                if self.schema[v].kind != "cont":
+                if var.kind != "cont":
                     raise ValueError(f"interval query on categorical variable {v}")
                 lo, hi = entry
                 if not (_is_number(lo) and _is_number(hi)):
                     raise ValueError(f"non-numeric interval bound on variable {v}: {entry!r}")
+                if math.isnan(lo) or math.isnan(hi):
+                    raise ValueError(f"NaN value for variable {v}")
                 if lo > hi:
                     raise ValueError(f"interval with lo > hi on variable {v}")
             elif entry is not None:
                 if not _is_number(entry):
                     raise ValueError(f"non-numeric value for variable {v}: {entry!r}")
+                if math.isnan(entry):
+                    raise ValueError(f"NaN value for variable {v}")
+                # categorical_codes' rule on a scalar: a numpy call per query
+                # would cost more than the checks of all its entries
+                if var.kind == "cat" and not (0 <= entry < var.arity and entry == int(entry)):
+                    raise ValueError(f"categorical value out of range for variable {v}: {entry!r}")
                 entry = np.array([entry], dtype=float)
             columns.append(entry)
         return float(self._evaluate(columns, 1)[0])
@@ -432,8 +467,8 @@ class Circuit:
         Ancestral sampling on the compiled form, top-down.  A row that
         reaches a node is the int64 key ``slot << b | row``, where ``b`` is
         the bit length of ``n - 1``, so that a shift and a mask split it
-        again.  The root's ``n`` keys start it; then each inner group,
-        highest first, takes the keys in its block of slots and sends each
+        again.  The root's ``n`` keys start it; then each inner group, last
+        step first, takes the keys in its block of slots and sends each
         row on: a product group to all of a node's children, a sum group to
         one child drawn by weight.  Each batch of new keys is sorted and
         split by one ``searchsorted`` into the blocks below it.  Last, each
@@ -443,11 +478,13 @@ class Circuit:
         deterministic.
 
         Draw order from ``rng``: one ``rng.random(pairs)`` per sum group that
-        rows reach, highest group first, counted against the group's
-        cumulative weights; then, per variable in order, one
-        ``rng.random(pairs)`` counted against the cumulative probabilities of
-        a categorical variable's leaves, or one ``rng.standard_normal(pairs)``
-        for a continuous variable's.
+        rows reach, last step first, counted against the group's cumulative
+        weights; then, per variable in order, one ``rng.random(pairs)``
+        counted against the cumulative probabilities of a categorical
+        variable's leaves, or one ``rng.standard_normal(pairs)`` for a
+        continuous variable's.  The sum groups are the even steps of
+        ``_compiled``, so a seeded sample follows that schedule: regrouping
+        the nodes changes the draws, though not their distribution.
         """
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"expected a non-negative integer number of rows, got {n!r}")

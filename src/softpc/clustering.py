@@ -261,12 +261,7 @@ def em_factorized(
     cats = [v for v in scope if schema.is_cat(v)]
     conts = [v for v in scope if not schema.is_cat(v)]
     arities = np.array([schema[v].arity for v in cats], dtype=np.int64)
-    codes = matrix[:, cats]
-    with np.errstate(invalid="ignore"):  # a NaN casts to some integer and fails the check
-        icodes = codes.astype(np.int64)
-    # negative codes wrap to huge unsigned ones, so one bound covers both ends
-    if (icodes != codes).any() or (icodes.view(np.uint64) >= arities.astype(np.uint64)).any():
-        raise ValueError("categorical value out of range")
+    icodes = estimators.categorical_codes(matrix[:, cats], arities)
 
     if init_membership is not None:
         resp = np.asarray(init_membership, dtype=float)

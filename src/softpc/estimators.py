@@ -104,17 +104,36 @@ def fit_factorized(matrix, weights, scope, schema, alpha: float = 0.0) -> list:
     return dists
 
 
+@dataclass(frozen=True)
+class CategoricalTable:
+    """Categorical leaves stacked for repeated evaluation: ``log_probs`` is
+    their ``(k, arity)`` table of log probabilities, taken once.
+    ``leaf_log_pdf`` reads it with codes that the caller has checked, as
+    ``categorical_codes`` does."""
+
+    log_probs: np.ndarray
+
+
+def categorical_codes(values, arity):
+    """``values`` as int64 codes; ``ValueError`` unless each is an integer
+    in ``[0, arity)``.  ``arity`` broadcasts against ``values``."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # a NaN casts to some integer and fails the check
+        codes = values.astype(np.int64)
+    # negative codes wrap to huge unsigned ones, so one bound covers both ends
+    if (codes != values).any() or (codes.view(np.uint64) >= np.asarray(arity, np.uint64)).any():
+        raise ValueError("categorical value out of range")
+    return codes
+
+
 def leaf_log_pdf(dist, x):
     """Log pmf/pdf of a leaf; broadcasts over array ``x`` and stacked parameters."""
+    if isinstance(dist, CategoricalTable):
+        return dist.log_probs.take(np.asarray(x).astype(np.intp), axis=1)
     if isinstance(dist, Multinomial):
         with np.errstate(divide="ignore"):
             logp = np.log(np.asarray(dist.probs))
-        xa = np.asarray(x)
-        iv = xa.astype(np.int64)
-        # negative codes wrap to huge unsigned ones, so one bound covers both ends
-        if (iv != xa).any() or iv.view(np.uint64).max(initial=0) >= logp.shape[-1]:
-            raise ValueError("categorical value out of range")
-        out = logp[..., iv]
+        out = logp[..., categorical_codes(x, logp.shape[-1])]
     elif isinstance(dist, Gaussian):
         z = (np.asarray(x, dtype=float) - dist.mu) / dist.sigma
         out = -0.5 * z * z - np.log(dist.sigma) - _LOG_SQRT_2PI

@@ -134,13 +134,15 @@ class _Sub:
     weights and its scope.  Deciding it sets either ``dists`` (one leaf
     distribution per scope variable: a leaf, or a fully factorized product)
     or ``children`` (a product, or a sum when ``sum_weights`` is set) and
-    releases the rows.
+    releases the rows.  ``split_off`` marks a product's child: its scope is
+    one connected component of the parent's dependency graph over the same
+    rows and weights, so testing it again could only return it whole.
     """
 
-    __slots__ = ("rows", "weights", "scope", "dists", "children", "sum_weights")
+    __slots__ = ("rows", "weights", "scope", "split_off", "dists", "children", "sum_weights")
 
-    def __init__(self, rows, weights, scope):
-        self.rows, self.weights, self.scope = rows, weights, scope
+    def __init__(self, rows, weights, scope, split_off=False):
+        self.rows, self.weights, self.scope, self.split_off = rows, weights, scope, split_off
         self.dists = self.children = self.sum_weights = None
 
 
@@ -220,10 +222,11 @@ def _learn(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split=None)
         if len(scope) == 1:
             kind = "leaf"
         elif mass >= hp.min_instances:
-            groups = independence.partition_scope(sub, weights, scope, schema, hp.p_threshold)
+            groups = [scope] if node.split_off else independence.partition_scope(
+                sub, weights, scope, schema, hp.p_threshold)
             if len(groups) > 1:  # groups arrive ordered by smallest variable
                 kind = "product"
-                node.children = [_Sub(rows, weights, tuple(g)) for g in groups]
+                node.children = [_Sub(rows, weights, tuple(g), split_off=True) for g in groups]
             else:
                 if first_split is not None:
                     resp, first_split = np.asarray(first_split, dtype=float), None

@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 
 from softpc import clustering, estimators
 from softpc.circuit import Circuit, LeafNode, ProductNode, SumNode
-from softpc.estimators import Gaussian, Multinomial, leaf_log_pdf
+from softpc.estimators import Gaussian, Multinomial, gaussian_cdf, leaf_log_pdf
 from softpc.independence import discretize, weighted_chi2
 from softpc.schema import Schema, Variable
 
@@ -171,6 +171,101 @@ def reference_log_value(circuit: Circuit, query) -> float:
         return functools.reduce(np.logaddexp, terms)
 
     return float(value(circuit.root))
+
+
+def _reference_height_groups(circuit: Circuit):
+    """Slots and groups of the height-grouped compiled form: leaves by
+    variable with their parameters stacked, then inner nodes grouped by
+    height (1 + the tallest child's) and kind, lowest first."""
+    from scipy.sparse import csr_matrix
+
+    height = [0] * len(circuit.nodes)
+    by_var, by_group = {}, {}
+    for i, node in enumerate(circuit.nodes):
+        if isinstance(node, LeafNode):
+            by_var.setdefault(node.var, []).append(i)
+            continue
+        height[i] = 1 + max(height[c] for c in node.children)
+        by_group.setdefault((height[i], isinstance(node, SumNode)), []).append(i)
+    order = [i for v in sorted(by_var) for i in by_var[v]]
+    order += [i for key in sorted(by_group) for i in by_group[key]]
+    slot_of = np.empty(len(order), dtype=np.intp)
+    slot_of[order] = np.arange(len(order))
+
+    leaves, lo = [], 0
+    for v in sorted(by_var):
+        dists = [circuit.nodes[i].dist for i in by_var[v]]
+        if isinstance(dists[0], Multinomial):
+            stacked = Multinomial(np.array([d.probs for d in dists]))
+        else:
+            stacked = Gaussian(np.array([[d.mu] for d in dists]), np.array([[d.sigma] for d in dists]))
+        leaves.append((v, lo, lo + len(dists), stacked))
+        lo += len(dists)
+
+    groups = []
+    for (_, is_sum), ids in sorted(by_group.items()):
+        nodes = [circuit.nodes[i] for i in ids]
+        if is_sum:
+            width = max(len(node.children) for node in nodes)
+            pad = [(width - len(node.children)) for node in nodes]
+            children = slot_of[[list(node.children) + [node.children[0]] * k
+                                for node, k in zip(nodes, pad)]].T
+            weights = np.array([list(node.weights) + [0.0] * k for node, k in zip(nodes, pad)]).T
+            with np.errstate(divide="ignore"):
+                log_weights = np.log(weights)[:, :, None]
+        else:
+            counts = [len(node.children) for node in nodes]
+            flat = slot_of[[c for node in nodes for c in node.children]]
+            children = csr_matrix((np.ones(len(flat)), flat, np.cumsum([0] + counts)),
+                                  shape=(len(nodes), len(circuit.nodes)))
+            log_weights = None
+        groups.append((lo, lo + len(ids), children, log_weights))
+        lo += len(ids)
+    return slot_of[circuit.root], leaves, groups
+
+
+def reference_height_grouped(circuit: Circuit, columns, n: int) -> np.ndarray:
+    """Root log values of ``n`` rows on the height-grouped compiled form.
+
+    ``columns[v]`` is ``None``, an ``(lo, hi)`` interval or an array of n
+    values.  The leaf layer takes one ``leaf_log_pdf`` call per variable on
+    its stacked ``Multinomial`` or ``Gaussian``; a product group is its CSR
+    matrix of ones times the table, a sum group adds its log weights to
+    its children gathered by position, takes the max over positions
+    (floored at the smallest float), sums ``exp(term - max)`` over positions
+    in order and adds the max back to the log.  This is how evaluation ran
+    before its steps alternated between products and sums, and it is the
+    reference that evaluation is pinned to, bit for bit.
+    """
+    root_slot, leaves, groups = _reference_height_groups(circuit)
+    vals = np.empty((len(circuit.nodes), n))
+    for v, lo, hi, dist in leaves:
+        entry = columns[v]
+        if entry is None:
+            vals[lo:hi] = 0.0
+        elif isinstance(entry, tuple):
+            with np.errstate(divide="ignore"):
+                vals[lo:hi] = np.log(gaussian_cdf(dist, entry[1]) - gaussian_cdf(dist, entry[0]))
+        else:
+            vals[lo:hi] = leaf_log_pdf(dist, entry)
+    for lo, hi, children, log_weights in groups:
+        if log_weights is None:
+            vals[lo:hi] = children @ vals
+        else:
+            terms = vals[children]
+            terms += log_weights
+            top = terms.max(axis=0)
+            np.maximum(top, np.finfo(float).min, out=top)
+            terms -= top
+            np.exp(terms, out=terms)
+            total = vals[lo:hi]
+            np.copyto(total, terms[0])
+            for term in terms[1:]:
+                total += term
+            with np.errstate(divide="ignore"):
+                np.log(total, out=total)
+            total += top
+    return vals[root_slot].copy()
 
 
 def reference_sample(circuit: Circuit, rng, n: int) -> np.ndarray:

@@ -24,13 +24,14 @@ from softpc.circuit import (
     SumNode,
 )
 from softpc.estimators import Gaussian, Multinomial
-from softpc.schema import Schema
+from softpc.schema import Schema, Variable
 
 from conftest import (
     all_binary_rows,
     fig1_circuit,
     random_binary_circuit,
     random_mixed_circuit,
+    reference_height_grouped,
     reference_log_value,
     reference_sample,
     small_mixed_circuit,
@@ -266,6 +267,22 @@ def random_query(schema, row, rng):
     return query
 
 
+def mixed_height_dag() -> Circuit:
+    """Leaves 0 and 1 feed parents at heights 1, 2 and 3, and sums 4 and 7
+    have children at different heights."""
+    nodes = [
+        LeafNode(0, Multinomial((0.3, 0.7))),
+        LeafNode(1, Multinomial((0.6, 0.4))),
+        LeafNode(1, Multinomial((0.1, 0.9))),
+        SumNode((1, 2), (0.5, 0.5)),  # height 1
+        SumNode((3, 1), (0.7, 0.3)),  # height 2, children at heights 1 and 0
+        ProductNode((0, 4)),  # height 3
+        ProductNode((0, 1)),  # height 1
+        SumNode((5, 6), (0.4, 0.6)),  # height 4, children at heights 3 and 1
+    ]
+    return Circuit(nodes, 7, Schema.binary(2))
+
+
 class TestEvaluatorMatchesReference:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_circuits(self, seed):
@@ -343,19 +360,7 @@ class TestEvaluatorMatchesReference:
                         rtol=0, atol=1e-12)
 
     def test_dag_with_nodes_at_mixed_heights(self):
-        """Leaves 0 and 1 feed parents at heights 1, 2 and 3, and sums 4
-        and 7 have children at different heights."""
-        nodes = [
-            LeafNode(0, Multinomial((0.3, 0.7))),
-            LeafNode(1, Multinomial((0.6, 0.4))),
-            LeafNode(1, Multinomial((0.1, 0.9))),
-            SumNode((1, 2), (0.5, 0.5)),  # height 1
-            SumNode((3, 1), (0.7, 0.3)),  # height 2, children at heights 1 and 0
-            ProductNode((0, 4)),  # height 3
-            ProductNode((0, 1)),  # height 1
-            SumNode((5, 6), (0.4, 0.6)),  # height 4, children at heights 3 and 1
-        ]
-        c = Circuit(nodes, 7, Schema.binary(2))
+        c = mixed_height_dag()
         assert c.validate() == []
         rows = all_binary_rows(2)
         expected = [reference_log_value(c, list(row)) for row in rows]
@@ -419,6 +424,155 @@ class TestEvaluatorMatchesReference:
         assert peak < c.n_nodes * n_rows * 8 / 10
         table = c.n_nodes * c._compiled()[1] * 8
         assert peak < 3 * table + out.nbytes
+
+
+def product_chain(n_vars: int, rng) -> Circuit:
+    """Products of products: P(...P(P(L0, L1), L2)..., L{n-1})."""
+    nodes = [LeafNode(0, Multinomial(tuple(rng.dirichlet(np.ones(2)))))]
+    top = 0
+    for v in range(1, n_vars):
+        nodes.append(LeafNode(v, Multinomial(tuple(rng.dirichlet(np.ones(2))))))
+        nodes.append(ProductNode((top, len(nodes) - 1)))
+        top = len(nodes) - 1
+    return Circuit(nodes, top, Schema.binary(n_vars))
+
+
+def sum_chain(depth: int, rng) -> Circuit:
+    """Sums of sums over a ternary and a continuous variable: each sum
+    mixes the previous one with a new product of two leaves; the first
+    sum mixes two such products and gives one of them weight 0."""
+
+    def product():
+        p = rng.dirichlet(np.ones(3))
+        nodes.append(LeafNode(0, Multinomial(tuple((p / p.sum()).tolist()))))
+        nodes.append(LeafNode(1, Gaussian(float(rng.normal()), float(rng.uniform(0.5, 2.0)))))
+        nodes.append(ProductNode((len(nodes) - 2, len(nodes) - 1)))
+        return len(nodes) - 1
+
+    nodes = []
+    first = product()
+    nodes.append(SumNode((first, product()), (0.0, 1.0)))
+    for _ in range(depth - 1):
+        top = len(nodes) - 1
+        w = float(rng.uniform(0.1, 0.9))
+        nodes.append(SumNode((top, product()), (w, 1.0 - w)))
+    return Circuit(nodes, len(nodes) - 1, Schema([Variable("cat", 3), Variable("cont")]))
+
+
+def mixed_kinds_at_one_height() -> Circuit:
+    """Sum 6 and products 8 and 9 are at height 1, product 7 and sum 10 at
+    height 2: five (height, kind) groups, but sums 6 and 10 can share a
+    step, so four steps."""
+    nodes = [
+        LeafNode(0, Multinomial((0.3, 0.7))),
+        LeafNode(0, Multinomial((0.8, 0.2))),
+        LeafNode(1, Multinomial((0.6, 0.4))),
+        LeafNode(1, Multinomial((0.1, 0.9))),
+        LeafNode(0, Multinomial((0.5, 0.5))),
+        LeafNode(1, Multinomial((0.25, 0.75))),
+        SumNode((0, 1), (0.4, 0.6)),
+        ProductNode((6, 2)),
+        ProductNode((4, 5)),
+        ProductNode((1, 3)),
+        SumNode((8, 9), (0.3, 0.7)),
+        SumNode((7, 10), (0.5, 0.5)),
+    ]
+    return Circuit(nodes, 11, Schema.binary(2))
+
+
+def reference_columns(query):
+    """A ``log_marginal`` query as ``reference_height_grouped`` columns."""
+    return [e if e is None or isinstance(e, tuple) else np.array([e], dtype=float)
+            for e in query]
+
+
+def height_kind_groups(c: Circuit) -> int:
+    height, keys = [0] * c.n_nodes, set()
+    for i, node in enumerate(c.nodes):
+        if not isinstance(node, LeafNode):
+            height[i] = 1 + max(height[ch] for ch in node.children)
+            keys.add((height[i], isinstance(node, SumNode)))
+    return len(keys)
+
+
+def pinned_circuits():
+    for seed in range(6):
+        rng = np.random.default_rng(100 + seed)
+        yield random_binary_circuit(7, rng)
+        yield random_mixed_circuit(rng, n_vars=6, max_depth=4)
+    rng = np.random.default_rng(7)
+    yield mixed_height_dag()
+    yield mixed_kinds_at_one_height()
+    yield product_chain(6, rng)
+    yield sum_chain(5, rng)
+    yield small_mixed_circuit()
+
+
+class TestStepScheduleMatchesHeightGroups:
+    """Grouping inner nodes by alternating product/sum steps computes every
+    node exactly as grouping them by height and kind did."""
+
+    @pytest.mark.parametrize("index", range(17))
+    def test_log_density_and_log_marginal_bit_identical(self, index):
+        c = list(pinned_circuits())[index]
+        assert c.validate() == []
+        rng = np.random.default_rng(index)
+        rows = random_rows(c.schema, rng, 40)
+        assert np.array_equal(c.log_density(rows), reference_height_grouped(c, rows.T, 40))
+        queries = [random_query(c.schema, row, rng) for row in rows]
+        queries.append([None] * len(c.schema))
+        for query in queries:
+            got = c.log_marginal(query)
+            assert np.array_equal(got, reference_height_grouped(c, reference_columns(query), 1)[0])
+
+    def test_every_child_slot_lies_in_an_earlier_group(self):
+        for c in pinned_circuits():
+            _, _, leaves, groups = c._compiled()
+            assert groups[0][0] == leaves[-1][2]
+            for (lo, hi, children, log_weights, _), following in zip(groups, groups[1:] + [None]):
+                slots = children.indices if log_weights is None else children
+                assert slots.max() < lo
+                assert following is None or following[0] == hi
+            assert groups[-1][1] == c.n_nodes
+
+    def test_fewer_groups_than_height_and_kind(self):
+        for c in pinned_circuits():
+            assert len(c._compiled()[3]) <= height_kind_groups(c)
+        c = mixed_kinds_at_one_height()
+        assert height_kind_groups(c) == 5
+        assert len(c._compiled()[3]) == 4
+
+
+class TestCategoricalCodesChecked:
+    """A categorical value must be an integer level of its variable."""
+
+    @pytest.mark.parametrize("bad", [-1.0, 3.0, 0.5, 2.5, math.inf])
+    def test_one_row_rejected(self, bad):
+        c = random_mixed_circuit(np.random.default_rng(2), n_vars=6)
+        row = random_rows(c.schema, np.random.default_rng(3), 1)[0]
+        row[0] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            c.log_density(row)
+        query = [None] * len(c.schema)
+        query[0] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            c.log_marginal(query)
+
+    @pytest.mark.parametrize("bad", [-1.0, 3.0, 0.5])
+    def test_bad_code_in_the_last_chunk_of_a_batch(self, bad, monkeypatch):
+        rng = np.random.default_rng(11)
+        c = random_mixed_circuit(rng, n_vars=6)
+        monkeypatch.setattr(circuit_module, "_CHUNK_CELLS", 16 * c.n_nodes)
+        assert c._compiled()[1] == 16
+        rows = random_rows(c.schema, rng, 3 * 16 + 5)
+        c.log_density(rows)
+        rows[-1, 0] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            c.log_density(rows)
+
+    def test_integer_valued_floats_and_numpy_integers_accepted(self):
+        c = small_mixed_circuit()
+        assert c.log_marginal([2.0, None, np.int64(1)]) == c.log_marginal([2, None, 1])
 
 
 class TestSample:

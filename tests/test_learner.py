@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from softpc import toy
+from softpc import independence, toy
 from softpc.circuit import LeafNode, ProductNode, SumNode
 from softpc.estimators import Multinomial
 from softpc.learner import (
@@ -360,3 +360,38 @@ class TestPinnedOutput:
         expected = [-4.049936056116659, -3.840289834335433, -3.8802226555259125, -3.8369658396974553]
         assert distinct == pytest.approx(expected, abs=1e-9)
         assert [s.effective_mass for s in trace.steps if s.step_kind == "sum"] == [400.0, 210.0, 99.0]
+
+
+class TestProductChildrenGoStraightToClustering:
+    """A product's child keeps its parent's rows and weights, and its scope
+    is one connected component of the parent's dependency graph, so the
+    learner does not test it again."""
+
+    @pytest.mark.parametrize("kind", ["binary", "mixed"])
+    @pytest.mark.parametrize("clusterer", ["em", "kmeans"])
+    @pytest.mark.parametrize("learn", [learn_spn, soft_learn])
+    def test_testing_a_product_child_again_returns_it_whole(self, learn, clusterer, kind,
+                                                           monkeypatch):
+        original = independence.partition_scope
+        calls = []
+
+        def recording(matrix, weights, scope, schema, p_threshold):
+            groups = original(matrix, weights, scope, schema, p_threshold)
+            calls.append((matrix, weights, groups))
+            return groups
+
+        monkeypatch.setattr(independence, "partition_scope", recording)
+        matrix, schema = pinned_data(kind)
+        wide = 0
+        for seed in range(3):
+            calls.clear()
+            hp = Hyperparams(clusterer=clusterer, seed=seed)
+            learn(WeightedDataset(matrix, None, schema), hp)
+            # product children share their parent's weights array, and none is tested
+            assert len({id(weights) for _, weights, _ in calls}) == len(calls)
+            for sub, weights, groups in calls:
+                if len(groups) > 1:
+                    for group in groups:
+                        assert original(sub, weights, group, schema, hp.p_threshold) == [group]
+                        wide += len(group) > 1
+        assert wide > 0
