@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn and evaluate probabilistic circuits on tabular benchmarks.",
     )
     parser.add_argument("--data-dir", default="datasets", help="dataset directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=None, help="results table path")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,6 +23,7 @@ from .estimators import Gaussian, Multinomial, leaf_log_pdf
 
 CENTROID_TOL = 1e-6
 COLLAPSE_TOL = 1e-8
+CONVERGENCE_TOL = 1e-4
 
 
 @dataclass
@@ -212,7 +213,6 @@ def em_factorized(
     schema,
     k: int,
     max_iter: int = 100,
-    tol: float = 1e-4,
     alpha: float = 0.01,
     rng=None,
     init_membership=None,
@@ -222,7 +222,7 @@ def em_factorized(
 
     Returns ``(membership, FactorizedMixture)``.  The weighted train
     log-likelihood is nondecreasing across iterations; iteration stops
-    when the improvement drops below ``tol`` or after ``max_iter`` steps.
+    when the improvement drops below ``CONVERGENCE_TOL`` or after ``max_iter`` steps.
     Unless ``init_membership`` is supplied, responsibilities are seeded
     from a short soft k-means pass, drawn from ``rng`` (``default_rng(0)``
     when ``None``).  With ``return_trace`` the per-iteration weighted
@@ -314,7 +314,7 @@ def em_factorized(
         resp, row_ll = _normalize(joint)
         ll = float(np.dot(weights, row_ll))
         ll_trace.append(ll)
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if ll - prev_ll < CONVERGENCE_TOL and np.isfinite(prev_ll):
             break
         prev_ll = ll
 

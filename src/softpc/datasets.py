@@ -24,6 +24,8 @@ import numpy as np
 
 from .schema import Schema, Variable
 
+SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train/valid/test shares of a mixed CSV's rows
+
 
 class DataError(ValueError):
     """Raised for malformed or missing dataset inputs."""
@@ -147,7 +149,6 @@ def read_schema_spec(path) -> dict:
 def load_mixed_csv(
     csv_path,
     schema_spec,
-    fractions=(0.7, 0.1, 0.2),
     seed: int = 0,
     name: str = None,
     allow_unseen: bool = False,
@@ -156,7 +157,7 @@ def load_mixed_csv(
 
     ``schema_spec`` maps column names to ``"cat"``/``"cont"`` (a path to a
     sidecar file is also accepted).  Rows are shuffled with a seeded RNG
-    and split by ``fractions`` (train/valid/test).  Categorical levels are
+    and split by ``SPLIT_FRACTIONS`` (train/valid/test).  Categorical levels are
     dictionary-encoded in first-appearance order over the training split;
     levels appearing only in valid/test map to a reserved extra level when
     ``allow_unseen`` is set and raise otherwise.
@@ -164,8 +165,6 @@ def load_mixed_csv(
     csv_path = Path(csv_path)
     if isinstance(schema_spec, (str, Path)):
         schema_spec = read_schema_spec(schema_spec)
-    if abs(sum(fractions) - 1.0) > 1e-9 or len(fractions) != 3:
-        raise DataError("fractions must be three values summing to 1")
 
     if not csv_path.exists():
         raise DataError(f"missing dataset file: {csv_path}")
@@ -175,7 +174,13 @@ def load_mixed_csv(
             header = next(reader)
         except StopIteration:
             raise DataError(f"{csv_path}: empty file") from None
-        raw_rows = [row for row in reader if row]
+        raw_rows = []
+        for row in reader:
+            if len(row) not in (0, len(header)):
+                raise DataError(f"{csv_path}:{reader.line_num}: ragged row "
+                                f"(got {len(row)} fields, expected {len(header)})")
+            if row:
+                raw_rows.append(row)
     if not raw_rows:
         raise DataError(f"{csv_path}: no data rows")
 
@@ -186,8 +191,8 @@ def load_mixed_csv(
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(raw_rows))
     n = len(raw_rows)
-    n_train = int(round(fractions[0] * n))
-    n_valid = int(round(fractions[1] * n))
+    n_train = int(round(SPLIT_FRACTIONS[0] * n))
+    n_valid = int(round(SPLIT_FRACTIONS[1] * n))
     idx_train = order[:n_train]
     idx_valid = order[n_train : n_train + n_valid]
     idx_test = order[n_train + n_valid :]

@@ -70,12 +70,12 @@ def fit_multinomial(values, weights, arity: int, alpha: float = 0.0) -> Multinom
     return Multinomial(tuple(probs.tolist()))
 
 
-def fit_gaussian(values, weights, sigma_floor: float = SIGMA_FLOOR) -> Gaussian:
+def fit_gaussian(values, weights) -> Gaussian:
     """Fit a weighted Gaussian with Bessel's correction.
 
     sigma^2 = S / (S^2 - Q) * sum_i v_i (d_i - mu)^2 with S = sum v_i and
     Q = sum v_i^2.  Degenerate inputs (one point, S^2 == Q, or zero spread)
-    fall back to ``sigma_floor``.
+    fall back to ``SIGMA_FLOOR``.
     """
     values, weights = _clean(values, weights)
     s = weights.sum()
@@ -83,10 +83,10 @@ def fit_gaussian(values, weights, sigma_floor: float = SIGMA_FLOOR) -> Gaussian:
     q = float(np.dot(weights, weights))
     denom = s * s - q
     if values.size < 2 or denom <= 0.0:
-        return Gaussian(mu, sigma_floor)
+        return Gaussian(mu, SIGMA_FLOOR)
     ssq = float(np.dot(weights, (values - mu) ** 2))
     sigma = math.sqrt(max(s / denom * ssq, 0.0))
-    return Gaussian(mu, max(sigma, sigma_floor))
+    return Gaussian(mu, max(sigma, SIGMA_FLOOR))
 
 
 def fit_factorized(matrix, weights, scope, schema, alpha: float = 0.0) -> list:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
+BINS = 4  # equal-frequency bins per continuous column in partition_scope
 # one-hot cells per row block of the Gram matrix in partition_scope (64 KiB)
 _GRAM_BLOCK_CELLS = 2**13
 
@@ -108,7 +109,7 @@ def _chi2_tables(tables):
     return stat, dof, p
 
 
-def partition_scope(matrix, weights, scope, schema, p_threshold: float, bins: int = 4):
+def partition_scope(matrix, weights, scope, schema, p_threshold: float):
     """Split the active scope into approximately independent variable groups.
 
     Runs the weighted chi-square test on every pair of scope variables
@@ -131,7 +132,7 @@ def partition_scope(matrix, weights, scope, schema, p_threshold: float, bins: in
         if schema.is_cat(v):
             codes[:, j] = col.astype(np.int64)
         else:
-            codes[:, j], _ = discretize(col, weights, bins)
+            codes[:, j], _ = discretize(col, weights, BINS)
 
     # one-hot columns per variable at its own offset; column `width` stays
     # zero and pads every variable to the widest one in the pair tables.

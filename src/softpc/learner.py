@@ -7,15 +7,11 @@ created.  The hard learner assigns each row to exactly one child; the
 soft learner passes every row to every child, reweighted by its cluster
 responsibility (rows whose weight falls below ``estimators.EPSILON_W``
 are dropped).
-
-Also provided are the "alternative circuit" constructions used to reason
-about the greedy likelihood behaviour of the recursion: the circuit
-obtained by capping every open subproblem with a fully factorized
-distribution.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +36,6 @@ class Hyperparams:
       the clusterer.
     - ``clusterer`` (``--clusterer``): ``"em"`` or ``"kmeans"``.
     - ``seed`` (``--seed``): seeds the clustering random stream.
-    - ``track_alternative_ll`` (no flag): record in each trace step the
-      train log-likelihood of the circuit capped at that step.
     """
 
     p_threshold: float = 0.01
@@ -52,7 +46,6 @@ class Hyperparams:
     max_cluster_iters: int = 100
     clusterer: str = "em"  # "em" | "kmeans"
     seed: int = 0
-    track_alternative_ll: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.p_threshold < 1.0:
@@ -61,10 +54,10 @@ class Hyperparams:
             raise ValueError("alpha must be finite and nonnegative")
         if not 0.0 <= self.beta < np.inf:
             raise ValueError("beta must be finite and nonnegative")
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
-        if self.max_cluster_iters < 1:
-            raise ValueError("max_cluster_iters must be >= 1")
+        for name, least in (("n_clusters", 1), ("max_cluster_iters", 1), ("seed", 0)):
+            value = getattr(self, name)  # numpy integers pass; bools and floats do not
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
         if not self.min_instances >= 2:  # NaN fails too
             raise ValueError("min_instances must be >= 2")
         if self.clusterer not in ("em", "kmeans"):
@@ -73,7 +66,7 @@ class Hyperparams:
 
 @dataclass
 class WeightedDataset:
-    """Dense data matrix with per-row positive weights and an active scope.
+    """Dense data matrix with per-row positive weights.
 
     All input checks of the learners happen here: values must be finite,
     categorical values integers in ``[0, arity)`` and row weights at
@@ -83,7 +76,6 @@ class WeightedDataset:
     matrix: np.ndarray
     row_weights: np.ndarray
     schema: Schema
-    scope: tuple = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -106,12 +98,6 @@ class WeightedDataset:
             raise ValueError("row_weights length mismatch")
         if not np.all(np.isfinite(self.row_weights) & (self.row_weights >= estimators.EPSILON_W)):
             raise ValueError(f"row weights must be finite and at least {estimators.EPSILON_W}")
-        if self.scope is None:
-            self.scope = tuple(range(len(self.schema)))
-        else:
-            self.scope = tuple(sorted(self.scope))
-            if not self.scope or any(not 0 <= v < len(self.schema) for v in self.scope):
-                raise ValueError("scope must be a nonempty subset of schema indices")
 
 
 @dataclass
@@ -119,7 +105,6 @@ class StepRecord:
     step_kind: str  # "leaf" | "product" | "sum" | "factorize"
     scope: tuple
     effective_mass: float
-    alternative_pc_train_ll: float | None = None
 
 
 @dataclass
@@ -204,13 +189,30 @@ def _cluster(matrix, weights, scope, schema, hp, rng):
     return resp
 
 
-def _learn(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split=None):
+def _check_membership(membership, n_rows: int) -> np.ndarray:
+    """``membership`` as a float array; ``ValueError`` unless it is a finite,
+    nonnegative ``(n_rows, K)`` array, K >= 1, whose rows sum to 1."""
+    membership = np.asarray(membership, dtype=float)
+    if membership.ndim != 2 or membership.shape[0] != n_rows or membership.shape[1] < 1:
+        raise ValueError(f"membership must have shape ({n_rows}, K), got {membership.shape}")
+    if not np.all(np.isfinite(membership) & (membership >= 0.0)):
+        raise ValueError("membership entries must be finite and nonnegative")
+    if np.any(np.abs(membership.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("membership rows must sum to 1")
+    return membership
+
+
+def _steps(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
+    """The recursion, one decision at a time: after each decision, yield the
+    partial tree's root ``_Sub`` and the step's ``StepRecord``.  Open
+    subproblems of the yielded tree still hold their rows and weights."""
     full = data.matrix
     schema = data.schema
+    if first_split is not None:  # the first clustered subproblem holds every row
+        first_split = _check_membership(first_split, full.shape[0])
     rng = np.random.default_rng(np.random.SeedSequence(hp.seed))
-    trace = LearnTrace()
 
-    root = _Sub(np.arange(full.shape[0]), data.row_weights.copy(), data.scope)
+    root = _Sub(np.arange(full.shape[0]), data.row_weights.copy(), tuple(range(len(schema))))
     stack = [root]
     while stack:
         node = stack.pop()
@@ -229,7 +231,7 @@ def _learn(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split=None)
                 node.children = [_Sub(rows, weights, tuple(g), split_off=True) for g in groups]
             else:
                 if first_split is not None:
-                    resp, first_split = np.asarray(first_split, dtype=float), None
+                    resp, first_split = first_split, None
                 else:
                     resp = _cluster(sub, weights, scope, schema, hp, rng)
                 if not soft:
@@ -247,72 +249,27 @@ def _learn(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split=None)
         else:
             stack.extend(reversed(node.children))  # depth-first, first child first
         node.rows = node.weights = None
+        yield root, StepRecord(kind, tuple(scope), float(mass))
 
-        step = StepRecord(kind, tuple(scope), float(mass))
-        if hp.track_alternative_ll:
-            step.alternative_pc_train_ll = alternative_ll(
-                _assemble(root, full, schema, hp.alpha), full
-            )
-        trace.steps.append(step)
 
-    return _assemble(root, full, schema, hp.alpha), trace
+def _learn(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
+    steps = list(_steps(data, hp, soft, first_split))
+    trace = LearnTrace([step for _, step in steps])
+    return _assemble(steps[-1][0], data.matrix, data.schema, hp.alpha), trace
 
 
 def learn_spn(data: WeightedDataset, hp: Hyperparams, first_split=None):
     """Hard recursive structure learning: cluster memberships are hardened
-    and each row lands in exactly one child of every sum node."""
+    and each row lands in exactly one child of every sum node.
+
+    ``first_split``, a finite, nonnegative ``(n_rows, K)`` membership whose
+    rows sum to 1, replaces the clusterer's at the first sum decision;
+    anything else raises ``ValueError``."""
     return _learn(data, hp, soft=False, first_split=first_split)
 
 
 def soft_learn(data: WeightedDataset, hp: Hyperparams, first_split=None):
     """Soft recursive structure learning: every row reaches every child of a
     sum node with weight responsibility * parent weight; sum-node weights
-    are the child mass fractions."""
+    are the child mass fractions.  ``first_split`` is as in ``learn_spn``."""
     return _learn(data, hp, soft=True, first_split=first_split)
-
-
-# ----------------------------------------------------------------------
-# alternative-circuit constructions (early-stop caps)
-
-
-def factorized_circuit(data: WeightedDataset, hp: Hyperparams) -> Circuit:
-    """Fully factorized circuit over the data's scope (the iteration-0 cap)."""
-    root = _Sub(np.arange(data.matrix.shape[0]), data.row_weights, data.scope)
-    return _assemble(root, data.matrix, data.schema, hp.alpha)
-
-
-def split_circuit(data: WeightedDataset, membership, hp: Hyperparams) -> Circuit:
-    """Alternative circuit after a single root split: a sum node whose
-    children are factorized fits under the membership-reweighted data.
-
-    ``membership`` is an (n, K) matrix of nonnegative rows summing to 1;
-    one-hot rows reproduce a hard split.
-    """
-    membership = np.asarray(membership, dtype=float)
-    rows = np.arange(data.matrix.shape[0])
-    children, kept, _ = _split_children(rows, data.row_weights, membership)
-    subs = [_Sub(r, w, data.scope) for r, w in children]
-    if len(subs) == 1:
-        return _assemble(subs[0], data.matrix, data.schema, hp.alpha)
-    root = _Sub(None, None, data.scope)
-    root.children = subs
-    root.sum_weights = tuple((kept / sum(kept)).tolist())
-    return _assemble(root, data.matrix, data.schema, hp.alpha)
-
-
-def alternative_ll(circuit: Circuit, matrix) -> float:
-    """Mean per-row train log-likelihood of an alternative circuit."""
-    return float(np.mean(circuit.log_density(np.asarray(matrix, dtype=float))))
-
-
-def singleton_split_membership(matrix, row) -> np.ndarray:
-    """Hard membership putting all exact copies of ``matrix[row]`` in one
-    cluster and every other row in the other."""
-    matrix = np.asarray(matrix)
-    same = np.all(matrix == matrix[row], axis=1)
-    m = np.zeros((matrix.shape[0], 2))
-    m[same, 0] = 1.0
-    m[~same, 1] = 1.0
-    if m[:, 1].sum() == 0:
-        return m[:, :1]
-    return m

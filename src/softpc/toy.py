@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clustering, learner
-from .circuit import Circuit, LeafNode
+from .circuit import Circuit, LeafNode, ProductNode, SumNode
 from .estimators import Gaussian
 from .schema import Schema
 
@@ -33,8 +33,6 @@ ADVERSARIAL_BETA = 1.0
 
 def true_circuit() -> Circuit:
     """The generating circuit: a balanced sum over two Gaussian products."""
-    from .circuit import ProductNode, SumNode
-
     nodes = [
         LeafNode(0, Gaussian(*TRUE_X[0])),
         LeafNode(1, Gaussian(*TRUE_Y[0])),
@@ -57,15 +55,13 @@ def generate(n_per_component: int, rng) -> np.ndarray:
     return np.vstack(parts)
 
 
-def adversarial_membership(matrix, schema, soft: bool, beta: float = None):
+def adversarial_membership(matrix, schema, soft: bool):
     """Membership for the bad X=0 split.
 
     Hard: one-hot by the sign of X.  Soft: the softmax distance weighting
     against the centroids of the two half-planes, so points keep partial
     membership on both sides of the line.
     """
-    if beta is None:
-        beta = ADVERSARIAL_BETA
     matrix = np.asarray(matrix, dtype=float)
     left = matrix[:, 0] < 0
     if not soft:
@@ -76,7 +72,8 @@ def adversarial_membership(matrix, schema, soft: bool, beta: float = None):
     weights = np.ones(matrix.shape[0])
     encoded = clustering.encode_rows(matrix, weights, (0, 1), schema)
     centroids = np.stack([encoded[left].mean(axis=0), encoded[~left].mean(axis=0)])
-    return np.ascontiguousarray(clustering.softmax_memberships(encoded.T, centroids, beta).T)
+    resp = clustering.softmax_memberships(encoded.T, centroids, ADVERSARIAL_BETA)
+    return np.ascontiguousarray(resp.T)
 
 
 @dataclass

@@ -490,6 +490,24 @@ def all_binary_rows(n_vars: int) -> np.ndarray:
     return rows.astype(float)
 
 
+def pinned_data(kind):
+    """Fixed 400-row sets: 6 binary columns, or cat(3), 2 continuous, binary."""
+    rng = np.random.default_rng(7)
+    z = rng.integers(0, 2, size=400)
+    if kind == "binary":
+        p = np.array([[0.2, 0.8, 0.3, 0.7, 0.1, 0.6], [0.8, 0.3, 0.7, 0.2, 0.5, 0.6]])
+        return (rng.random((400, 6)) < p[z]).astype(float), Schema.binary(6)
+    cat = (z + (rng.random(400) < 0.2)) % 2 + (rng.random(400) < 0.1)
+    cols = [cat, z * 2.0 + rng.normal(0, 0.5, 400), rng.normal(0, 1, 400), rng.integers(0, 2, 400)]
+    schema = Schema([*Schema.categorical([3]), *Schema.continuous(2), *Schema.binary(1)])
+    return np.column_stack(cols).astype(float), schema
+
+
+def step_counts(trace):
+    """(sum, product, factorize, leaf) step counts of a ``LearnTrace``."""
+    return tuple(sum(s.step_kind == k for s in trace.steps) for k in ("sum", "product", "factorize", "leaf"))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

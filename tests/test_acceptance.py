@@ -19,20 +19,12 @@ from scipy.stats import chi2_contingency
 
 from softpc import cli
 from softpc import toy
+from softpc.analysis import factorized_circuit, singleton_split_membership, split_circuit
 from softpc.circuit import Circuit
 from softpc.datasets import DISCRETE_MANIFEST, check_manifest, load_discrete
 from softpc.estimators import fit_gaussian, fit_multinomial
 from softpc.independence import weighted_chi2
-from softpc.learner import (
-    Hyperparams,
-    WeightedDataset,
-    alternative_ll,
-    factorized_circuit,
-    learn_spn,
-    singleton_split_membership,
-    soft_learn,
-    split_circuit,
-)
+from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
 from softpc.schema import Schema
 
 from conftest import all_binary_rows
@@ -267,10 +259,10 @@ def test_criterion_07_alternative_pc_constructions():
             schema = Schema.binary(n_vars)
             data = WeightedDataset(matrix, None, schema)
             base_circuit = factorized_circuit(data, hp)
-            base = alternative_ll(base_circuit, matrix)
+            base = base_circuit.log_density(matrix).mean()
 
             equal = np.full((n, 2), 0.5)
-            split = alternative_ll(split_circuit(data, equal, hp), matrix)
+            split = split_circuit(data, equal, hp).log_density(matrix).mean()
             assert abs(split - base) <= 1e-9
 
             membership = singleton_split_membership(matrix, int(rng.integers(0, n)))

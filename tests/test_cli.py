@@ -105,6 +105,13 @@ class TestLearn:
         assert code == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--data-dir", data_dir, "--seed", -1, "learn", "--data", "twoblock",
+                 "--method", "learnspn"])
+        assert exc.value.code == EXIT_USAGE
+        assert "count >= 0" in capsys.readouterr().err
+
     def test_corrupt_dataset_is_data_error(self, tmp_path):
         (tmp_path / "bad.train.data").write_text("0,zzz\n")
         (tmp_path / "bad.valid.data").write_text("0,1\n")
@@ -126,6 +133,16 @@ class TestLearn:
         code = run(["--data-dir", tmp_path, "learn", "--data", "mix", "--method", "learnspn"])
         assert code == EXIT_DATA
         assert "'size'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["red", "red,0.5,0.7"])
+    def test_ragged_csv_row_is_data_error(self, tmp_path, capsys, row):
+        lines = ["colour,size"] + [f"{('red', 'blue')[i % 2]},{i / 10}" for i in range(200)]
+        lines[57] = row
+        (tmp_path / "mix.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "mix.schema").write_text("colour cat\nsize cont\n")
+        code = run(["--data-dir", tmp_path, "learn", "--data", "mix", "--method", "learnspn"])
+        assert code == EXIT_DATA
+        assert "mix.csv:58: ragged row" in capsys.readouterr().err
 
 
 class TestValidateAndEval:

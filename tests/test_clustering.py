@@ -399,7 +399,7 @@ class TestEmFactorizedMatchesLoopReference:
         assert {d.sigma for d in mixture.components[1][3:]} == {SIGMA_FLOOR}
         _assert_matches_reference(matrix, weights, tuple(range(6)), schema, 2, init_membership=init)
 
-    def test_component_keeping_one_row_gets_the_sigma_floor(self, rng):
+    def test_component_keeping_one_row_gets_SIGMA_FLOOR(self, rng):
         matrix, schema = _latent_mixed(rng, n=60)
         weights = rng.uniform(0.5, 1.5, size=60)
         init = np.column_stack([np.ones(60) - 1e-9, np.full(60, 1e-9)])

@@ -170,6 +170,14 @@ class TestMixedCsv:
         with pytest.raises(DataError):
             read_schema_spec(bad)
 
+    @pytest.mark.parametrize("row, got", [("red", 1), ("red,1.5,extra", 3)])
+    def test_ragged_row_rejected(self, tmp_path, row, got):
+        csv, sidecar = self.write_csv(tmp_path)
+        with open(csv, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(DataError, match=rf"mix\.csv:42: ragged row \(got {got} fields, expected 2\)"):
+            load_mixed_csv(csv, sidecar)
+
     def test_missing_spec_column_rejected(self, tmp_path):
         csv, _ = self.write_csv(tmp_path)
         with pytest.raises(DataError, match="missing columns"):

@@ -4,21 +4,13 @@ import numpy as np
 import pytest
 
 from softpc import independence, toy
+from softpc.analysis import factorized_circuit, singleton_split_membership, split_circuit
 from softpc.circuit import LeafNode, ProductNode, SumNode
 from softpc.estimators import Multinomial
-from softpc.learner import (
-    Hyperparams,
-    WeightedDataset,
-    alternative_ll,
-    factorized_circuit,
-    learn_spn,
-    singleton_split_membership,
-    soft_learn,
-    split_circuit,
-)
+from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
 from softpc.schema import Schema
 
-from conftest import all_binary_rows
+from conftest import all_binary_rows, pinned_data, step_counts
 
 
 def two_block_binary(rng, n):
@@ -44,7 +36,9 @@ class TestHyperparams:
         "field, value",
         [("n_clusters", 0), ("n_clusters", -1), ("max_cluster_iters", 0),
          ("beta", -0.5), ("beta", np.inf), ("beta", np.nan), ("alpha", np.nan),
-         ("alpha", np.inf), ("min_instances", np.nan)],
+         ("alpha", np.inf), ("min_instances", np.nan), ("n_clusters", 2.5),
+         ("n_clusters", True), ("max_cluster_iters", 10.0), ("max_cluster_iters", True),
+         ("seed", 1.5), ("seed", False), ("seed", -1)],
     )
     def test_rejects_non_finite_and_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -54,12 +48,15 @@ class TestHyperparams:
         hp = Hyperparams(n_clusters=1, max_cluster_iters=1, beta=0.0)
         assert (hp.n_clusters, hp.max_cluster_iters, hp.beta) == (1, 1, 0.0)
 
+    def test_accepts_numpy_integers(self):
+        hp = Hyperparams(n_clusters=np.int64(3), max_cluster_iters=np.int32(5), seed=np.uint8(7))
+        assert (hp.n_clusters, hp.max_cluster_iters, hp.seed) == (3, 5, 7)
+
 
 class TestWeightedDataset:
     def test_defaults(self, rng):
         data = WeightedDataset(rng.normal(size=(5, 2)), None, Schema.continuous(2))
         assert data.row_weights.tolist() == [1.0] * 5
-        assert data.scope == (0, 1)
 
     def test_rejects_empty_and_mismatched(self, rng):
         with pytest.raises(ValueError):
@@ -68,8 +65,6 @@ class TestWeightedDataset:
             WeightedDataset(rng.normal(size=(5, 3)), None, Schema.continuous(2))
         with pytest.raises(ValueError):
             WeightedDataset(rng.normal(size=(5, 2)), np.zeros(5), Schema.continuous(2))
-        with pytest.raises(ValueError):
-            WeightedDataset(rng.normal(size=(5, 2)), None, Schema.continuous(2), scope=(0, 7))
 
     def test_rejects_non_finite_values(self, rng):
         matrix = rng.normal(size=(5, 2))
@@ -164,6 +159,19 @@ class TestSoftLearn:
         b, _ = learn_spn(data, hp, first_split=membership)
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize("fn", [learn_spn, soft_learn, split_circuit])
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(np.full((59, 2), 0.5), "shape"), (np.full((1, 2), 0.5), "shape"),
+         (np.full(60, 1.0), "shape"), (np.ones((60, 0)), "shape"),
+         (np.tile([1.5, -0.5], (60, 1)), "nonnegative"),
+         (np.tile([np.nan, 0.5], (60, 1)), "finite"), (np.full((60, 2), 0.4), "sum to 1")],
+    )
+    def test_rejects_malformed_first_split(self, rng, fn, bad, match):
+        data = WeightedDataset(toy.generate(30, rng), None, Schema.continuous(2))
+        with pytest.raises(ValueError, match=match):
+            fn(data, bad, Hyperparams()) if fn is split_circuit else fn(data, Hyperparams(), bad)
+
     def test_sum_weights_are_child_mass_fractions(self, rng):
         matrix = toy.generate(100, rng)
         membership = np.column_stack([np.full(200, 0.7), np.full(200, 0.3)])
@@ -229,7 +237,7 @@ class TestAlternativeConstructions:
         for j in range(3):
             freq = np.bincount(matrix[:, j].astype(int), minlength=2) / 40
             ll += np.log(freq[matrix[:, j].astype(int)]).mean()
-        assert alternative_ll(circuit, matrix) == pytest.approx(ll, abs=1e-12)
+        assert circuit.log_density(matrix).mean() == pytest.approx(ll, abs=1e-12)
 
     def test_equal_split_equals_factorized(self, rng):
         for _ in range(20):
@@ -238,9 +246,9 @@ class TestAlternativeConstructions:
             matrix = rng.integers(0, 2, size=(n, n_vars)).astype(float)
             data = WeightedDataset(matrix, None, Schema.binary(n_vars))
             hp = Hyperparams(alpha=0.0)
-            base = alternative_ll(factorized_circuit(data, hp), matrix)
+            base = factorized_circuit(data, hp).log_density(matrix).mean()
             membership = np.full((n, 2), 0.5)
-            split = alternative_ll(split_circuit(data, membership, hp), matrix)
+            split = split_circuit(data, membership, hp).log_density(matrix).mean()
             assert split == pytest.approx(base, abs=1e-9)
 
     def test_singleton_split_children_beat_factorized_on_their_rows(self, rng):
@@ -275,27 +283,13 @@ class TestAlternativeConstructions:
             n_vars = int(rng.integers(2, 6))
             matrix = rng.integers(0, 2, size=(n, n_vars)).astype(float)
             data = WeightedDataset(matrix, None, Schema.binary(n_vars))
-            base = alternative_ll(factorized_circuit(data, hp), matrix)
+            base = factorized_circuit(data, hp).log_density(matrix).mean()
             best = max(
-                alternative_ll(
-                    split_circuit(data, singleton_split_membership(matrix, r), hp),
-                    matrix,
-                )
+                split_circuit(data, singleton_split_membership(matrix, r), hp)
+                .log_density(matrix).mean()
                 for r in range(n)
             )
             assert best >= base - 1e-9
-
-    def test_trace_snapshot_at_product_root_is_factorized_ll(self, rng):
-        # capping right after the first (product) step leaves a fully
-        # factorized model, so the recorded alternative LL must match it
-        matrix = rng.integers(0, 2, size=(500, 3)).astype(float)
-        data = WeightedDataset(matrix, None, Schema.binary(3))
-        hp = Hyperparams(alpha=0.0, track_alternative_ll=True)
-        circuit, trace = learn_spn(data, hp)
-        base = alternative_ll(factorized_circuit(data, hp), matrix)
-        first = trace.steps[0]
-        assert first.step_kind in ("product", "factorize")
-        assert first.alternative_pc_train_ll == pytest.approx(base, abs=1e-9)
 
     def test_trace_is_chronological_and_complete(self, rng):
         matrix = two_block_binary(rng, 300)
@@ -305,23 +299,6 @@ class TestAlternativeConstructions:
         assert kinds <= {"leaf", "product", "sum", "factorize"}
         assert len(trace.steps) >= 1
         assert trace.steps[0].effective_mass == pytest.approx(300.0)
-
-
-def pinned_data(kind):
-    """Fixed 400-row sets: 6 binary columns, or cat(3), 2 continuous, binary."""
-    rng = np.random.default_rng(7)
-    z = rng.integers(0, 2, size=400)
-    if kind == "binary":
-        p = np.array([[0.2, 0.8, 0.3, 0.7, 0.1, 0.6], [0.8, 0.3, 0.7, 0.2, 0.5, 0.6]])
-        return (rng.random((400, 6)) < p[z]).astype(float), Schema.binary(6)
-    cat = (z + (rng.random(400) < 0.2)) % 2 + (rng.random(400) < 0.1)
-    cols = [cat, z * 2.0 + rng.normal(0, 0.5, 400), rng.normal(0, 1, 400), rng.integers(0, 2, 400)]
-    schema = Schema([*Schema.categorical([3]), *Schema.continuous(2), *Schema.binary(1)])
-    return np.column_stack(cols).astype(float), schema
-
-
-def step_counts(trace):
-    return tuple(sum(s.step_kind == k for s in trace.steps) for k in ("sum", "product", "factorize", "leaf"))
 
 
 class TestPinnedOutput:
@@ -346,20 +323,7 @@ class TestPinnedOutput:
         circuit, trace = learn(WeightedDataset(matrix, None, schema), Hyperparams(clusterer=clusterer))
         assert circuit.n_nodes == nodes
         assert step_counts(trace) == steps
-        assert alternative_ll(circuit, matrix) == pytest.approx(train_ll, abs=1e-9)
-
-    def test_alternative_ll_trace(self):
-        matrix, schema = pinned_data("binary")
-        hp = Hyperparams(clusterer="kmeans", track_alternative_ll=True)
-        circuit, trace = learn_spn(WeightedDataset(matrix, None, schema), hp)
-        assert circuit.n_nodes == 24
-        assert "".join(s.step_kind[0] for s in trace.steps) == "psplllllplspllspllflll"
-        # the capped LL changes only at sum steps, and ends at the learned LL
-        lls = [s.alternative_pc_train_ll for s in trace.steps]
-        distinct = [ll for i, ll in enumerate(lls) if i == 0 or ll != lls[i - 1]]
-        expected = [-4.049936056116659, -3.840289834335433, -3.8802226555259125, -3.8369658396974553]
-        assert distinct == pytest.approx(expected, abs=1e-9)
-        assert [s.effective_mass for s in trace.steps if s.step_kind == "sum"] == [400.0, 210.0, 99.0]
+        assert circuit.log_density(matrix).mean() == pytest.approx(train_ll, abs=1e-9)
 
 
 class TestProductChildrenGoStraightToClustering:
