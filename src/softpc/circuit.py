@@ -58,12 +58,18 @@ class InvalidCircuitError(ValueError):
         self.violations = list(violations)
 
 
+# json's own encoder, as json.dumps(sort_keys=True, separators=(",", ":")) writes
+_json_value = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _require_types(values, types, what):
-    """Raise TypeError unless each value's type is in ``types``; JSON bools
-    are not integers and strings are not numbers."""
-    if not set(map(type, values)) <= types:
+    """Return the set of the values' types; raise TypeError unless each is in
+    ``types``.  JSON bools are not integers and strings are not numbers."""
+    found = set(map(type, values))
+    if not found <= types:
         bad = next(v for v in values if type(v) not in types)
         raise TypeError(f"expected {what}, got {bad!r}")
+    return found
 
 
 def _is_number(value) -> bool:
@@ -113,6 +119,18 @@ class LeafNode:
     dist: object
 
 
+def _float_params(node):
+    """``node`` with its sum weights or leaf parameters as floats; JSON reads
+    a number written without a point or exponent as an int."""
+    if isinstance(node, SumNode):
+        return SumNode(node.children, tuple(map(float, node.weights)))
+    if isinstance(node, ProductNode):
+        return node
+    if isinstance(node.dist, Multinomial):
+        return LeafNode(node.var, Multinomial(tuple(map(float, node.dist.probs))))
+    return LeafNode(node.var, Gaussian(float(node.dist.mu), float(node.dist.sigma)))
+
+
 class Circuit:
     """Immutable circuit over a fixed schema.
 
@@ -130,21 +148,7 @@ class Circuit:
         self.nodes = tuple(nodes)
         self.root = int(root)
         self.schema = schema
-        self.scopes = self._compute_scopes()
         self._plan = None
-
-    def _compute_scopes(self):
-        scopes = []
-        for node in self.nodes:
-            if isinstance(node, LeafNode):
-                scopes.append(frozenset((node.var,)))
-            else:
-                s = frozenset()
-                for c in node.children:
-                    if 0 <= c < len(scopes):
-                        s |= scopes[c]
-                scopes.append(s)
-        return tuple(scopes)
 
     @property
     def n_nodes(self) -> int:
@@ -173,40 +177,51 @@ class Circuit:
     # validation
 
     def validate(self) -> list:
-        """Return a list of violation messages; empty iff the circuit is valid."""
+        """Return a list of violation messages; empty iff the circuit is valid.
+
+        Scopes are computed in the same pass, as int bitmasks: bit v for
+        schema variable v, and one bit above those per distinct
+        out-of-schema leaf variable, so masks compare as sets of variables.
+        """
         violations = []
         n = len(self.nodes)
         n_vars = len(self.schema)
         if not (0 <= self.root < n):
             return [f"root index {self.root} out of range"]
 
+        schema = self.schema
+        var_bits = [1 << v for v in range(n_vars)]
+        extra_bits = {}  # out-of-schema leaf variable -> its bit
+        scopes = []
         indegree = [0] * n
         for i, node in enumerate(self.nodes):
             if isinstance(node, LeafNode):
-                if not (0 <= node.var < n_vars):
-                    violations.append(f"node {i}: leaf variable {node.var} out of schema")
+                v, dist = node.var, node.dist
+                if not (0 <= v < n_vars):
+                    scopes.append(extra_bits.setdefault(v, 1 << (n_vars + len(extra_bits))))
+                    violations.append(f"node {i}: leaf variable {v} out of schema")
                     continue
-                var = self.schema[node.var]
-                if isinstance(node.dist, Multinomial):
+                scopes.append(var_bits[v])
+                var = schema[v]
+                if isinstance(dist, Multinomial):
+                    probs = dist.probs
                     if var.kind != "cat":
                         violations.append(f"node {i}: multinomial leaf on continuous variable")
-                    elif node.dist.arity != var.arity:
-                        violations.append(
-                            f"node {i}: arity {node.dist.arity} != schema arity {var.arity}"
-                        )
-                    total = sum(node.dist.probs)
+                    elif len(probs) != var.arity:
+                        violations.append(f"node {i}: arity {len(probs)} != schema arity {var.arity}")
+                    total = sum(probs)
                     if not math.isfinite(total):
                         violations.append(f"node {i}: non-finite multinomial prob total {total!r}")
                     elif abs(total - 1.0) > WEIGHT_TOL:
                         violations.append(f"node {i}: multinomial probs do not sum to 1")
-                    if any(p < 0 for p in node.dist.probs):
+                    if any(p < 0 for p in probs):
                         violations.append(f"node {i}: negative multinomial prob")
-                elif isinstance(node.dist, Gaussian):
+                elif isinstance(dist, Gaussian):
                     if var.kind != "cont":
                         violations.append(f"node {i}: gaussian leaf on categorical variable")
-                    if not (math.isfinite(node.dist.mu) and math.isfinite(node.dist.sigma)):
+                    if not (math.isfinite(dist.mu) and math.isfinite(dist.sigma)):
                         violations.append(f"node {i}: non-finite mu or sigma")
-                    if node.dist.sigma <= 0:
+                    if dist.sigma <= 0:
                         violations.append(f"node {i}: nonpositive sigma")
                 else:
                     violations.append(f"node {i}: unknown leaf distribution")
@@ -214,6 +229,9 @@ class Circuit:
 
             if len(node.children) < 1:
                 violations.append(f"node {i}: no children")
+            # over the children that precede the node: their union, whether
+            # two share a variable (A2) and whether two differ (A1)
+            scope, first, overlap, differ = 0, None, False, False
             for c in node.children:
                 if not (0 <= c < n):
                     violations.append(f"node {i}: child {c} out of range")
@@ -221,6 +239,14 @@ class Circuit:
                     violations.append(f"node {i}: child {c} does not precede parent (cycle risk)")
                 else:
                     indegree[c] += 1
+                    s = scopes[c]
+                    overlap = overlap or bool(scope & s)
+                    if first is None:
+                        first = s
+                    elif s != first:
+                        differ = True
+                    scope |= s
+            scopes.append(scope)
 
             if isinstance(node, SumNode):
                 if len(node.children) != len(node.weights):
@@ -232,18 +258,10 @@ class Circuit:
                     violations.append(f"node {i}: non-finite sum weight total {total!r}")
                 elif abs(total - 1.0) > WEIGHT_TOL:
                     violations.append(f"node {i}: sum weights total {total!r}, expected 1")
-                child_scopes = {self.scopes[c] for c in node.children if 0 <= c < i}
-                if len(child_scopes) > 1:
+                if differ:
                     violations.append(f"node {i}: sum children have differing scopes (A1)")
-            elif isinstance(node, ProductNode):
-                seen = set()
-                for c in node.children:
-                    if not (0 <= c < i):
-                        continue
-                    if seen & self.scopes[c]:
-                        violations.append(f"node {i}: product children overlap in scope (A2)")
-                        break
-                    seen |= self.scopes[c]
+            elif isinstance(node, ProductNode) and overlap:
+                violations.append(f"node {i}: product children overlap in scope (A2)")
 
         roots = [i for i in range(n) if indegree[i] == 0]
         if roots != [self.root]:
@@ -252,7 +270,7 @@ class Circuit:
                 violations.append(f"nodes {extra} are unreachable (not single-rooted)")
             if self.root not in roots:
                 violations.append(f"root {self.root} has incoming edges")
-        if self.scopes[self.root] != frozenset(range(n_vars)):
+        if scopes[self.root] != (1 << n_vars) - 1:
             violations.append("root scope does not cover all variables")
         return violations
 
@@ -545,33 +563,49 @@ class Circuit:
     def to_json(self) -> str:
         """Serialize to the documented JSON text format (full precision).
 
-        Schema entries hold ``kind``, ``arity`` for categorical variables,
-        and ``name`` when the variable has one.
+        The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+        of the circuit's document, written directly: keys are sorted and
+        numbers are written as their Python ``repr``.  Schema entries hold
+        ``kind``, ``arity`` for categorical variables, and ``name`` when the
+        variable has one.  A hand-built circuit with a NaN or infinite value
+        gets ``NaN``, ``Infinity`` or ``-Infinity``, as ``json.dumps`` writes
+        them.
         """
-        nodes = []
+        ints, numbers = [self.root], []
         for node in self.nodes:
             if isinstance(node, SumNode):
-                nodes.append(
-                    {
-                        "type": "sum",
-                        "children": list(node.children),
-                        "weights": list(node.weights),
-                    }
-                )
+                ints += node.children
+                numbers += node.weights
             elif isinstance(node, ProductNode):
-                nodes.append({"type": "prod", "children": list(node.children)})
+                ints += node.children
             else:
-                if isinstance(node.dist, Multinomial):
-                    dist = {"type": "multinomial", "probs": list(node.dist.probs)}
-                else:
-                    dist = {"type": "gaussian", "mu": node.dist.mu, "sigma": node.dist.sigma}
-                nodes.append({"type": "leaf", "var": node.var, "dist": dist})
-        doc = {
-            "schema": [v.to_dict() for v in self.schema],
-            "root": self.root,
-            "nodes": nodes,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+                ints.append(node.var)
+                dist = node.dist
+                numbers += dist.probs if isinstance(dist, Multinomial) else (dist.mu, dist.sigma)
+        # repr writes an int or a finite float as json.dumps does; for anything
+        # else (NaN or inf, numpy scalars, bools) json's encoder writes it
+        plain = set(map(type, ints)) <= {int} and set(map(type, numbers)) <= {int, float}
+        try:
+            plain = plain and math.isfinite(sum(numbers))
+        except OverflowError:  # an int too large for a float
+            plain = False
+        number = repr if plain else _json_value
+        join = ",".join
+        parts = []
+        for node in self.nodes:
+            if isinstance(node, SumNode):
+                parts.append('{"children":[%s],"type":"sum","weights":[%s]}'
+                             % (join(map(number, node.children)), join(map(number, node.weights))))
+            elif isinstance(node, ProductNode):
+                parts.append('{"children":[%s],"type":"prod"}' % join(map(number, node.children)))
+            elif isinstance(node.dist, Multinomial):
+                parts.append('{"dist":{"probs":[%s],"type":"multinomial"},"type":"leaf","var":%s}'
+                             % (join(map(number, node.dist.probs)), number(node.var)))
+            else:
+                parts.append('{"dist":{"mu":%s,"sigma":%s,"type":"gaussian"},"type":"leaf","var":%s}'
+                             % (number(node.dist.mu), number(node.dist.sigma), number(node.var)))
+        schema = _json_value([v.to_dict() for v in self.schema])
+        return '{"nodes":[%s],"root":%s,"schema":%s}' % (join(parts), number(self.root), schema)
 
     @classmethod
     def from_json(cls, text: str, check: bool = True) -> "Circuit":
@@ -585,7 +619,7 @@ class Circuit:
                 if t == "sum":
                     ints += nd["children"]
                     numbers += nd["weights"]
-                    nodes.append(SumNode(tuple(nd["children"]), tuple(map(float, nd["weights"]))))
+                    nodes.append(SumNode(tuple(nd["children"]), tuple(nd["weights"])))
                 elif t == "prod":
                     ints += nd["children"]
                     nodes.append(ProductNode(tuple(nd["children"])))
@@ -593,10 +627,10 @@ class Circuit:
                     dd = nd["dist"]
                     if dd["type"] == "multinomial":
                         numbers += dd["probs"]
-                        dist = Multinomial(tuple(map(float, dd["probs"])))
+                        dist = Multinomial(tuple(dd["probs"]))
                     elif dd["type"] == "gaussian":
                         numbers += (dd["mu"], dd["sigma"])
-                        dist = Gaussian(float(dd["mu"]), float(dd["sigma"]))
+                        dist = Gaussian(dd["mu"], dd["sigma"])
                     else:
                         raise ValueError(f"unknown dist type {dd['type']!r}")
                     ints.append(nd["var"])
@@ -604,7 +638,8 @@ class Circuit:
                 else:
                     raise ValueError(f"unknown node type {t!r}")
             _require_types(ints, {int}, "an integer")
-            _require_types(numbers, {int, float}, "a number")
+            if int in _require_types(numbers, {int, float}, "a number"):
+                nodes = [_float_params(node) for node in nodes]
             circuit = cls(nodes, doc["root"], schema)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelParseError(f"cannot parse model: {exc}") from exc

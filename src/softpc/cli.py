@@ -235,9 +235,22 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
+def _check_model_fits(circuit: Circuit, bundle) -> None:
+    """Raise DataError unless the dataset has the model's variable count and
+    kinds, and no categorical column has more levels than the model's."""
+    model, data = circuit.schema, bundle.schema
+    if len(model) != len(data):
+        raise DataError(f"model has {len(model)} variables, dataset {bundle.name!r} has {len(data)}")
+    for v, (m, d) in enumerate(zip(model, data)):
+        if m.kind != d.kind or (m.kind == "cat" and d.arity > m.arity):
+            kinds = [f"cat({var.arity})" if var.kind == "cat" else "cont" for var in (m, d)]
+            raise DataError(f"variable {v}: model has {kinds[0]}, dataset {bundle.name!r} has {kinds[1]}")
+
+
 def cmd_eval(args) -> int:
     circuit = Circuit.from_json(Path(args.model).read_text())
     bundle = load_bundle(args.data, args.data_dir, args.seed)
+    _check_model_fits(circuit, bundle)
     print("split\tll_mean")
     for split in ("train", "valid", "test"):
         print(f"{split}\t{_mean_ll(circuit, getattr(bundle, split)):.6g}")

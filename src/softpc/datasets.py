@@ -157,7 +157,9 @@ def load_mixed_csv(
 
     ``schema_spec`` maps column names to ``"cat"``/``"cont"`` (a path to a
     sidecar file is also accepted).  Rows are shuffled with a seeded RNG
-    and split by ``SPLIT_FRACTIONS`` (train/valid/test).  Categorical levels are
+    and split by ``SPLIT_FRACTIONS`` (train/valid/test); a split left empty,
+    as with fewer than 6 rows, and a column name that appears twice in the
+    header are ``DataError``s.  Categorical levels are
     dictionary-encoded in first-appearance order over the training split;
     levels appearing only in valid/test map to a reserved extra level when
     ``allow_unseen`` is set and raise otherwise.
@@ -184,6 +186,9 @@ def load_mixed_csv(
     if not raw_rows:
         raise DataError(f"{csv_path}: no data rows")
 
+    repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+    if repeated is not None:
+        raise DataError(f"{csv_path}: column {repeated!r} appears twice in the header")
     missing = [c for c in header if c not in schema_spec]
     if missing:
         raise DataError(f"schema spec missing columns: {missing}")
@@ -193,6 +198,9 @@ def load_mixed_csv(
     n = len(raw_rows)
     n_train = int(round(SPLIT_FRACTIONS[0] * n))
     n_valid = int(round(SPLIT_FRACTIONS[1] * n))
+    if min(n_train, n_valid, n - n_train - n_valid) == 0:
+        raise DataError(f"{csv_path}: {n} data rows split {n_train}/{n_valid}/"
+                        f"{n - n_train - n_valid} (train/valid/test); every split needs a row")
     idx_train = order[:n_train]
     idx_valid = order[n_train : n_train + n_valid]
     idx_test = order[n_train + n_valid :]

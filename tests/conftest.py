@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 
 import numpy as np
@@ -171,6 +172,119 @@ def reference_log_value(circuit: Circuit, query) -> float:
         return functools.reduce(np.logaddexp, terms)
 
     return float(value(circuit.root))
+
+
+def reference_to_json(circuit: Circuit) -> str:
+    """The JSON text as ``json.dumps`` writes the circuit's document, one dict
+    per node; the reference ``Circuit.to_json`` is pinned to byte for byte."""
+    nodes = []
+    for node in circuit.nodes:
+        if isinstance(node, SumNode):
+            nodes.append({"type": "sum", "children": list(node.children),
+                          "weights": list(node.weights)})
+        elif isinstance(node, ProductNode):
+            nodes.append({"type": "prod", "children": list(node.children)})
+        else:
+            if isinstance(node.dist, Multinomial):
+                dist = {"type": "multinomial", "probs": list(node.dist.probs)}
+            else:
+                dist = {"type": "gaussian", "mu": node.dist.mu, "sigma": node.dist.sigma}
+            nodes.append({"type": "leaf", "var": node.var, "dist": dist})
+    doc = {"schema": [v.to_dict() for v in circuit.schema], "root": circuit.root, "nodes": nodes}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def reference_validate(circuit: Circuit) -> list:
+    """Violation messages computed with frozenset scopes, built for every
+    node first; the reference ``Circuit.validate`` is pinned to, list and
+    order."""
+    scopes = []
+    for node in circuit.nodes:
+        if isinstance(node, LeafNode):
+            scopes.append(frozenset((node.var,)))
+        else:
+            s = frozenset()
+            for c in node.children:
+                if 0 <= c < len(scopes):
+                    s |= scopes[c]
+            scopes.append(s)
+
+    violations = []
+    n = len(circuit.nodes)
+    n_vars = len(circuit.schema)
+    if not (0 <= circuit.root < n):
+        return [f"root index {circuit.root} out of range"]
+    indegree = [0] * n
+    for i, node in enumerate(circuit.nodes):
+        if isinstance(node, LeafNode):
+            if not (0 <= node.var < n_vars):
+                violations.append(f"node {i}: leaf variable {node.var} out of schema")
+                continue
+            var = circuit.schema[node.var]
+            if isinstance(node.dist, Multinomial):
+                if var.kind != "cat":
+                    violations.append(f"node {i}: multinomial leaf on continuous variable")
+                elif node.dist.arity != var.arity:
+                    violations.append(f"node {i}: arity {node.dist.arity} != schema arity {var.arity}")
+                total = sum(node.dist.probs)
+                if not math.isfinite(total):
+                    violations.append(f"node {i}: non-finite multinomial prob total {total!r}")
+                elif abs(total - 1.0) > 1e-9:
+                    violations.append(f"node {i}: multinomial probs do not sum to 1")
+                if any(p < 0 for p in node.dist.probs):
+                    violations.append(f"node {i}: negative multinomial prob")
+            elif isinstance(node.dist, Gaussian):
+                if var.kind != "cont":
+                    violations.append(f"node {i}: gaussian leaf on categorical variable")
+                if not (math.isfinite(node.dist.mu) and math.isfinite(node.dist.sigma)):
+                    violations.append(f"node {i}: non-finite mu or sigma")
+                if node.dist.sigma <= 0:
+                    violations.append(f"node {i}: nonpositive sigma")
+            else:
+                violations.append(f"node {i}: unknown leaf distribution")
+            continue
+
+        if len(node.children) < 1:
+            violations.append(f"node {i}: no children")
+        for c in node.children:
+            if not (0 <= c < n):
+                violations.append(f"node {i}: child {c} out of range")
+            elif c >= i:
+                violations.append(f"node {i}: child {c} does not precede parent (cycle risk)")
+            else:
+                indegree[c] += 1
+        if isinstance(node, SumNode):
+            if len(node.children) != len(node.weights):
+                violations.append(f"node {i}: child/weight count mismatch")
+            if any(w < 0 for w in node.weights):
+                violations.append(f"node {i}: negative sum weight")
+            total = sum(node.weights)
+            if not math.isfinite(total):
+                violations.append(f"node {i}: non-finite sum weight total {total!r}")
+            elif abs(total - 1.0) > 1e-9:
+                violations.append(f"node {i}: sum weights total {total!r}, expected 1")
+            if len({scopes[c] for c in node.children if 0 <= c < i}) > 1:
+                violations.append(f"node {i}: sum children have differing scopes (A1)")
+        elif isinstance(node, ProductNode):
+            seen = set()
+            for c in node.children:
+                if not (0 <= c < i):
+                    continue
+                if seen & scopes[c]:
+                    violations.append(f"node {i}: product children overlap in scope (A2)")
+                    break
+                seen |= scopes[c]
+
+    roots = [i for i in range(n) if indegree[i] == 0]
+    if roots != [circuit.root]:
+        extra = [i for i in roots if i != circuit.root]
+        if extra:
+            violations.append(f"nodes {extra} are unreachable (not single-rooted)")
+        if circuit.root not in roots:
+            violations.append(f"root {circuit.root} has incoming edges")
+    if scopes[circuit.root] != frozenset(range(n_vars)):
+        violations.append("root scope does not cover all variables")
+    return violations
 
 
 def _reference_height_groups(circuit: Circuit):

@@ -24,16 +24,20 @@ from softpc.circuit import (
     SumNode,
 )
 from softpc.estimators import Gaussian, Multinomial
+from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
 from softpc.schema import Schema, Variable
 
 from conftest import (
     all_binary_rows,
     fig1_circuit,
+    pinned_data,
     random_binary_circuit,
     random_mixed_circuit,
     reference_height_grouped,
     reference_log_value,
     reference_sample,
+    reference_to_json,
+    reference_validate,
     small_mixed_circuit,
 )
 
@@ -42,66 +46,103 @@ def normal_pdf(x, mu, sigma):
     return math.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
 
 
+def _fig1_with(index, node):
+    """``fig1_circuit`` with node ``index`` replaced."""
+    c = fig1_circuit()
+    nodes = list(c.nodes)
+    nodes[index] = node
+    return Circuit(nodes, c.root, c.schema)
+
+
+def _leaves_under(parent, variables, n_vars=2):
+    """Gaussian leaves on ``variables`` under one parent made by ``parent``
+    from their indices; the schema has ``n_vars`` continuous variables."""
+    nodes = [LeafNode(v, Gaussian(0, 1)) for v in variables]
+    nodes.append(parent(tuple(range(len(nodes)))))
+    return Circuit(nodes, len(nodes) - 1, Schema.continuous(n_vars))
+
+
+def _sum(children):
+    return SumNode(children, (1 / len(children),) * len(children))
+
+
+# Malformed circuits, by name: those TestValidate asserts on, and more
+# that TestValidateMatchesReference pins to the frozenset-scope reference.
+MALFORMED = {
+    # second product now spans (X, X): overlaps within the product
+    "overlapping-product": lambda: _fig1_with(5, ProductNode((2, 0))),
+    # the sum's children have scopes {0} and {0, 1}
+    "differing-sum-children": lambda: Circuit(
+        [LeafNode(0, Gaussian(0, 1)), LeafNode(1, Gaussian(0, 1)), ProductNode((0, 1)),
+         SumNode((0, 2), (0.5, 0.5))], 3, Schema.continuous(2)),
+    "unnormalized-sum": lambda: _fig1_with(6, SumNode((4, 5), (0.6, 0.6))),
+    "two-roots": lambda: Circuit(
+        [LeafNode(0, Gaussian(0, 1)), LeafNode(0, Gaussian(1, 1))], 0, Schema.continuous(1)),
+    "child-after-parent": lambda: Circuit(
+        [SumNode((1, 1), (0.5, 0.5)), LeafNode(0, Gaussian(0, 1))], 0, Schema.continuous(1)),
+    "incomplete-root-scope": lambda: Circuit(
+        [LeafNode(0, Gaussian(0, 1))], 0, Schema.continuous(2)),
+    "leaf-mismatches": lambda: Circuit(
+        [LeafNode(0, Gaussian(0, 1)),  # gaussian on categorical
+         LeafNode(1, Multinomial((0.5, 0.5))),  # multinomial on continuous
+         LeafNode(1, Gaussian(0, -1.0)),  # nonpositive sigma
+         ProductNode((0, 1, 2))], 3, Schema([*Schema.binary(1), *Schema.continuous(1)])),
+    "invalid-weights-on-load": lambda: Circuit.from_json(
+        fig1_circuit().to_json().replace("[0.5,0.5]", "[0.6,0.6]"), check=False),
+    "root-out-of-range": lambda: Circuit(fig1_circuit().nodes, 7, Schema.continuous(2)),
+    "no-children": lambda: _fig1_with(4, ProductNode(())),
+    "child-out-of-range": lambda: _fig1_with(6, SumNode((4, 9, -1), (0.5, 0.25, 0.25))),
+    "child-is-itself": lambda: _fig1_with(5, ProductNode((2, 5))),
+    "weight-count-mismatch": lambda: _fig1_with(6, SumNode((4, 5), (1.0,))),
+    "negative-weight": lambda: _fig1_with(6, SumNode((4, 5), (1.5, -0.5))),
+    "nan-first-weight": lambda: _fig1_with(6, SumNode((4, 5), (math.nan, -0.5))),
+    "inf-weights": lambda: _fig1_with(6, SumNode((4, 5), (math.inf, -math.inf))),
+    "bad-multinomials": lambda: Circuit(
+        [LeafNode(0, Multinomial((0.5, 0.7))), LeafNode(1, Multinomial((math.nan, -0.1, 1.1))),
+         LeafNode(1, Multinomial((1.2, -0.2))), ProductNode((0, 1)), ProductNode((0, 2))],
+        3, Schema.categorical([2, 3])),
+    "non-finite-gaussians": lambda: _fig1_with(1, LeafNode(1, Gaussian(math.nan, -math.inf))),
+    "unknown-leaf-distribution": lambda: _fig1_with(0, LeafNode(0, "uniform")),
+    "leaf-root": lambda: Circuit(fig1_circuit().nodes, 0, Schema.continuous(2)),
+    # each distinct out-of-schema variable is its own variable in a scope
+    "out-of-schema-under-product": lambda: _leaves_under(ProductNode, (0, 1, 5, 6)),
+    "out-of-schema-under-sum": lambda: _leaves_under(_sum, (5, 6)),
+    "one-out-of-schema-variable-twice": lambda: _leaves_under(ProductNode, (0, 1, 7, 7)),
+    "negative-and-huge-variables": lambda: _leaves_under(ProductNode, (0, 1, -1, 10**12, 10**400)),
+    "huge-variables-under-sum": lambda: _leaves_under(_sum, (10**400, 10**400 + 1)),
+}
+
+
 class TestValidate:
     def test_mixture_of_products_is_valid(self):
         assert fig1_circuit().validate() == []
 
     def test_overlapping_product_scopes_violate_a2(self):
-        c = fig1_circuit()
-        nodes = list(c.nodes)
-        # second product now spans (X, X): overlaps within the product
-        nodes[5] = ProductNode((2, 0))
-        broken = Circuit(nodes, c.root, c.schema)
-        violations = broken.validate()
+        violations = MALFORMED["overlapping-product"]().validate()
         assert any("A2" in v for v in violations)
 
     def test_differing_sum_child_scopes_violate_a1(self):
-        schema = Schema.continuous(2)
-        nodes = [
-            LeafNode(0, Gaussian(0, 1)),
-            LeafNode(1, Gaussian(0, 1)),
-            ProductNode((0, 1)),
-            SumNode((0, 2), (0.5, 0.5)),  # children have scopes {0} and {0,1}
-        ]
-        violations = Circuit(nodes, 3, schema).validate()
+        violations = MALFORMED["differing-sum-children"]().validate()
         assert any("A1" in v for v in violations)
 
     def test_unnormalized_sum_weights(self):
-        c = fig1_circuit()
-        nodes = list(c.nodes)
-        nodes[6] = SumNode((4, 5), (0.6, 0.6))
-        violations = Circuit(nodes, 6, c.schema).validate()
+        violations = MALFORMED["unnormalized-sum"]().validate()
         assert len([v for v in violations if "sum weights" in v]) == 1
 
     def test_multiple_roots_detected(self):
-        schema = Schema.continuous(1)
-        nodes = [LeafNode(0, Gaussian(0, 1)), LeafNode(0, Gaussian(1, 1))]
-        violations = Circuit(nodes, 0, schema).validate()
+        violations = MALFORMED["two-roots"]().validate()
         assert any("not single-rooted" in v for v in violations)
 
     def test_child_after_parent_detected(self):
-        schema = Schema.continuous(1)
-        nodes = [SumNode((1, 1), (0.5, 0.5)), LeafNode(0, Gaussian(0, 1))]
-        violations = Circuit(nodes, 0, schema).validate()
+        violations = MALFORMED["child-after-parent"]().validate()
         assert any("precede" in v for v in violations)
 
     def test_incomplete_root_scope_detected(self):
-        schema = Schema.continuous(2)
-        nodes = [LeafNode(0, Gaussian(0, 1))]
-        violations = Circuit(nodes, 0, schema).validate()
+        violations = MALFORMED["incomplete-root-scope"]().validate()
         assert any("root scope" in v for v in violations)
 
     def test_leaf_mismatches_detected(self):
-        schema = Schema(
-            [schema_var for schema_var in Schema.binary(1)] + list(Schema.continuous(1))
-        )
-        nodes = [
-            LeafNode(0, Gaussian(0, 1)),  # gaussian on categorical
-            LeafNode(1, Multinomial((0.5, 0.5))),  # multinomial on continuous
-            LeafNode(1, Gaussian(0, -1.0)),  # nonpositive sigma
-            ProductNode((0, 1, 2)),
-        ]
-        violations = Circuit(nodes, 3, schema).validate()
+        violations = MALFORMED["leaf-mismatches"]().validate()
         assert any("gaussian leaf on categorical" in v for v in violations)
         assert any("multinomial leaf on continuous" in v for v in violations)
         assert any("nonpositive sigma" in v for v in violations)
@@ -109,6 +150,17 @@ class TestValidate:
     def test_random_circuits_valid_by_construction(self, rng):
         for _ in range(20):
             assert random_binary_circuit(5, rng).validate() == []
+
+    def test_distinct_out_of_schema_variables_do_not_overlap(self):
+        assert MALFORMED["out-of-schema-under-product"]().validate() == [
+            "node 2: leaf variable 5 out of schema",
+            "node 3: leaf variable 6 out of schema",
+            "root scope does not cover all variables",
+        ]
+        assert "node 2: sum children have differing scopes (A1)" in (
+            MALFORMED["out-of-schema-under-sum"]().validate())
+        assert "node 4: product children overlap in scope (A2)" in (
+            MALFORMED["one-out-of-schema-variable-twice"]().validate())
 
 
 class TestLogDensity:
@@ -825,6 +877,22 @@ class TestSerialization:
         c = Circuit.from_json(text, check=False)
         assert c.validate() != []
 
+    def test_integer_numbers_load_as_floats(self):
+        c = HAND_BUILT["int-weights"]()
+        again = Circuit.from_json(c.to_json(), check=False)
+        assert again == _fig1_with(6, SumNode((4, 5), (1.0, 0.0)))
+        numbers = again.nodes[6].weights + (again.nodes[0].dist.mu, again.nodes[0].dist.sigma)
+        assert {type(x) for x in numbers} == {float}
+        leaf = Circuit.from_json(HAND_BUILT["int-parameters"]().to_json()).nodes[0]
+        assert type(leaf.dist.mu) is type(leaf.dist.sigma) is float
+        text = small_mixed_circuit().to_json().replace('"probs":[0.9,0.1]', '"probs":[1,0]')
+        assert Circuit.from_json(text).nodes[2].dist.probs == (1.0, 0.0)
+        assert type(Circuit.from_json(text).nodes[2].dist.probs[0]) is float
+
+    def test_huge_integer_number_is_parse_error(self):
+        text = fig1_circuit().to_json().replace("[0.5,0.5]", f"[{10**400},0.5]")
+        with pytest.raises(ModelParseError, match="too large"):
+            Circuit.from_json(text)
 
     def test_variable_names_survive_round_trip(self):
         c = small_mixed_circuit()
@@ -907,6 +975,92 @@ class TestFromJsonFuzz:
             return
         assert circuit.validate() == []
         assert not math.isnan(circuit.log_density(row))
+
+
+def _hand_built(nodes, names=(None, None)):
+    """``nodes`` over fig1's continuous schema, with variable names ``names``."""
+    return Circuit(nodes, len(nodes) - 1, Schema(Variable("cont", name=n) for n in names))
+
+
+# Hand-built circuits whose values repr would not write as json.dumps does,
+# or that are easy to get wrong in a hand-written writer.
+HAND_BUILT = {
+    "nan-weight": lambda: _fig1_with(6, SumNode((4, 5), (math.nan, 0.5))),
+    "infinite-parameters": lambda: _fig1_with(1, LeafNode(1, Gaussian(math.inf, -math.inf))),
+    "int-weights": lambda: _fig1_with(6, SumNode((4, 5), (1, 0))),
+    "int-parameters": lambda: _fig1_with(0, LeafNode(0, Gaussian(-1, 2))),
+    "huge-int-weight": lambda: _fig1_with(6, SumNode((4, 5), (10**400, 0.5))),
+    "numpy-floats": lambda: _fig1_with(6, SumNode((4, 5), (np.float64(0.25), np.float64(0.75)))),
+    "numpy-float-parameters": lambda: _fig1_with(
+        0, LeafNode(0, Gaussian(np.float64(-0.5), np.float64(1e-300)))),
+    "bool-variable": lambda: _fig1_with(1, LeafNode(True, Gaussian(-2.0, 0.2))),
+    "non-ascii-and-quoted-names": lambda: _hand_built(
+        fig1_circuit().nodes, ("größe \u2603 \U0001f600", 'say "hi" \\ \t\n')),
+    "tiny-and-huge-floats": lambda: _fig1_with(
+        3, LeafNode(1, Gaussian(-1.7976931348623157e308, 5e-324))),
+}
+
+
+class TestWriterMatchesReference:
+    """``to_json`` is byte-identical to ``json.dumps`` of the circuit's document."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_circuits(self, seed):
+        rng = np.random.default_rng(seed)
+        for c in (random_binary_circuit(6, rng), random_mixed_circuit(rng)):
+            assert c.to_json() == reference_to_json(c)
+
+    @pytest.mark.parametrize("kind", ["binary", "mixed"])
+    @pytest.mark.parametrize("clusterer", ["em", "kmeans"])
+    @pytest.mark.parametrize("learn", [learn_spn, soft_learn])
+    def test_learned_circuits(self, learn, clusterer, kind):
+        matrix, schema = pinned_data(kind)
+        circuit, _ = learn(WeightedDataset(matrix, None, schema), Hyperparams(clusterer=clusterer))
+        assert circuit.to_json() == reference_to_json(circuit)
+
+    def test_named_schema(self):
+        c = small_mixed_circuit()
+        assert c.to_json() == reference_to_json(c)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_circuits(self, name):
+        c = HAND_BUILT[name]()
+        assert c.to_json() == reference_to_json(c)
+
+    def test_non_finite_values_written_as_json_dumps_writes_them(self):
+        text = HAND_BUILT["infinite-parameters"]().to_json()
+        assert '"mu":Infinity,"sigma":-Infinity' in text
+        assert '"weights":[NaN,0.5]' in HAND_BUILT["nan-weight"]().to_json()
+
+    def test_numpy_integer_index_rejected_as_json_dumps_rejects_it(self):
+        c = _fig1_with(4, ProductNode((np.int64(0), 1)))
+        with pytest.raises(TypeError, match="int64"):
+            reference_to_json(c)
+        with pytest.raises(TypeError, match="int64"):
+            c.to_json()
+
+
+class TestValidateMatchesReference:
+    """``validate`` returns the frozenset-scope reference's list, in order."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_circuits(self, name):
+        c = MALFORMED[name]()
+        assert c.validate() == reference_validate(c)
+        assert c.validate() != []
+
+    def test_valid_circuits(self, rng):
+        for c in [random_binary_circuit(6, rng) for _ in range(5)] + [small_mixed_circuit()]:
+            assert c.validate() == reference_validate(c) == []
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(mutated_documents())
+    def test_mutated_documents(self, case):
+        try:
+            circuit = Circuit.from_json(case[0], check=False)
+        except ModelParseError:
+            return
+        assert circuit.validate() == reference_validate(circuit)
 
 
 class TestCounts:

@@ -1,3 +1,6 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,23 @@ class TestLearn:
         assert code == EXIT_DATA
         assert "'size'" in capsys.readouterr().err
 
+    def test_duplicate_csv_column_is_data_error(self, tmp_path, capsys):
+        lines = ["size,size"] + [f"{i / 10},{i / 5}" for i in range(50)]
+        (tmp_path / "mix.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "mix.schema").write_text("size cont\n")
+        code = run(["--data-dir", tmp_path, "learn", "--data", "mix", "--method", "learnspn"])
+        assert code == EXIT_DATA
+        assert "column 'size' appears twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_csv_with_an_empty_split_is_data_error(self, tmp_path, capsys, rows):
+        lines = ["colour,size"] + [f"{('red', 'blue')[i % 2]},{i / 10}" for i in range(rows)]
+        (tmp_path / "mix.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "mix.schema").write_text("colour cat\nsize cont\n")
+        code = run(["--data-dir", tmp_path, "learn", "--data", "mix", "--method", "learnspn"])
+        assert code == EXIT_DATA
+        assert f"{rows} data rows split" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ["red", "red,0.5,0.7"])
     def test_ragged_csv_row_is_data_error(self, tmp_path, capsys, row):
         lines = ["colour,size"] + [f"{('red', 'blue')[i % 2]},{i / 10}" for i in range(200)]
@@ -190,6 +210,41 @@ class TestValidateAndEval:
 
     def test_missing_model_is_data_error(self, tmp_path):
         assert run(["validate-model", "--model", tmp_path / "ghost.json"]) == EXIT_DATA
+
+    def test_eval_with_other_variable_count_is_data_error(self, data_dir, model_path, capsys):
+        code = run(["--data-dir", data_dir, "eval", "--model", model_path, "--data", "coin"])
+        assert code == EXIT_DATA
+        assert "model has 6 variables, dataset 'coin' has 1" in capsys.readouterr().err
+
+    def test_eval_with_other_kinds_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "mixed.json"
+        model.write_text(small_mixed_circuit().to_json())  # cat(3), cont, cat(2)
+        write_split(tmp_path, "three", [[0, 1, 0], [2, 0, 1]], [[1, 1, 1]], [[0, 0, 0]])
+        code = run(["--data-dir", tmp_path, "eval", "--model", model, "--data", "three"])
+        assert code == EXIT_DATA
+        assert "variable 1: model has cont, dataset 'three' has cat(2)" in capsys.readouterr().err
+
+    def test_eval_with_more_levels_than_the_model_is_data_error(self, model_path, tmp_path, capsys):
+        write_split(tmp_path, "wide", [[0] * 6, [1] * 6], [[0, 0, 2, 0, 0, 0]], [[1] * 6])
+        code = run(["--data-dir", tmp_path, "eval", "--model", model_path, "--data", "wide"])
+        assert code == EXIT_DATA
+        assert "variable 2: model has cat(2), dataset 'wide' has cat(3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("var", [10**12, 10**400])
+    @pytest.mark.parametrize("command", ["validate-model", "eval"])
+    def test_huge_leaf_variable_is_rejected_quickly(self, data_dir, tmp_path, capsys, command, var):
+        doc = json.loads(small_mixed_circuit().to_json())
+        doc["nodes"][1]["var"] = var
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps(doc))
+        argv = {"validate-model": ["validate-model", "--model", model],
+                "eval": ["--data-dir", data_dir, "eval", "--model", model, "--data", "coin"]}
+        start = time.perf_counter()
+        code = run(argv[command])
+        assert time.perf_counter() - start < 0.1
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "node 1: leaf variable" in captured.out + captured.err
 
 
 class TestSample:

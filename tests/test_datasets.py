@@ -178,6 +178,23 @@ class TestMixedCsv:
         with pytest.raises(DataError, match=rf"mix\.csv:42: ragged row \(got {got} fields, expected 2\)"):
             load_mixed_csv(csv, sidecar)
 
+    def test_duplicate_header_column_rejected(self, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,b,a\n" + "1,2,3\n" * 20)
+        with pytest.raises(DataError, match="column 'a' appears twice in the header"):
+            load_mixed_csv(csv, {"a": "cont", "b": "cont"})
+
+    @pytest.mark.parametrize("rows, split", [(1, "1/0/0"), (4, "3/0/1"), (5, "4/0/1")])
+    def test_empty_split_rejected(self, tmp_path, rows, split):
+        csv, sidecar = self.write_csv(tmp_path, rows=rows)
+        with pytest.raises(DataError, match=f"{rows} data rows split {split}"):
+            load_mixed_csv(csv, sidecar)
+
+    def test_six_rows_fill_every_split(self, tmp_path):
+        csv, sidecar = self.write_csv(tmp_path, rows=6)
+        bundle = load_mixed_csv(csv, sidecar)
+        assert [len(m) for m in (bundle.train, bundle.valid, bundle.test)] == [4, 1, 1]
+
     def test_missing_spec_column_rejected(self, tmp_path):
         csv, _ = self.write_csv(tmp_path)
         with pytest.raises(DataError, match="missing columns"):
