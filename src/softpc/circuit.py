@@ -13,9 +13,13 @@ kind after all of its children, so no node depends on a node in its own
 group, and a circuit that mixes sums and products at one height needs fewer
 groups than one per height and kind.  Rows are evaluated in chunks of a
 bounded number of node-rows; per chunk there is one leaf call per variable
-and one vectorised step per group, first step first.  Sampling is one pass
-the other way: one vectorised step per group, last step first, then one
-draw per variable.
+and one vectorised step per group, first step first: a product group is
+one call of scipy's compiled CSR kernel on its ``(indptr, indices, ones)``
+arrays, a sum group a few ufunc calls.  A chunk of one row, as in every
+``log_marginal`` query, runs those steps on a 1-D view of its table, so
+that the fixed cost of each call stays small.  Sampling is one pass the
+other way: one vectorised step per group, last step first, then one draw
+per variable.
 """
 
 from __future__ import annotations
@@ -295,20 +299,18 @@ class Circuit:
           ``(arity - 1, k)`` ``_cumulative`` table of the probs, or a
           ``Gaussian`` of ``(k, 1)`` mu/sigma columns with None;
         - ``groups``: per nonempty step, ``(lo, hi, children, log_weights,
-          cumulative)``.  For a product group ``children`` is a CSR matrix
-          of ones, node by slot, and ``log_weights`` and ``cumulative`` are
-          None.  For a sum group ``children`` is a ``(width, nodes)`` array
-          of child slots by position, ``width`` at least 2,
-          ``log_weights`` the matching ``(width, nodes, 1)`` log weights
-          and ``cumulative`` the ``(width - 1, nodes)`` ``_cumulative``
-          table of the weights; a sum with fewer children repeats its
-          first child with weight 0.
+          cumulative)``.  For a product group ``children`` is the CSR form
+          of its node-by-slot matrix of ones, ``(indptr, indices, ones)``:
+          node ``k``'s child slots are ``indices[indptr[k]:indptr[k + 1]]``
+          in order, both index arrays are ``intp`` as the kernel wants one
+          index dtype, and ``log_weights`` and ``cumulative`` are None.  For
+          a sum group ``children`` is a ``(width, nodes)`` array of child
+          slots by position, ``width`` at least 2, ``log_weights`` the
+          matching ``(width, nodes)`` log weights and ``cumulative`` the
+          ``(width - 1, nodes)`` ``_cumulative`` table of the weights; a sum
+          with fewer children repeats its first child with weight 0.
         """
         if self._plan is None:
-            # here, not at module level: scipy.sparse adds ~15 ms to importing
-            # softpc, and only evaluation needs it
-            from scipy.sparse import csr_matrix
-
             step = [0] * len(self.nodes)
             by_var, by_step = {}, {}
             for i, node in enumerate(self.nodes):
@@ -353,12 +355,12 @@ class Circuit:
                                         for node, k in zip(nodes, pad)]).T
                     cumulative = _cumulative(weights)
                     with np.errstate(divide="ignore"):
-                        log_weights = np.log(weights)[:, :, None]
+                        log_weights = np.log(weights)
                 else:
                     counts = [len(node.children) for node in nodes]
-                    flat = slot_of[[c for node in nodes for c in node.children]]
-                    children = csr_matrix((np.ones(len(flat)), flat, np.cumsum([0] + counts)),
-                                          shape=(len(nodes), len(self.nodes)))
+                    indices = slot_of[[c for node in nodes for c in node.children]]
+                    indptr = np.cumsum([0] + counts, dtype=np.intp)
+                    children = (indptr, indices, np.ones(len(indices)))
                     log_weights = cumulative = None
                 groups.append((lo, lo + len(ids), children, log_weights, cumulative))
                 lo += len(ids)
@@ -378,21 +380,30 @@ class Circuit:
         floats whatever ``n`` is.  Per chunk, each variable's leaves take one
         ``leaf_log_pdf`` call (or two ``gaussian_cdf`` calls for an interval,
         or 0 when marginalised).  Then each group, in step order, is one
-        vectorised step.  A product group is its CSR matrix times the table,
-        which adds each node's children in order.  A sum group gathers its
-        children by position and adds the log weights; then it takes the max
-        over positions, adds ``exp(term - max)`` over positions in order and
-        adds the max back to the log (a sum whose terms are all -inf gives
-        -inf, as ``logsumexp`` does).  Each step is the same arithmetic
-        whatever the chunk's row count, so a row's value does not depend on
-        the batch it came in.
+        vectorised step, on a 1-D view of the table when the chunk has one
+        row.  A product group zeroes its block and calls
+        ``csr_matvecs``, the compiled kernel behind ``csr_matrix @ table``,
+        on its CSR arrays, which adds each node's children in order into the
+        block.  A sum group gathers its children by position and adds the
+        log weights; then it takes the max over positions, adds
+        ``exp(term - max)`` over positions in order and adds the max back to
+        the log (a sum whose terms are all -inf gives -inf, as ``logsumexp``
+        does).  Each step is the same arithmetic whatever the chunk's row
+        count, so a row's value does not depend on the batch it came in.
         """
         root_slot, chunk, leaves, groups = self._compiled()
+        # here, not at module level: scipy.sparse adds ~15 ms to importing
+        # softpc, and only evaluation needs it
+        from scipy.sparse import _sparsetools
+
+        matvecs = _sparsetools.csr_matvecs
+        n_slots = len(self.nodes)
         out = np.empty(n)
         with np.errstate(divide="ignore"):
             for first in range(0, n, chunk):
                 rows = slice(first, min(first + chunk, n))
-                vals = np.empty((len(self.nodes), rows.stop - first))
+                width = rows.stop - first
+                vals = np.empty((n_slots, width))
                 for v, lo, hi, dist, _ in leaves:
                     entry = columns[v]
                     if entry is None:
@@ -402,22 +413,28 @@ class Circuit:
                                              - gaussian_cdf(dist, entry[0]))
                     else:
                         vals[lo:hi] = leaf_log_pdf(dist, entry[rows])
+                # one row: a 1-D view, so no ufunc broadcasts over columns of one
+                table = vals.reshape(-1) if width == 1 else vals
                 for lo, hi, children, log_weights, _ in groups:
+                    block = table[lo:hi]
                     if log_weights is None:
-                        vals[lo:hi] = children @ vals
+                        block.fill(0.0)
+                        # the kernel behind ``csr_matrix @ table``, writing
+                        # straight into the group's block of the table
+                        matvecs(hi - lo, n_slots, width, *children, table, block)
                         continue
-                    terms = vals.take(children, axis=0)
-                    terms += log_weights
+                    terms = table.take(children, axis=0)
+                    terms += log_weights if width == 1 else log_weights[:, :, None]
                     top = np.maximum(terms[0], _LOG_FLOOR)  # an all -inf sum stays -inf
-                    for term in terms[1:]:
-                        np.maximum(top, term, out=top)
+                    for j in range(1, len(terms)):
+                        np.maximum(top, terms[j], out=top)
                     terms -= top
                     np.exp(terms, out=terms)
                     # one add per position, not np.add.reduce: that sums a
                     # group of one node and one row pairwise, in another order
-                    total = np.add(terms[0], terms[1], out=vals[lo:hi])
-                    for term in terms[2:]:
-                        total += term
+                    total = np.add(terms[0], terms[1], out=block)
+                    for j in range(2, len(terms)):
+                        total += terms[j]
                     np.log(total, out=total)
                     total += top
                 out[rows] = vals[root_slot]
@@ -534,11 +551,11 @@ class Circuit:
                 continue
             node, row = reached(b, lo)
             if cumulative is None:
-                first = children.indptr.take(node)
-                counts = children.indptr.take(node + 1) - first
+                indptr, indices, _ = children
+                first = indptr.take(node)
+                counts = indptr.take(node + 1) - first
                 ends = counts.cumsum()
-                child = children.indices.take(np.arange(ends[-1])
-                                              + (first - ends + counts).repeat(counts))
+                child = indices.take(np.arange(ends[-1]) + (first - ends + counts).repeat(counts))
                 row = row.repeat(counts)
             else:
                 pick = _inverse_cdf(cumulative, node, rng.random(row.size))

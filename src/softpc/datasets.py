@@ -25,6 +25,17 @@ import numpy as np
 from .schema import Schema, Variable
 
 SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train/valid/test shares of a mixed CSV's rows
+# Most levels a column of a discrete file may have: each leaf stores one
+# probability per level, so a stray huge level would make every leaf of
+# its variable that large (level 99999999 took seconds per learn).
+MAX_ARITY = 1024
+# Largest magnitude of a continuous CSV value.  Learning sums weighted
+# squares of differences of values, and a Gaussian leaf divides them by
+# its sigma, which may be as small as estimators.SIGMA_FLOOR; within this
+# bound both stay finite for any row count.  Beyond about 1e154 a column's
+# variance overflows and learned likelihoods come out -inf, or nan near
+# 1e308.
+CONT_MAX_ABS = 1e100
 
 
 class DataError(ValueError):
@@ -75,8 +86,12 @@ def _read_discrete_file(path: Path):
                 row = [int(tok) for tok in line.split(",")]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-integer token") from exc
-            if any(v < 0 for v in row):
+            if min(row) < 0:
                 raise DataError(f"{path}:{lineno}: negative value")
+            if max(row) >= MAX_ARITY:
+                j = next(j for j, v in enumerate(row) if v >= MAX_ARITY)
+                raise DataError(f"{path}:{lineno}: column {j} (from 0): level {row[j]} "
+                                f"beyond the largest allowed level {MAX_ARITY - 1}")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -93,7 +108,8 @@ def load_discrete(name: str, data_dir) -> DatasetBundle:
     """Load ``<dir>/<name>.{train,valid,test}.data`` as a categorical bundle.
 
     Per-column arity is 1 + the maximum value across all three splits
-    (at least 2).
+    (at least 2, at most ``MAX_ARITY``); a larger level is a ``DataError``
+    naming the file, line and column.
     """
     data_dir = Path(data_dir)
     splits = {
@@ -158,8 +174,9 @@ def load_mixed_csv(
     ``schema_spec`` maps column names to ``"cat"``/``"cont"`` (a path to a
     sidecar file is also accepted).  Rows are shuffled with a seeded RNG
     and split by ``SPLIT_FRACTIONS`` (train/valid/test); a split left empty,
-    as with fewer than 6 rows, and a column name that appears twice in the
-    header are ``DataError``s.  Categorical levels are
+    as with fewer than 6 rows, a column name that appears twice in the
+    header, and a continuous value that is not finite or exceeds
+    ``CONT_MAX_ABS`` in magnitude are ``DataError``s.  Categorical levels are
     dictionary-encoded in first-appearance order over the training split;
     levels appearing only in valid/test map to a reserved extra level when
     ``allow_unseen`` is set and raise otherwise.
@@ -218,6 +235,10 @@ def load_mixed_csv(
                 raise DataError(f"{csv_path}: column {colname!r}: non-numeric value") from exc
             if not np.isfinite(encoded[:, j]).all():
                 raise DataError(f"{csv_path}: column {colname!r}: non-finite value")
+            huge = np.abs(encoded[:, j]) > CONT_MAX_ABS
+            if huge.any():
+                raise DataError(f"{csv_path}: column {colname!r}: value "
+                                f"{raw[int(huge.argmax())]!r} beyond +-{CONT_MAX_ABS:g}")
             variables.append(Variable("cont", name=colname))
         else:
             levels = {}

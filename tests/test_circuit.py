@@ -3,6 +3,8 @@ import functools
 import json
 import math
 import operator
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import softpc
 import softpc.circuit as circuit_module
 from softpc.circuit import (
     Circuit,
@@ -161,6 +164,22 @@ class TestValidate:
             MALFORMED["out-of-schema-under-sum"]().validate())
         assert "node 4: product children overlap in scope (A2)" in (
             MALFORMED["one-out-of-schema-variable-twice"]().validate())
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    """scipy.sparse adds ~15 ms to an import; only evaluation loads it."""
+    code = ("import sys, softpc\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "from softpc.circuit import Circuit, LeafNode\n"
+            "from softpc.estimators import Gaussian\n"
+            "from softpc.schema import Schema\n"
+            "c = Circuit([LeafNode(0, Gaussian(0.0, 1.0))], 0, Schema.continuous(1))\n"
+            "c.log_density([0.5])\n"
+            "print('scipy.sparse' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(softpc.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 class TestLogDensity:
@@ -532,6 +551,33 @@ def mixed_kinds_at_one_height() -> Circuit:
     return Circuit(nodes, 11, Schema.binary(2))
 
 
+def wide_mixture(rng) -> Circuit:
+    """A 3-way mixture of 9-leaf products over nine alternating ternary and
+    continuous variables.  Variable 0 sits under a sum of 3 leaves in the
+    first product and of 2 in the second, so one sum group pads a narrower
+    sum."""
+    schema = Schema([Variable("cat", 3) if v % 2 == 0 else Variable("cont") for v in range(9)])
+    nodes, products = [], []
+
+    def leaf(v):
+        if schema[v].kind == "cat":
+            nodes.append(LeafNode(v, Multinomial(tuple(rng.dirichlet(np.ones(3)).tolist()))))
+        else:
+            nodes.append(LeafNode(v, Gaussian(float(rng.normal()), float(rng.uniform(0.5, 2.0)))))
+        return len(nodes) - 1
+
+    for width in (3, 2, 1):
+        children = [leaf(0) for _ in range(width)]
+        if width > 1:
+            nodes.append(SumNode(tuple(children), tuple(rng.dirichlet(np.ones(width)).tolist())))
+            children = [len(nodes) - 1]
+        children += [leaf(v) for v in range(1, 9)]
+        nodes.append(ProductNode(tuple(children)))
+        products.append(len(nodes) - 1)
+    nodes.append(SumNode(tuple(products), tuple(rng.dirichlet(np.ones(3)).tolist())))
+    return Circuit(nodes, len(nodes) - 1, schema)
+
+
 def reference_columns(query):
     """A ``log_marginal`` query as ``reference_height_grouped`` columns."""
     return [e if e is None or isinstance(e, tuple) else np.array([e], dtype=float)
@@ -577,12 +623,39 @@ class TestStepScheduleMatchesHeightGroups:
             got = c.log_marginal(query)
             assert np.array_equal(got, reference_height_grouped(c, reference_columns(query), 1)[0])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_row_last_chunk_of_a_batch(self, seed, monkeypatch):
+        """A batch whose last chunk holds one row runs that chunk on the 1-D
+        table, after chunks of several rows, and matches the reference."""
+        rng = np.random.default_rng(seed)
+        c = wide_mixture(rng)
+        assert c.validate() == []
+        monkeypatch.setattr(circuit_module, "_CHUNK_CELLS", 8 * c.n_nodes)
+        assert c._compiled()[1] == 8
+        assert max(len(n.children) for n in c.nodes if isinstance(n, SumNode)) >= 3
+        assert max(len(n.children) for n in c.nodes if isinstance(n, ProductNode)) >= 9
+        n = 3 * 8 + 1
+        rows = random_rows(c.schema, rng, n)
+        assert np.array_equal(c.log_density(rows), reference_height_grouped(c, rows.T, n))
+        columns = list(rows.T)
+        columns[2], columns[3] = None, (-0.5, 1.0)
+        assert np.array_equal(c._evaluate(columns, n), reference_height_grouped(c, columns, n))
+
     def test_every_child_slot_lies_in_an_earlier_group(self):
         for c in pinned_circuits():
             _, _, leaves, groups = c._compiled()
             assert groups[0][0] == leaves[-1][2]
             for (lo, hi, children, log_weights, _), following in zip(groups, groups[1:] + [None]):
-                slots = children.indices if log_weights is None else children
+                if log_weights is None:
+                    indptr, slots, ones = children
+                    # the CSR kernel takes both index arrays in one dtype
+                    assert indptr.dtype == slots.dtype == np.intp
+                    assert len(indptr) == hi - lo + 1
+                    assert indptr[0] == 0 and indptr[-1] == len(slots) == len(ones)
+                    assert (np.diff(indptr) >= 1).all()
+                    assert (ones == 1.0).all()
+                else:
+                    slots = children
                 assert slots.max() < lo
                 assert following is None or following[0] == hi
             assert groups[-1][1] == c.n_nodes

@@ -137,6 +137,34 @@ class TestLearn:
         assert code == EXIT_DATA
         assert "'size'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clusterer", ["em", "kmeans"])
+    def test_huge_continuous_values_are_data_error(self, tmp_path, capsys, clusterer):
+        # at +-1e308 the weighted mean and variance overflow, and learning
+        # used to exit 0 and print nan log-likelihoods
+        lines = ["colour,size"] + [
+            f"{('red', 'blue')[i % 2]},{(1e308, -1e308)[i % 3 == 0]!r}" for i in range(200)
+        ]
+        (tmp_path / "mix.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "mix.schema").write_text("colour cat\nsize cont\n")
+        code = run(["--data-dir", tmp_path, "learn", "--data", "mix", "--method", "learnspn",
+                    "--clusterer", clusterer])
+        assert code == EXIT_DATA
+        assert "column 'size': value '-1e+308' beyond +-1e+100" in capsys.readouterr().err
+
+    def test_level_beyond_the_arity_bound_is_data_error(self, data_dir, tmp_path, capsys):
+        # such a level used to learn 1e8-level multinomials for seconds and exit 0
+        for part in ("train", "valid"):
+            (tmp_path / f"big.{part}.data").write_text(
+                (data_dir / f"twoblock.{part}.data").read_text())
+        test = (data_dir / "twoblock.test.data").read_text().splitlines()
+        test[6] = "0,1,0,99999999,1,1"
+        (tmp_path / "big.test.data").write_text("\n".join(test) + "\n")
+        start = time.perf_counter()
+        code = run(["--data-dir", tmp_path, "learn", "--data", "big", "--method", "learnspn"])
+        assert code == EXIT_DATA
+        assert time.perf_counter() - start < 1.0
+        assert "big.test.data:7: column 3 (from 0): level 99999999" in capsys.readouterr().err
+
     def test_duplicate_csv_column_is_data_error(self, tmp_path, capsys):
         lines = ["size,size"] + [f"{i / 10},{i / 5}" for i in range(50)]
         (tmp_path / "mix.csv").write_text("\n".join(lines) + "\n")

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from softpc.datasets import (
+    CONT_MAX_ABS,
     DataError,
     DISCRETE_MANIFEST,
+    MAX_ARITY,
     check_manifest,
     load_discrete,
     load_manifest,
@@ -64,6 +66,18 @@ class TestLoadDiscrete:
         (tmp_path / "bad.test.data").write_text("0,1\n")
         with pytest.raises(DataError, match="negative"):
             load_discrete("bad", tmp_path)
+
+    def test_largest_allowed_level_loads(self, tmp_path):
+        write_discrete(tmp_path, "wide", [[0, MAX_ARITY - 1]])
+        assert [v.arity for v in load_discrete("wide", tmp_path).schema] == [2, MAX_ARITY]
+
+    @pytest.mark.parametrize("level", [MAX_ARITY, 99999999, 10**400],
+                             ids=["max-arity", "99999999", "10**400"])
+    def test_level_beyond_the_arity_bound_names_file_and_column(self, tmp_path, level):
+        write_discrete(tmp_path, "wide", [[0, 1, 0]], test=[[0, 1, 1], [1, 0, level]])
+        with pytest.raises(DataError, match=rf"wide\.test\.data:2: column 2 \(from 0\): "
+                                            rf"level {level} beyond .* {MAX_ARITY - 1}"):
+            load_discrete("wide", tmp_path)
 
     def test_loading_is_deterministic(self, tmp_path):
         write_discrete(tmp_path, "det", [[0, 1], [1, 0], [1, 1]])
@@ -194,6 +208,22 @@ class TestMixedCsv:
         csv, sidecar = self.write_csv(tmp_path, rows=6)
         bundle = load_mixed_csv(csv, sidecar)
         assert [len(m) for m in (bundle.train, bundle.valid, bundle.test)] == [4, 1, 1]
+
+    @pytest.mark.parametrize("value", ["1e308", "-1e308", "1e200", "-1.0000001e100"])
+    def test_continuous_value_beyond_the_bound_rejected(self, tmp_path, value):
+        csv, sidecar = self.write_csv(tmp_path)
+        with open(csv, "a") as fh:
+            fh.write(f"red,{value}\n")
+        with pytest.raises(DataError, match=f"column 'size': value '{value}' beyond"):
+            load_mixed_csv(csv, sidecar)
+
+    def test_continuous_value_at_the_bound_loads(self, tmp_path):
+        csv, sidecar = self.write_csv(tmp_path)
+        with open(csv, "a") as fh:
+            fh.write(f"red,{CONT_MAX_ABS!r}\nblue,{-CONT_MAX_ABS!r}\n")
+        bundle = load_mixed_csv(csv, sidecar)
+        values = np.concatenate([bundle.train[:, 1], bundle.valid[:, 1], bundle.test[:, 1]])
+        assert values.max() == CONT_MAX_ABS and values.min() == -CONT_MAX_ABS
 
     def test_missing_spec_column_rejected(self, tmp_path):
         csv, _ = self.write_csv(tmp_path)
