@@ -6,8 +6,9 @@ evaluation is done in log-space (log-sum-exp at sums, addition at products),
 so deep circuits do not underflow.
 
 Inference and sampling run on a compiled form, built once per circuit on
-first use: the leaves grouped by variable with their parameters stacked, and
-the inner nodes grouped into steps that alternate between products (odd
+first use: the leaves grouped by variable with their parameters stacked
+(categorical variables by arity first, then the continuous ones), and the
+inner nodes grouped into steps that alternate between products (odd
 steps) and sums (even steps).  Each inner node takes the first step of its
 kind after all of its children, so no node depends on a node in its own
 group, and a circuit that mixes sums and products at one height needs fewer
@@ -18,12 +19,15 @@ one call of scipy's compiled CSR kernel on its ``(indptr, indices, ones)``
 arrays, a sum group a few ufunc calls.  A chunk of one row, as in every
 ``log_marginal`` query, runs those steps on a 1-D view of its table, so
 that the fixed cost of each call stays small.  Sampling is one pass the
-other way: one vectorised step per group, last step first, then one draw
-per variable.
+other way over the sum groups only, last step first: each draws a child per
+row and sends the row on, in one push, to the sums and leaves that child
+reaches through product edges.  Then each leaf block, the categorical
+leaves of one arity or all the Gaussians, draws its values in a few calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -46,6 +50,10 @@ WEIGHT_TOL = 1e-9
 # of a 1000-node circuit.  Smaller chunks pay more per-step Python overhead,
 # larger ones fall out of cache; 2**19 and 2**20 measured fastest.
 _CHUNK_CELLS = 1 << 19
+# cells per chunk of the sampler's leaf pass (pairs times table rows), so its
+# temporaries stay in cache in calls of many rows; 2**16 pairs of a binary
+# block measured slower, 2**20 much slower
+_SAMPLE_CELLS = 1 << 14
 # stands in for a sum's max when all its terms are -inf, so terms minus it stay -inf
 _LOG_FLOOR = np.finfo(float).min
 
@@ -64,6 +72,7 @@ class InvalidCircuitError(ValueError):
 
 # json's own encoder, as json.dumps(sort_keys=True, separators=(",", ":")) writes
 _json_value = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_chain = itertools.chain.from_iterable
 
 
 def _require_types(values, types, what):
@@ -78,6 +87,10 @@ def _require_types(values, types, what):
 
 def _is_number(value) -> bool:
     """A real number, numpy scalars included; bools are not numbers here."""
+    # the common types first: an ABC isinstance check costs about 1 us
+    kind = type(value)
+    if kind is float or kind is int:
+        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -99,11 +112,13 @@ def _cumulative(weights):
 
 def _inverse_cdf(cumulative, index, u):
     """Per draw, the position that uniform ``u`` picks from column ``index``
-    of a ``_cumulative`` table: the count of the column's entries ``<= u``."""
+    of a ``_cumulative`` table: the count of the column's entries ``<= u``,
+    in the smallest unsigned type that holds it."""
+    if len(cumulative) == 1:  # two positions: the compare is the count
+        return (cumulative[0].take(index) <= u).view(np.uint8)
     hits = cumulative.take(index, axis=1) <= u
-    # summed into the smallest type that holds the count: an intp sum over
-    # axis 0 of a bool array is several times slower
-    return hits.sum(axis=0, dtype=np.min_scalar_type(len(cumulative))).astype(np.intp)
+    # an intp sum over axis 0 of a bool array is several times slower
+    return np.add.reduce(hits, axis=0, dtype=np.min_scalar_type(len(cumulative)))
 
 
 @dataclass(frozen=True)
@@ -282,22 +297,22 @@ class Circuit:
     # inference
 
     def _compiled(self):
-        """The circuit's compiled form for evaluation, built on first use.
+        """The circuit's compiled form for evaluation and sampling, built on first use.
 
         Every node gets a slot in a ``(slots, rows)`` table: leaves first,
-        grouped by variable, then the inner nodes grouped by step.  Leaves
-        sit at step 0; a product takes the first odd step, and a sum the
-        first even step, after the steps of all its children.  So steps
+        grouped by variable, the variables ordered by (kind, arity, index),
+        then the inner nodes grouped by step.  Leaves sit at step 0; a
+        product takes the first odd step, and a sum the first even step,
+        after the steps of all its children.  So steps
         alternate between products and sums, each group fills one
         contiguous block of slots from slots below it, and a node waits
         for its children only.  Returns ``(root_slot, chunk, leaves,
-        groups)``:
+        groups, draws)``:
 
-        - ``leaves``: per variable, ``(v, lo, hi, stacked, cumulative)``,
-          its block of slots and its leaf parameters stacked once: a
-          ``CategoricalTable`` of ``(k, arity)`` log probabilities with the
-          ``(arity - 1, k)`` ``_cumulative`` table of the probs, or a
-          ``Gaussian`` of ``(k, 1)`` mu/sigma columns with None;
+        - ``leaves``: per variable, ``(v, lo, hi, stacked)``, its block of
+          slots and its leaf parameters stacked once: a ``CategoricalTable``
+          of ``(k, arity)`` log probabilities, or a ``Gaussian`` of
+          ``(k, 1)`` mu/sigma columns;
         - ``groups``: per nonempty step, ``(lo, hi, children, log_weights,
           cumulative)``.  For a product group ``children`` is the CSR form
           of its node-by-slot matrix of ones, ``(indptr, indices, ones)``:
@@ -308,14 +323,29 @@ class Circuit:
           slots by position, ``width`` at least 2, ``log_weights`` the
           matching ``(width, nodes)`` log weights and ``cumulative`` the
           ``(width - 1, nodes)`` ``_cumulative`` table of the weights; a sum
-          with fewer children repeats its first child with weight 0.
+          with fewer children repeats its first child with weight 0;
+        - ``draws``, the sampler's view, ``(indptr, indices, starts, sums,
+          blocks, leaf_var)``.  ``indptr``/``indices`` is the CSR form of
+          each slot's frontier: the slots of the sums and leaves it reaches
+          through product edges only, in order, itself for a sum or a leaf.
+          ``sums`` holds per sum group ``(lo, cumulative, firsts, sizes)``,
+          the frontier's start and length of each child by flat (position,
+          node) index, ``sizes`` None when every length is 1.  ``blocks``
+          holds per run of variables of one kind and arity ``(lo, table)``:
+          a ``(arity - 1, leaves)`` ``_cumulative`` table of the leaves'
+          probs, or a ``Gaussian`` of their mu/sigma vectors.  ``starts`` is
+          the first slot of each block, then of each sum group, then the
+          slot count; ``leaf_var`` each leaf slot's variable.
         """
         if self._plan is None:
             step = [0] * len(self.nodes)
+            # per node, the sums and leaves it reaches through product edges only
+            frontier = [None] * len(self.nodes)
             by_var, by_step = {}, {}
             for i, node in enumerate(self.nodes):
                 if isinstance(node, LeafNode):
                     by_var.setdefault(node.var, []).append(i)
+                    frontier[i] = (i,)
                     continue
                 if not node.children or not 0 <= min(node.children) <= max(node.children) < i:
                     raise ValueError(f"node {i}: children {node.children} do not precede it")
@@ -323,25 +353,42 @@ class Circuit:
                 # odd steps for products, even ones for sums
                 step[i] = last + 1 + (last % 2 != isinstance(node, SumNode))
                 by_step.setdefault(step[i], []).append(i)
-            order = [i for v in sorted(by_var) for i in by_var[v]]
+                frontier[i] = ((i,) if isinstance(node, SumNode)
+                               else list(_chain(map(frontier.__getitem__, node.children))))
+
+            def kind(v):
+                """Categorical leaves by arity first, then the Gaussians."""
+                dist = self.nodes[by_var[v][0]].dist
+                return (0, dist.arity) if isinstance(dist, Multinomial) else (1, 0)
+
+            variables = sorted(by_var, key=lambda v: (kind(v), v))
+            order = [i for v in variables for i in by_var[v]]
             order += [i for s in sorted(by_step) for i in by_step[s]]
             slot_of = np.empty(len(order), dtype=np.intp)
             slot_of[order] = np.arange(len(order))
 
-            leaves, lo = [], 0
-            for v in sorted(by_var):
-                dists = [self.nodes[i].dist for i in by_var[v]]
-                if isinstance(dists[0], Multinomial):
-                    probs = np.array([d.probs for d in dists])
-                    with np.errstate(divide="ignore"):
-                        stacked = CategoricalTable(np.log(probs))
-                    cumulative = _cumulative(probs.T)
+            leaves, blocks, lo = [], [], 0
+            for _, run in itertools.groupby(variables, key=kind):
+                first, params = lo, []
+                for v in run:
+                    dists = [self.nodes[i].dist for i in by_var[v]]
+                    if isinstance(dists[0], Multinomial):
+                        probs = np.array([d.probs for d in dists])
+                        with np.errstate(divide="ignore"):
+                            stacked = CategoricalTable(np.log(probs))
+                        params.append(probs)
+                    else:
+                        stacked = Gaussian(np.array([[d.mu] for d in dists]),
+                                           np.array([[d.sigma] for d in dists]))
+                        params.append(stacked)
+                    leaves.append((v, lo, lo + len(dists), stacked))
+                    lo += len(dists)
+                if isinstance(stacked, Gaussian):
+                    table = Gaussian(np.concatenate([g.mu[:, 0] for g in params]),
+                                     np.concatenate([g.sigma[:, 0] for g in params]))
                 else:
-                    stacked = Gaussian(np.array([[d.mu] for d in dists]),
-                                       np.array([[d.sigma] for d in dists]))
-                    cumulative = None
-                leaves.append((v, lo, lo + len(dists), stacked, cumulative))
-                lo += len(dists)
+                    table = _cumulative(np.concatenate(params).T)
+                blocks.append((first, table))
 
             groups = []
             for s, ids in sorted(by_step.items()):
@@ -365,9 +412,26 @@ class Circuit:
                 groups.append((lo, lo + len(ids), children, log_weights, cumulative))
                 lo += len(ids)
 
+            reach = [frontier[i] for i in order]
+            indptr = np.cumsum([0, *map(len, reach)], dtype=np.intp)
+            indices = slot_of.take(np.fromiter(_chain(reach), np.intp, indptr[-1]))
+            sizes = np.diff(indptr)
+            sums = []
+            for lo, _, children, _, cumulative in groups:
+                if cumulative is not None:
+                    # by flat (position, node) index: where each child's
+                    # frontier starts in ``indices`` and how long it is
+                    counts = sizes.take(children).ravel()
+                    sums.append((lo, cumulative, indptr.take(children).ravel(),
+                                 None if (counts == 1).all() else counts))
+            starts = np.array([b[0] for b in blocks] + [s[0] for s in sums] + [len(order)],
+                              dtype=np.int64)
+            leaf_var = np.repeat([leaf[0] for leaf in leaves],
+                                 [leaf[2] - leaf[1] for leaf in leaves]).astype(np.int64)
             chunk = max(1, _CHUNK_CELLS // len(self.nodes))
             # assigned whole, so other threads never see it half built
-            self._plan = (slot_of[self.root], chunk, leaves, groups)
+            self._plan = (slot_of[self.root], chunk, leaves, groups,
+                          (indptr, indices, starts, sums, blocks, leaf_var))
         return self._plan
 
     def _evaluate(self, columns, n):
@@ -391,7 +455,7 @@ class Circuit:
         does).  Each step is the same arithmetic whatever the chunk's row
         count, so a row's value does not depend on the batch it came in.
         """
-        root_slot, chunk, leaves, groups = self._compiled()
+        root_slot, chunk, leaves, groups, _ = self._compiled()
         # here, not at module level: scipy.sparse adds ~15 ms to importing
         # softpc, and only evaluation needs it
         from scipy.sparse import _sparsetools
@@ -404,7 +468,7 @@ class Circuit:
                 rows = slice(first, min(first + chunk, n))
                 width = rows.stop - first
                 vals = np.empty((n_slots, width))
-                for v, lo, hi, dist, _ in leaves:
+                for v, lo, hi, dist in leaves:
                     entry = columns[v]
                     if entry is None:
                         vals[lo:hi] = 0.0
@@ -499,37 +563,45 @@ class Circuit:
     def sample(self, rng, n: int):
         """Draw ``n`` independent full assignments as an ``(n, vars)`` array.
 
-        Ancestral sampling on the compiled form, top-down.  A row that
-        reaches a node is the int64 key ``slot << b | row``, where ``b`` is
-        the bit length of ``n - 1``, so that a shift and a mask split it
-        again.  The root's ``n`` keys start it; then each inner group, last
-        step first, takes the keys in its block of slots and sends each
-        row on: a product group to all of a node's children, a sum group to
-        one child drawn by weight.  Each batch of new keys is sorted and
-        split by one ``searchsorted`` into the blocks below it.  Last, each
-        variable's leaves draw values for the rows that reached them.  In a
-        decomposable circuit a row reaches a node at most once, so the keys
-        are unique; where they are not, sorting integers is still
-        deterministic.
+        Ancestral sampling on the compiled form, top-down, visiting sum
+        groups and leaf blocks only.  A row that reaches a node is the int64
+        key ``slot << b | row``, where ``b`` is the bit length of ``n - 1``,
+        so that a shift and a mask split it again.  Products draw nothing:
+        each slot's frontier, the sums and leaves it reaches through product
+        edges only, stands in for it.  The root's frontier times the ``n``
+        rows starts the pass; then each sum group, last step first, takes
+        the keys in its block of slots, draws one child per row by weight
+        and sends the row to that child's frontier.  Each batch of new keys
+        is sorted and split by one ``searchsorted`` into the blocks below
+        it.  Last, each leaf block (the categorical leaves of one arity, or
+        all the Gaussians) draws values for the rows that reached it, in
+        chunks of ``_SAMPLE_CELLS`` table cells (at least 256 pairs), and
+        scatters them into the output.  In a decomposable circuit a row reaches a node at most
+        once, so the keys are unique; where they are not, sorting integers
+        is still deterministic.
 
-        Draw order from ``rng``: one ``rng.random(pairs)`` per sum group that
-        rows reach, last step first, counted against the group's cumulative
-        weights; then, per variable in order, one ``rng.random(pairs)``
-        counted against the cumulative probabilities of a categorical
-        variable's leaves, or one ``rng.standard_normal(pairs)`` for a
-        continuous variable's.  The sum groups are the even steps of
-        ``_compiled``, so a seeded sample follows that schedule: regrouping
-        the nodes changes the draws, though not their distribution.
+        Draw order from ``rng``: one ``rng.random(pairs)`` per sum group
+        that rows reach, last step first, counted against the group's
+        cumulative weights; then, per leaf block in slot order and per chunk
+        of its keys in sorted order, one ``rng.random(pairs)`` counted
+        against the block's cumulative probabilities, or one
+        ``rng.standard_normal(pairs)`` for the Gaussian block.  Consecutive
+        calls continue one stream, so the chunk size does not change the
+        draws.  The sum groups are the even steps of ``_compiled`` and the
+        leaf blocks its slot order, so a seeded sample follows that layout:
+        regrouping the nodes changes the draws, though not their
+        distribution.
         """
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"expected a non-negative integer number of rows, got {n!r}")
         n = int(n)
         # an int64 shift, so keys are int64 whatever the dtype of the slots
         shift = np.int64(max(n - 1, 0).bit_length())
-        root_slot, _, leaves, groups = self._compiled()
-        starts = [entry[1] for entry in leaves] + [group[0] for group in groups]
-        bounds = np.array(starts + [len(self.nodes)], dtype=np.int64) << shift
-        pending = [[] for _ in starts]
+        mask = (np.int64(1) << shift) - 1
+        root_slot, _, _, _, (indptr, indices, starts, sums, blocks, leaf_var) = self._compiled()
+        bounds = starts << shift
+        reach = indices.astype(np.int64) << shift
+        pending = [[] for _ in range(len(starts) - 1)]
 
         def push(keys):
             keys.sort()
@@ -539,39 +611,52 @@ class Circuit:
             for b in hit:
                 pending[b].append(keys[cuts[b]:cuts[b + 1]])
 
-        def reached(b, lo):
-            """The nodes (counted from slot ``lo``) and rows of block b's keys."""
+        push((reach[indptr[root_slot]:indptr[root_slot + 1], None] + np.arange(n)).ravel())
+        for b in range(len(pending) - 1, len(blocks) - 1, -1):
             parts = pending[b]
-            keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            return (keys >> shift) - lo, keys & ((1 << shift) - 1)
-
-        push((root_slot << shift) + np.arange(n))
-        for b, (lo, _, children, _, cumulative) in reversed(list(enumerate(groups, len(leaves)))):
-            if not pending[b]:
+            if not parts:
                 continue
-            node, row = reached(b, lo)
-            if cumulative is None:
-                indptr, indices, _ = children
-                first = indptr.take(node)
-                counts = indptr.take(node + 1) - first
-                ends = counts.cumsum()
-                child = indices.take(np.arange(ends[-1]) + (first - ends + counts).repeat(counts))
-                row = row.repeat(counts)
-            else:
-                pick = _inverse_cdf(cumulative, node, rng.random(row.size))
-                child = children.take(pick * children.shape[1] + node)
-            push((child << shift) + row)
+            lo, cumulative, firsts, sizes = sums[b - len(blocks)]
+            keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            node, row = (keys >> shift) - lo, keys & mask
+            pick = _inverse_cdf(cumulative, node, rng.random(row.size)).astype(np.intp)
+            at = pick * cumulative.shape[1] + node
+            if sizes is None:  # each child a sum or a leaf, its own frontier
+                push(reach.take(firsts.take(at)) + row)
+                continue
+            # each row on to the frontier of the child drawn for it
+            first, counts = firsts.take(at), sizes.take(at)
+            ends = counts.cumsum()  # at least one key, so ends[-1] exists
+            push(reach.take(np.arange(ends[-1]) + (first - ends + counts).repeat(counts))
+                 + row.repeat(counts))
 
         out = np.empty((len(self.schema), n))
-        for b, (v, lo, _, dist, cumulative) in enumerate(leaves):
-            if not pending[b]:
+        # key + delta[slot] is the leaf's variable times n plus the row: its
+        # index in the flat output
+        delta = leaf_var * n - (np.arange(len(leaf_var), dtype=np.int64) << shift)
+        for b, (lo, table) in enumerate(blocks):
+            parts = pending[b]
+            if not parts:
                 continue
-            leaf, row = reached(b, lo)
-            if cumulative is None:
-                out[v][row] = (dist.mu[:, 0].take(leaf)
-                               + dist.sigma[:, 0].take(leaf) * rng.standard_normal(row.size))
-            else:
-                out[v][row] = _inverse_cdf(cumulative, leaf, rng.random(row.size))
+            gaussian = isinstance(table, Gaussian)
+            # pairs per chunk; past 64 table rows a chunk keeps 256 pairs, so
+            # that wide tables do not loop over a few pairs at a time
+            step = max(1, _SAMPLE_CELLS // (1 if gaussian else min(max(1, len(table)), 64)))
+            # small blocks in one chunk; large ones part by part, uncopied
+            if sum(part.size for part in parts) <= step:
+                parts = [parts[0] if len(parts) == 1 else np.concatenate(parts)]
+            for keys in parts:
+                for first in range(0, keys.size, step):
+                    chunk = keys[first:first + step]
+                    slot = chunk >> shift
+                    leaf = slot - lo
+                    if gaussian:
+                        drawn = rng.standard_normal(chunk.size)
+                        drawn *= table.sigma.take(leaf)
+                        drawn += table.mu.take(leaf)
+                    else:
+                        drawn = _inverse_cdf(table, leaf, rng.random(chunk.size))
+                    out.put(chunk + delta.take(slot), drawn)
         return out.T
 
     # ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -8,6 +9,8 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +46,10 @@ from conftest import (
     reference_validate,
     small_mixed_circuit,
 )
+
+
+class FloatSubclass(float):
+    """A float that is not of type float, so it takes the ABC check."""
 
 
 def normal_pdf(x, mu, sigma):
@@ -309,6 +316,35 @@ class TestLogMarginal:
         c = small_mixed_circuit()
         query = [np.int64(1), (np.float32(-1.0), 0.5), None]
         assert c.log_marginal(query) == c.log_marginal([1, (-1.0, 0.5), None])
+
+    @pytest.mark.parametrize("value, accepted", [
+        (1.0, True),
+        (1, True),
+        (FloatSubclass(1.0), True),
+        (np.float64(1.0), True),
+        (np.float32(1.0), True),
+        (np.int64(1), True),
+        (np.uint8(1), True),
+        (Fraction(1), True),
+        (True, False),
+        (np.True_, False),
+        ("1", False),
+        (Decimal(1), False),
+        (1 + 0j, False),
+    ], ids=["float", "int", "float-subclass", "np-float64", "np-float32", "np-int64",
+            "np-uint8", "fraction", "bool", "np-bool", "str", "decimal", "complex"])
+    def test_each_number_type_as_a_level_a_point_and_a_bound(self, value, accepted):
+        """The fast path for float and int leaves the rules as they were:
+        bools and strings are not numbers, numpy scalars and Fractions are."""
+        c = small_mixed_circuit()
+        for query, plain in (([value, None, None], [1.0, None, None]),
+                             ([None, value, None], [None, 1.0, None]),
+                             ([None, (value, 2.0), None], [None, (1.0, 2.0), None])):
+            if accepted:
+                assert c.log_marginal(query) == c.log_marginal(plain)
+            else:
+                with pytest.raises(ValueError, match="non-numeric"):
+                    c.log_marginal(query)
 
 
 def random_rows(schema, rng, n):
@@ -643,7 +679,7 @@ class TestStepScheduleMatchesHeightGroups:
 
     def test_every_child_slot_lies_in_an_earlier_group(self):
         for c in pinned_circuits():
-            _, _, leaves, groups = c._compiled()
+            _, _, leaves, groups, _ = c._compiled()
             assert groups[0][0] == leaves[-1][2]
             for (lo, hi, children, log_weights, _), following in zip(groups, groups[1:] + [None]):
                 if log_weights is None:
@@ -846,6 +882,190 @@ class TestSampleMatchesReference:
         for v, w in enumerate(weights):
             observed = np.bincount(rows[:, v].astype(int), minlength=len(w))
             assert chisquare(observed, n * np.array(w)).pvalue > 0.001
+
+
+def _mixture_of_products(schema, leaf_dists, weights):
+    """A sum over products of one leaf per variable: ``leaf_dists[k][v]``
+    is product k's leaf for variable v."""
+    nodes, products = [], []
+    for dists in leaf_dists:
+        first = len(nodes)
+        nodes += [LeafNode(v, d) for v, d in enumerate(dists)]
+        nodes.append(ProductNode(tuple(range(first, len(nodes)))))
+        products.append(len(nodes) - 1)
+    nodes.append(SumNode(tuple(products), weights))
+    return Circuit(nodes, len(nodes) - 1, schema)
+
+
+def _sparse_levels(arity, mass):
+    """Multinomial of ``arity`` levels with the probabilities ``mass`` by level, 0 elsewhere."""
+    return Multinomial(tuple(mass.get(level, 0.0) for level in range(arity)))
+
+
+def leaf_root_categorical():
+    return Circuit([LeafNode(0, Multinomial((0.2, 0.5, 0.3)))], 0, Schema.categorical([3]))
+
+
+def leaf_root_gaussian():
+    return Circuit([LeafNode(0, Gaussian(0.3, 1.2))], 0, Schema.continuous(1))
+
+
+def product_root():
+    schema = Schema([Variable("cat", 3), Variable("cont"), Variable("cat", 2)])
+    nodes = [LeafNode(0, Multinomial((0.1, 0.6, 0.3))), LeafNode(1, Gaussian(0.4, 1.0)),
+             LeafNode(2, Multinomial((0.7, 0.3))), ProductNode((0, 1, 2))]
+    return Circuit(nodes, 3, schema)
+
+
+def products_of_products_of_products():
+    """A sum over two chains of three nested products; each chain holds a
+    mixture at its bottom and one at its top, so draws pass through every
+    level of the chain."""
+    schema = Schema([Variable("cat", 2), Variable("cont"), Variable("cat", 3), Variable("cont")])
+    nodes = []
+
+    def add(node):
+        nodes.append(node)
+        return len(nodes) - 1
+
+    chains = []
+    for shift in (0.0, 1.5):
+        a = add(LeafNode(0, Multinomial((0.3, 0.7))))
+        b = add(LeafNode(0, Multinomial((0.9, 0.1))))
+        inner = add(ProductNode((add(SumNode((a, b), (0.5, 0.5))),
+                                 add(LeafNode(1, Gaussian(shift - 1.0, 1.0))))))
+        middle = add(ProductNode((inner, add(LeafNode(2, Multinomial((0.1, 0.2 + shift / 3,
+                                                                         0.7 - shift / 3)))))))
+        top = add(SumNode((add(LeafNode(3, Gaussian(2.0 - shift, 0.5))),
+                           add(LeafNode(3, Gaussian(-2.0, 0.5)))), (0.3, 0.7)))
+        chains.append(add(ProductNode((middle, top))))
+    add(SumNode(tuple(chains), (0.35, 0.65)))
+    return Circuit(nodes, len(nodes) - 1, schema)
+
+
+def alternating_kinds():
+    """Kinds cat/cont/cat/cont, so each block's variables are not adjacent."""
+    schema = Schema([Variable("cat", 2), Variable("cont"), Variable("cat", 2), Variable("cont")])
+    return _mixture_of_products(schema, [
+        [Multinomial((0.2, 0.8)), Gaussian(-1.0, 0.7), Multinomial((0.6, 0.4)), Gaussian(1.0, 1.0)],
+        [Multinomial((0.9, 0.1)), Gaussian(1.5, 0.5), Multinomial((0.3, 0.7)), Gaussian(-0.5, 2.0)],
+    ], (0.45, 0.55))
+
+
+def arities_1000_2_3():
+    """Arities 1000, 2 and 3, listed out of arity order; the wide leaves
+    put their mass on a few levels, the last one among them."""
+    schema = Schema.categorical([1000, 2, 3])
+    return _mixture_of_products(schema, [
+        [_sparse_levels(1000, {0: 0.5, 500: 0.2, 999: 0.3}), Multinomial((0.2, 0.8)),
+         Multinomial((0.5, 0.0, 0.5))],
+        [_sparse_levels(1000, {1: 0.6, 998: 0.4}), Multinomial((0.7, 0.3)),
+         Multinomial((0.1, 0.6, 0.3))],
+    ], (0.4, 0.6))
+
+
+SAMPLER_SHAPES = {
+    "leaf-root-categorical": leaf_root_categorical,
+    "leaf-root-gaussian": leaf_root_gaussian,
+    "product-root": product_root,
+    "products-of-products-of-products": products_of_products_of_products,
+    "alternating-kinds": alternating_kinds,
+    "arities-1000-2-3": arities_1000_2_3,
+}
+
+
+class TestSamplerShapes:
+    """Each shape of the sampler's plan (leaf or product roots, product
+    chains folded into frontiers, leaf blocks by kind and arity) against
+    the node-by-node ``reference_sample``."""
+
+    @pytest.mark.parametrize("name", SAMPLER_SHAPES)
+    def test_joint_codes_share_a_distribution(self, name):
+        c = SAMPLER_SHAPES[name]()
+        assert c.validate() == []
+        n = 100_000  # more keys than one leaf-pass chunk holds
+        new = joint_codes(c, c.sample(np.random.default_rng(1), n))
+        old = joint_codes(c, reference_sample(c, np.random.default_rng(2), n))
+        assert two_sample_pvalue(new, old) > 0.001
+
+    @pytest.mark.parametrize("name", SAMPLER_SHAPES)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_zero_and_one_rows(self, name, n):
+        c = SAMPLER_SHAPES[name]()
+        rows = c.sample(np.random.default_rng(0), n)
+        assert rows.shape == (n, len(c.schema))
+        assert np.isfinite(rows).all()
+        for v, var in enumerate(c.schema):
+            if var.kind == "cat":
+                assert ((rows[:, v] >= 0) & (rows[:, v] < var.arity)).all()
+                assert (rows[:, v] == np.rint(rows[:, v])).all()
+
+    @pytest.mark.parametrize("name", SAMPLER_SHAPES)
+    def test_frontiers_hold_sums_and_leaves_only(self, name):
+        c = SAMPLER_SHAPES[name]()
+        _, _, leaves, groups, (indptr, indices, *_) = c._compiled()
+        kinds = ["leaf"] * leaves[-1][2]
+        for lo, hi, _, _, cumulative in groups:
+            kinds += ["product" if cumulative is None else "sum"] * (hi - lo)
+        for slot, kind in enumerate(kinds):
+            reach = indices[indptr[slot]:indptr[slot + 1]].tolist()
+            if kind == "product":
+                assert reach and all(kinds[s] != "product" for s in reach)
+            else:
+                assert reach == [slot]
+
+    def test_product_chains_fold_into_their_tops(self):
+        c = products_of_products_of_products()
+        _, _, leaves, groups, (indptr, indices, *_) = c._compiled()
+        sizes = np.diff(indptr)
+        products = [s for lo, hi, _, _, cumulative in groups if cumulative is None
+                    for s in range(lo, hi)]
+        # per chain: (mixture, Gaussian), then a ternary leaf, then the top mixture
+        assert sorted(sizes[products].tolist()) == [2, 2, 3, 3, 4, 4]
+        assert sizes[c._compiled()[0]] == 1  # the root is a sum
+        root_slot, _, _, _, (indptr, indices, *_) = product_root()._compiled()
+        assert sorted(indices[indptr[root_slot]:indptr[root_slot + 1]].tolist()) == [0, 1, 2]
+
+    def test_one_block_per_kind_and_arity(self):
+        c = arities_1000_2_3()
+        *_, (_, _, _, _, blocks, leaf_var) = c._compiled()
+        assert [table.shape for _, table in blocks] == [(1, 2), (2, 2), (999, 2)]
+        assert leaf_var.tolist() == [1, 1, 2, 2, 0, 0]
+        c = alternating_kinds()
+        *_, (_, _, _, _, blocks, leaf_var) = c._compiled()
+        assert [type(table) for _, table in blocks] == [np.ndarray, Gaussian]
+        assert blocks[1][1].mu.shape == blocks[1][1].sigma.shape == (4,)
+        assert leaf_var.tolist() == [0, 0, 2, 2, 1, 1, 3, 3]
+
+
+class TestSampleDeterminism:
+    def test_leaf_chunk_size_does_not_change_the_draws(self, monkeypatch):
+        circuits = [random_mixed_circuit(np.random.default_rng(s), n_vars=6) for s in range(3)]
+        circuits += [arities_1000_2_3(), alternating_kinds()]
+        before = [c.sample(np.random.default_rng(7), 3_000).tobytes() for c in circuits]
+        monkeypatch.setattr(circuit_module, "_SAMPLE_CELLS", 7)
+        after = [c.sample(np.random.default_rng(7), 3_000).tobytes() for c in circuits]
+        assert before == after
+
+    def test_same_bytes_under_any_hash_seed(self, tmp_path):
+        """No set or dict order reaches the block layout or the draws."""
+        c = random_mixed_circuit(np.random.default_rng(5), n_vars=8)
+        path = tmp_path / "circuit.json"
+        path.write_text(c.to_json())
+        code = ("import hashlib, sys\n"
+                "import numpy as np\n"
+                "from softpc.circuit import Circuit\n"
+                "c = Circuit.from_json(open(sys.argv[1]).read())\n"
+                "print(hashlib.sha256(c.sample(np.random.default_rng(3), 2000).tobytes()).hexdigest())\n")
+        digests = []
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(softpc.__file__)))
+            out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                                 text=True, env=env, check=True).stdout
+            digests.append(out.strip())
+        here = hashlib.sha256(c.sample(np.random.default_rng(3), 2000).tobytes()).hexdigest()
+        assert digests == [here, here]
 
 
 class TestSampleEdgeCases:
