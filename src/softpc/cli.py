@@ -28,6 +28,9 @@ EXIT_INTERNAL = 4
 P_GRID = (0.01, 0.001, 0.0001)
 ALPHA_GRID = (0.1, 0.01, 1e-6)
 CLUSTERERS = ("em", "kmeans")
+# --method value -> name of the learner in softpc.learner.  Looked up on the
+# module at call time, so a wrapper patched onto it (a tracer) sees every learn.
+METHODS = {"learnspn": "learn_spn", "softlearn": "soft_learn"}
 
 RESULTS_SCHEMA = "# softpc-results v1"
 RESULT_COLUMNS = (
@@ -76,13 +79,13 @@ def _make_hp(args, p=None, alpha=None, clusterer=None, seed=None) -> Hyperparams
         raise UsageError(str(exc)) from None
 
 
-def _train(bundle, method: str, hp: Hyperparams):
-    data = WeightedDataset(bundle.train, None, bundle.schema)
-    fn = learner.soft_learn if method == "softlearn" else learner.learn_spn
+def _train(matrix, schema, method: str, hp: Hyperparams):
+    """Learn a circuit on ``matrix``; returns ``(circuit, seconds)``."""
+    data = WeightedDataset(matrix, None, schema)
+    fn = getattr(learner, METHODS[method])
     t0 = time.perf_counter()
-    circuit, trace = fn(data, hp)
-    seconds = time.perf_counter() - t0
-    return circuit, trace, seconds
+    circuit, _ = fn(data, hp)
+    return circuit, time.perf_counter() - t0
 
 
 def _mean_ll(circuit: Circuit, matrix) -> float:
@@ -90,15 +93,20 @@ def _mean_ll(circuit: Circuit, matrix) -> float:
 
 
 def _run_cell(bundle, method, clusterer, p, alpha, seed, args):
+    """One repetition of a cell: ``(circuit, (ll_valid, ll_test, nodes, seconds))``."""
     hp = _make_hp(args, p=p, alpha=alpha, clusterer=clusterer, seed=seed)
-    circuit, _, seconds = _train(bundle, method, hp)
-    return {
-        "ll_valid": _mean_ll(circuit, bundle.valid),
-        "ll_test": _mean_ll(circuit, bundle.test),
-        "nodes": circuit.n_nodes,
-        "seconds": seconds,
-        "circuit": circuit,
-    }
+    circuit, seconds = _train(bundle.train, bundle.schema, method, hp)
+    return circuit, (_mean_ll(circuit, bundle.valid), _mean_ll(circuit, bundle.test),
+                     circuit.n_nodes, seconds)
+
+
+def _result_row(args, clusterer, p, alpha, results) -> tuple:
+    """A results-table row (``RESULT_COLUMNS``) from a cell's repetitions,
+    each as ``_run_cell`` returns it: LLs averaged, test-LL std, mean node
+    count, seconds summed."""
+    valids, tests, nodes, seconds = (np.array(column) for column in zip(*results))
+    return (args.data, args.method, clusterer, p, alpha, float(valids.mean()),
+            float(tests.mean()), float(tests.std()), int(nodes.mean()), float(seconds.sum()))
 
 
 def _fmt_row(values) -> str:
@@ -117,26 +125,12 @@ def _fmt_row(values) -> str:
 
 def cmd_learn(args) -> int:
     bundle = load_bundle(args.data, args.data_dir, args.seed)
-    result = _run_cell(bundle, args.method, args.clusterer, args.p, args.alpha, args.seed, args)
+    circuit, result = _run_cell(bundle, args.method, args.clusterer, args.p, args.alpha,
+                                args.seed, args)
     if args.out_model:
-        Path(args.out_model).write_text(result["circuit"].to_json())
+        Path(args.out_model).write_text(circuit.to_json())
     print("\t".join(RESULT_COLUMNS))
-    print(
-        _fmt_row(
-            (
-                args.data,
-                args.method,
-                args.clusterer,
-                args.p,
-                args.alpha,
-                result["ll_valid"],
-                result["ll_test"],
-                0.0,
-                result["nodes"],
-                result["seconds"],
-            )
-        )
-    )
+    print(_fmt_row(_result_row(args, args.clusterer, args.p, args.alpha, [result])))
     return EXIT_OK
 
 
@@ -175,46 +169,16 @@ def cmd_grid(args) -> int:
 
     todo = [cell for cell in cells if args.force or key_of(cell) not in existing_keys]
 
-    tasks = [
-        (ci, rep, cell)
-        for ci, cell in enumerate(todo)
-        for rep in range(args.reps)
-    ]
-    results = {}
-
     def run(task):
-        ci, rep, (c, p, a) = task
+        (c, p, a), rep = task
         # each (cell, repetition) owns its own seed stream
-        return ci, rep, _run_cell(bundle, args.method, c, p, a, args.seed + rep, args)
+        return _run_cell(bundle, args.method, c, p, a, args.seed + rep, args)[1]
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for ci, rep, res in pool.map(run, tasks):
-                results[(ci, rep)] = res
-    else:
-        for task in tasks:
-            ci, rep, res = run(task)
-            results[(ci, rep)] = res
-
-    rows = []
-    for ci, (c, p, a) in enumerate(todo):
-        cell_res = [results[(ci, rep)] for rep in range(args.reps)]
-        tests = np.array([r["ll_test"] for r in cell_res])
-        valids = np.array([r["ll_valid"] for r in cell_res])
-        rows.append(
-            (
-                args.data,
-                args.method,
-                c,
-                p,
-                a,
-                float(valids.mean()),
-                float(tests.mean()),
-                float(tests.std()),
-                int(np.mean([r["nodes"] for r in cell_res])),
-                float(np.sum([r["seconds"] for r in cell_res])),
-            )
-        )
+    tasks = [(cell, rep) for cell in todo for rep in range(args.reps)]
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        results = list(pool.map(run, tasks))  # in task order, so a cell's reps are adjacent
+    rows = [_result_row(args, c, p, a, results[i * args.reps:(i + 1) * args.reps])
+            for i, (c, p, a) in enumerate(todo)]
 
     header = "\t".join(RESULT_COLUMNS)
     body = existing_lines + [_fmt_row(r) for r in rows]
@@ -282,14 +246,9 @@ def cmd_synthetic_quality(args) -> int:
     for rep in range(args.reps):
         seed = args.seed + rep
         hp = _make_hp(args, seed=seed)
-        circuit1, _, _ = _train(bundle, args.method, hp)
-        rng = np.random.default_rng(seed)
-        synthetic = circuit1.sample(rng, bundle.train.shape[0])
-        if all(v.kind == "cat" for v in bundle.schema):
-            synthetic = np.rint(synthetic)
-        data2 = WeightedDataset(synthetic, None, bundle.schema)
-        fn = learner.soft_learn if args.method == "softlearn" else learner.learn_spn
-        circuit2, _ = fn(data2, hp)
+        circuit1, _ = _train(bundle.train, bundle.schema, args.method, hp)
+        synthetic = circuit1.sample(np.random.default_rng(seed), bundle.train.shape[0])
+        circuit2, _ = _train(synthetic, bundle.schema, args.method, hp)
         originals.append(_mean_ll(circuit1, bundle.test))
         synthetics.append(_mean_ll(circuit2, bundle.test))
     orig, synth = float(np.mean(originals)), float(np.mean(synthetics))
@@ -309,9 +268,7 @@ def cmd_toy_example(args) -> int:
     for x, y in matrix:
         point_lines.append(f"{x:.6g}\t{y:.6g}\tdata")
     for method in ("learnspn", "softlearn"):
-        hp = learner.Hyperparams(
-            p_threshold=0.001, clusterer=args.clusterer, seed=args.seed
-        )
+        hp = Hyperparams(p_threshold=0.001, clusterer=args.clusterer, seed=args.seed)
         result = toy.run_toy(args.n, args.adversarial, method, seed=args.seed, hp=hp)
         for var, leaves in ((0, result.x_leaves), (1, result.y_leaves)):
             for mu, sigma in leaves:
@@ -345,15 +302,16 @@ def cmd_validate_model(args) -> int:
 
 
 def _add_common_hp(sp, grid=False):
-    sp.add_argument("--p", type=float, default=None if grid else 0.01,
+    hp = Hyperparams()
+    sp.add_argument("--p", type=float, default=None if grid else hp.p_threshold,
                     help="chi-square significance threshold")
-    sp.add_argument("--alpha", type=float, default=None if grid else 0.01,
+    sp.add_argument("--alpha", type=float, default=None if grid else hp.alpha,
                     help="Laplace smoothing pseudo-count")
-    sp.add_argument("--beta", type=float, default=4.0, help="softmax sharpness (k-means)")
-    sp.add_argument("--clusters", type=int, default=2, help="children per sum node")
-    sp.add_argument("--min-instances", type=float, default=50.0,
+    sp.add_argument("--beta", type=float, default=hp.beta, help="softmax sharpness (k-means)")
+    sp.add_argument("--clusters", type=int, default=hp.n_clusters, help="children per sum node")
+    sp.add_argument("--min-instances", type=float, default=hp.min_instances,
                     help="stop clustering below this effective sample size")
-    sp.add_argument("--max-cluster-iters", type=int, default=100,
+    sp.add_argument("--max-cluster-iters", type=int, default=hp.max_cluster_iters,
                     help="iteration cap inside clustering (2 = early-stop mode)")
 
 
@@ -379,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--data-dir", default="datasets", help="dataset directory")
     parser.add_argument("--seed", type=_non_negative_int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_positive_int, default=1)
     parser.add_argument("--out", default=None, help="results table path")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("learn", help="train one circuit and report likelihoods")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--method", choices=("learnspn", "softlearn"), required=True)
+    sp.add_argument("--method", choices=METHODS, required=True)
     sp.add_argument("--clusterer", choices=CLUSTERERS, default="em")
     _add_common_hp(sp)
     sp.add_argument("--out-model", default=None)
@@ -393,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("grid", help="hyperparameter grid with repetitions")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--method", choices=("learnspn", "softlearn"), required=True)
+    sp.add_argument("--method", choices=METHODS, required=True)
     sp.add_argument("--clusterer", choices=CLUSTERERS, default=None,
                     help="restrict to one clusterer (default: both)")
     _add_common_hp(sp, grid=True)
@@ -410,13 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="draw samples from a model file")
     sp.add_argument("--model", required=True)
     sp.add_argument("--n", type=_non_negative_int, required=True)
-    sp.add_argument("--out", dest="out", default=None)
+    # SUPPRESS: unset here, the global --out given before the subcommand stands
+    sp.add_argument("--out", default=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("synthetic-quality",
                         help="train, sample, retrain on the samples, compare test LL")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--method", choices=("learnspn", "softlearn"), required=True)
+    sp.add_argument("--method", choices=METHODS, required=True)
     sp.add_argument("--clusterer", choices=CLUSTERERS, default="em")
     _add_common_hp(sp)
     sp.add_argument("--reps", type=_positive_int, default=3)

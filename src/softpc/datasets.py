@@ -167,7 +167,6 @@ def load_mixed_csv(
     schema_spec,
     seed: int = 0,
     name: str = None,
-    allow_unseen: bool = False,
 ) -> DatasetBundle:
     """Load a mixed categorical/continuous CSV with a header row.
 
@@ -177,9 +176,8 @@ def load_mixed_csv(
     as with fewer than 6 rows, a column name that appears twice in the
     header, and a continuous value that is not finite or exceeds
     ``CONT_MAX_ABS`` in magnitude are ``DataError``s.  Categorical levels are
-    dictionary-encoded in first-appearance order over the training split;
-    levels appearing only in valid/test map to a reserved extra level when
-    ``allow_unseen`` is set and raise otherwise.
+    dictionary-encoded in first-appearance order over the training split,
+    and a level appearing only in valid/test is a ``DataError``.
     """
     csv_path = Path(csv_path)
     if isinstance(schema_spec, (str, Path)):
@@ -244,22 +242,16 @@ def load_mixed_csv(
             levels = {}
             for i in idx_train:  # first-appearance order over the training split
                 levels.setdefault(raw[i], len(levels))
-            reserved = None
             codes = np.empty(n)
             for i in range(n):
                 code = levels.get(raw[i])
                 if code is None:
-                    if not allow_unseen:
-                        raise DataError(
-                            f"{csv_path}: column {colname!r}: level {raw[i]!r} "
-                            "absent from the training split"
-                        )
-                    if reserved is None:
-                        reserved = len(levels)
-                    code = reserved
+                    raise DataError(
+                        f"{csv_path}: column {colname!r}: level {raw[i]!r} "
+                        "absent from the training split"
+                    )
                 codes[i] = code
-            arity = len(levels) + (1 if reserved is not None else 0)
-            variables.append(Variable("cat", max(arity, 2), name=colname))
+            variables.append(Variable("cat", max(len(levels), 2), name=colname))
             encoded[:, j] = codes
 
     schema = Schema(variables)

@@ -329,6 +329,17 @@ class TestSample:
         assert out.read_text() == expected
         assert {line.count(",") for line in expected.splitlines()} == {2}
 
+    @pytest.mark.parametrize("where", ["before", "after", "both"])
+    def test_out_before_or_after_the_subcommand(self, model_path, tmp_path, capsys, where):
+        out, other = tmp_path / "s.csv", tmp_path / "global.csv"
+        cmd = ["sample", "--model", model_path, "--n", 3]
+        args = {"before": ["--out", out] + cmd, "after": cmd + ["--out", out],
+                "both": ["--out", other] + cmd + ["--out", out]}[where]  # the subcommand's wins
+        assert run(args) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert len(out.read_text().splitlines()) == 3
+        assert not other.exists()
+
 
 class TestGrid:
     def test_single_cell_matches_learn(self, data_dir, capsys):
@@ -340,8 +351,10 @@ class TestGrid:
         assert run(args + ["learn", "--data", "twoblock", "--method", "softlearn",
                            "--clusterer", "em", "--p", 0.01, "--alpha", 0.01]) == EXIT_OK
         _, learn_rows = parse_table(capsys.readouterr().out)
-        assert grid_rows[0]["ll_test_mean"] == learn_rows[0]["ll_test_mean"]
-        assert grid_rows[0]["ll_valid_mean"] == learn_rows[0]["ll_valid_mean"]
+        # a learn row is a one-repetition grid row: every column but seconds
+        assert len(grid_rows) == len(learn_rows) == 1
+        del grid_rows[0]["seconds"], learn_rows[0]["seconds"]
+        assert grid_rows[0] == learn_rows[0]
         assert grid_rows[0]["ll_test_std"] == "0"
 
     def test_results_file_append_only_and_best_line(self, data_dir, tmp_path, capsys):
@@ -388,6 +401,14 @@ class TestGrid:
         with pytest.raises(SystemExit) as exc:
             run(["--data-dir", data_dir, "grid", "--data", "coin", "--method", "learnspn",
                  "--clusterer", "em", "--p", 0.01, "--alpha", 0.01, "--reps", 0])
+        assert exc.value.code == EXIT_USAGE
+        assert "count >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_non_positive_threads_is_usage_error(self, data_dir, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--data-dir", data_dir, "--threads", threads, "grid", "--data", "coin",
+                 "--method", "learnspn", "--reps", 1])
         assert exc.value.code == EXIT_USAGE
         assert "count >= 1" in capsys.readouterr().err
 
