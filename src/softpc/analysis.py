@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit
-from .learner import (Hyperparams, WeightedDataset, _assemble, _check_membership,
-                      _split_children, _steps, _Sub)
+from .learner import (Hyperparams, WeightedDataset, _assemble, _check_membership, _root,
+                      _split, _steps)
 
 
 def capped_ll_trace(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split=None) -> list:
@@ -29,27 +29,21 @@ def capped_ll_trace(data: WeightedDataset, hp: Hyperparams, soft: bool, first_sp
 
 def factorized_circuit(data: WeightedDataset, hp: Hyperparams) -> Circuit:
     """Fully factorized circuit over all variables (the cap before any step)."""
-    root = _Sub(np.arange(data.matrix.shape[0]), data.row_weights, tuple(range(len(data.schema))))
-    return _assemble(root, data.matrix, data.schema, hp.alpha)
+    return _assemble(_root(data), data.matrix, data.schema, hp.alpha)
 
 
 def split_circuit(data: WeightedDataset, membership, hp: Hyperparams) -> Circuit:
-    """The cap after a single root split: a sum node whose children are
-    factorized fits under the membership-reweighted data.
+    """The cap after a single root split, taken by the learner's sum rule: a
+    sum node whose children are factorized fits under the
+    membership-reweighted data.  A split the learner would not take (fewer
+    than two clusters left after dropping, or one holding the whole mass)
+    gives ``factorized_circuit``.
 
     ``membership`` is an (n, K) matrix of nonnegative rows summing to 1
     (``ValueError`` otherwise); one-hot rows reproduce a hard split.
     """
-    membership = _check_membership(membership, data.matrix.shape[0])
-    scope = tuple(range(len(data.schema)))
-    rows = np.arange(data.matrix.shape[0])
-    children, kept, _ = _split_children(rows, data.row_weights, membership)
-    subs = [_Sub(r, w, scope) for r, w in children]
-    if len(subs) == 1:
-        return _assemble(subs[0], data.matrix, data.schema, hp.alpha)
-    root = _Sub(None, None, scope)
-    root.children = subs
-    root.sum_weights = tuple((kept / sum(kept)).tolist())
+    root = _root(data)
+    _split(root, _check_membership(membership, data.matrix.shape[0]))
     return _assemble(root, data.matrix, data.schema, hp.alpha)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import datasets, learner, toy
 from .circuit import Circuit, InvalidCircuitError, ModelParseError
 from .datasets import DataError
-from .learner import Hyperparams, WeightedDataset
+from .learner import CLUSTERERS, METHODS, Hyperparams, WeightedDataset
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -27,10 +27,6 @@ EXIT_INTERNAL = 4
 
 P_GRID = (0.01, 0.001, 0.0001)
 ALPHA_GRID = (0.1, 0.01, 1e-6)
-CLUSTERERS = ("em", "kmeans")
-# --method value -> name of the learner in softpc.learner.  Looked up on the
-# module at call time, so a wrapper patched onto it (a tracer) sees every learn.
-METHODS = {"learnspn": "learn_spn", "softlearn": "soft_learn"}
 
 RESULTS_SCHEMA = "# softpc-results v1"
 RESULT_COLUMNS = (
@@ -260,21 +256,17 @@ def cmd_synthetic_quality(args) -> int:
 def cmd_toy_example(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    matrix = toy.generate(args.n, rng)
-
+    results = [toy.run_toy(args.n, args.adversarial, method, seed=args.seed,
+                           clusterer=args.clusterer) for method in METHODS]
     leaf_lines = ["method\tvariable\tmu\tsigma"]
-    point_lines = ["x\ty\tseries"]
-    for x, y in matrix:
-        point_lines.append(f"{x:.6g}\t{y:.6g}\tdata")
-    for method in ("learnspn", "softlearn"):
-        hp = Hyperparams(p_threshold=0.001, clusterer=args.clusterer, seed=args.seed)
-        result = toy.run_toy(args.n, args.adversarial, method, seed=args.seed, hp=hp)
+    # every learn draws the same points from the seed
+    point_lines = ["x\ty\tseries"] + [f"{x:.6g}\t{y:.6g}\tdata" for x, y in results[0].matrix]
+    for result in results:
         for var, leaves in ((0, result.x_leaves), (1, result.y_leaves)):
             for mu, sigma in leaves:
-                leaf_lines.append(f"{method}\t{'xy'[var]}\t{mu:.6g}\t{sigma:.6g}")
+                leaf_lines.append(f"{result.method}\t{'xy'[var]}\t{mu:.6g}\t{sigma:.6g}")
         for (mx, _), (my, _) in zip(result.x_leaves, result.y_leaves):
-            point_lines.append(f"{mx:.6g}\t{my:.6g}\t{method}_mean")
+            point_lines.append(f"{mx:.6g}\t{my:.6g}\t{result.method}_mean")
 
     (out_dir / "leaf_params.tsv").write_text("\n".join(leaf_lines) + "\n")
     (out_dir / "points.tsv").write_text("\n".join(point_lines) + "\n")

@@ -51,16 +51,10 @@ class DatasetBundle:
     test: np.ndarray
 
 
-def load_manifest(path=None) -> dict:
-    """Read the Table-of-expected-statistics manifest.
-
-    Returns ``{name: (vars, train, valid, test)}``.  Without ``path`` the
-    manifest bundled with the package is used.
-    """
-    if path is None:
-        text = resources.files("softpc").joinpath("table6_manifest.tsv").read_text()
-    else:
-        text = Path(path).read_text()
+def load_manifest() -> dict:
+    """Read the Table-of-expected-statistics manifest bundled with the
+    package.  Returns ``{name: (vars, train, valid, test)}``."""
+    text = resources.files("softpc").joinpath("table6_manifest.tsv").read_text()
     out = {}
     lines = [ln for ln in text.splitlines() if ln.strip()]
     for ln in lines[1:]:
@@ -125,14 +119,14 @@ def load_discrete(name: str, data_dir) -> DatasetBundle:
     return DatasetBundle(name, schema, splits["train"], splits["valid"], splits["test"])
 
 
-def check_manifest(bundle: DatasetBundle, manifest=None):
-    """Compare a loaded bundle against the expected Table statistics.
+def check_manifest(bundle: DatasetBundle):
+    """Compare a loaded bundle against the expected Table statistics in
+    ``DISCRETE_MANIFEST``.
 
     Returns a list of mismatch messages (empty when everything matches or
     the dataset is not listed).
     """
-    manifest = DISCRETE_MANIFEST if manifest is None else manifest
-    expected = manifest.get(bundle.name)
+    expected = DISCRETE_MANIFEST.get(bundle.name)
     if expected is None:
         return []
     actual = (

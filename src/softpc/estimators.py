@@ -62,10 +62,7 @@ def fit_multinomial(values, weights, arity: int, alpha: float = 0.0) -> Multinom
     values, weights = _clean(values, weights)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    iv = values.astype(np.int64)
-    if np.any(iv != values) or iv.min() < 0 or iv.max() >= arity:
-        raise ValueError("values must be integers in [0, arity)")
-    counts = np.bincount(iv, weights=weights, minlength=arity)
+    counts = np.bincount(categorical_codes(values, arity), weights=weights, minlength=arity)
     probs = (counts + alpha) / (counts.sum() + arity * alpha)
     return Multinomial(tuple(probs.tolist()))
 

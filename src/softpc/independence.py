@@ -46,15 +46,10 @@ def discretize(values, weights, bins: int):
         return np.zeros(values.shape, dtype=np.int64), np.empty(0)
     uw = np.bincount(inv, weights=weights, minlength=uniq.size)
     cum = np.cumsum(uw)
-    total = cum[-1]
-    cut_idx = set()
-    for k in range(1, bins):
-        target = total * k / bins
-        i = int(np.searchsorted(cum, target))
-        # cut after uniq[i]; a cut after the last value is meaningless
-        if i < uniq.size - 1:
-            cut_idx.add(i)
-    edges = np.array([(uniq[i] + uniq[i + 1]) / 2.0 for i in sorted(cut_idx)])
+    cut_idx = np.unique(np.searchsorted(cum, cum[-1] * np.arange(1, bins) / bins))
+    # cut after uniq[i]; a cut after the last value is meaningless
+    cut_idx = cut_idx[cut_idx < uniq.size - 1]
+    edges = (uniq[cut_idx] + uniq[cut_idx + 1]) / 2.0
     codes = np.searchsorted(edges, values, side="left").astype(np.int64)
     return codes, edges
 

@@ -20,6 +20,12 @@ from . import clustering, estimators, independence
 from .circuit import Circuit, LeafNode, ProductNode, SumNode
 from .schema import Schema
 
+CLUSTERERS = ("em", "kmeans")
+# bench-cli --method value -> name of the learner in this module.  Callers look
+# the learner up here at call time, so a wrapper patched onto the module (a
+# tracer) sees every learn.
+METHODS = {"learnspn": "learn_spn", "softlearn": "soft_learn"}
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -34,7 +40,7 @@ class Hyperparams:
       weight than this are fully factorized.
     - ``max_cluster_iters`` (``--max-cluster-iters``): iteration cap of
       the clusterer.
-    - ``clusterer`` (``--clusterer``): ``"em"`` or ``"kmeans"``.
+    - ``clusterer`` (``--clusterer``): a name in ``CLUSTERERS``.
     - ``seed`` (``--seed``): seeds the clustering random stream.
     """
 
@@ -44,7 +50,7 @@ class Hyperparams:
     n_clusters: int = 2
     min_instances: float = 50.0
     max_cluster_iters: int = 100
-    clusterer: str = "em"  # "em" | "kmeans"
+    clusterer: str = "em"
     seed: int = 0
 
     def __post_init__(self):
@@ -60,7 +66,7 @@ class Hyperparams:
                 raise ValueError(f"{name} must be an integer >= {least}")
         if not self.min_instances >= 2:  # NaN fails too
             raise ValueError("min_instances must be >= 2")
-        if self.clusterer not in ("em", "kmeans"):
+        if self.clusterer not in CLUSTERERS:
             raise ValueError(f"unknown clusterer {self.clusterer!r}")
 
 
@@ -156,24 +162,36 @@ def _assemble(root, matrix, schema, alpha) -> Circuit:
     return Circuit(nodes, _emit(root, matrix, schema, alpha, nodes), schema)
 
 
-def _split_children(rows, weights, membership):
-    """Share a subproblem's rows out over the clusters of ``membership``.
+def _root(data: WeightedDataset) -> _Sub:
+    """The open subproblem over every row and variable of ``data``."""
+    return _Sub(np.arange(data.matrix.shape[0]), data.row_weights.copy(),
+                tuple(range(len(data.schema))))
 
-    Cluster i receives weight ``membership[:, i] * weights``; rows whose
+
+def _split(node: _Sub, membership) -> bool:
+    """Decide the open ``node`` into a sum over the clusters of ``membership``.
+
+    Cluster i receives weight ``membership[:, i] * node.weights``; rows whose
     share falls below ``estimators.EPSILON_W`` are dropped from it, and a
-    cluster left with no row or no mass is dropped.  Returns the kept
-    children as ``(rows, weights)`` pairs, their masses before dropping,
-    and the total mass over all clusters.
+    cluster left with no row or no mass is dropped.  The sum weights are the
+    kept clusters' mass fractions.  Returns ``False``, leaving the node open,
+    when fewer than two clusters remain or one holds the whole mass: such a
+    child would not shrink the subproblem, so the learner factorizes instead.
     """
-    child_w = membership * weights[:, None]
+    child_w = membership * node.weights[:, None]
     masses = child_w.sum(axis=0)
     children, kept = [], []
     for i in range(membership.shape[1]):
         keep = child_w[:, i] >= estimators.EPSILON_W
         if masses[i] > 0 and np.any(keep):
-            children.append((rows[keep], child_w[keep, i]))
+            children.append(_Sub(node.rows[keep], child_w[keep, i], node.scope))
             kept.append(masses[i])
-    return children, np.asarray(kept), masses.sum()
+    if len(children) < 2 or max(kept) >= node.weights.sum() * (1.0 - 1e-9):
+        return False
+    sum_w = np.asarray(kept) / masses.sum()
+    node.children = children
+    node.sum_weights = tuple((sum_w / sum_w.sum()).tolist())
+    return True
 
 
 def _cluster(matrix, weights, scope, schema, hp, rng):
@@ -212,7 +230,7 @@ def _steps(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
         first_split = _check_membership(first_split, full.shape[0])
     rng = np.random.default_rng(np.random.SeedSequence(hp.seed))
 
-    root = _Sub(np.arange(full.shape[0]), data.row_weights.copy(), tuple(range(len(schema))))
+    root = _root(data)
     stack = [root]
     while stack:
         node = stack.pop()
@@ -234,16 +252,8 @@ def _steps(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
                     resp, first_split = first_split, None
                 else:
                     resp = _cluster(sub, weights, scope, schema, hp, rng)
-                if not soft:
-                    resp = clustering.harden(resp)
-                children, kept, total = _split_children(rows, weights, resp)
-                # a child that absorbed the whole parent mass would not
-                # shrink the subproblem, so such a split factorizes instead
-                if len(children) >= 2 and kept.max() < mass * (1.0 - 1e-9):
+                if _split(node, resp if soft else clustering.harden(resp)):
                     kind = "sum"
-                    node.children = [_Sub(r, w, scope) for r, w in children]
-                    sum_w = kept / total
-                    node.sum_weights = tuple((sum_w / sum_w.sum()).tolist())
         if node.children is None:
             node.dists = estimators.fit_factorized(sub, weights, scope, schema, hp.alpha)
         else:

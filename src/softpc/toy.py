@@ -79,6 +79,7 @@ def adversarial_membership(matrix, schema, soft: bool):
 @dataclass
 class ToyResult:
     method: str
+    matrix: np.ndarray  # the generated points the circuit was learned on
     circuit: Circuit
     x_leaves: list  # (mu, sigma) per Gaussian leaf over X
     y_leaves: list  # (mu, sigma) per Gaussian leaf over Y
@@ -97,26 +98,23 @@ def run_toy(
     adversarial: bool = True,
     method: str = "softlearn",
     seed: int = 0,
-    hp: learner.Hyperparams = None,
+    clusterer: str = "em",
 ) -> ToyResult:
-    """Generate toy data, optionally inject the bad first split, and learn."""
+    """Generate toy data, optionally inject the bad first split, and learn
+    with ``method``, a key of ``learner.METHODS``."""
+    if method not in learner.METHODS:
+        raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
     schema = Schema.continuous(2)
     matrix = generate(n_per_component, rng)
-    if hp is None:
-        hp = learner.Hyperparams(p_threshold=0.001, clusterer="em", seed=seed)
+    hp = learner.Hyperparams(p_threshold=0.001, clusterer=clusterer, seed=seed)
     data = learner.WeightedDataset(matrix, None, schema)
 
     first_split = None
     if adversarial:
         first_split = adversarial_membership(matrix, schema, soft=method == "softlearn")
-    if method == "softlearn":
-        circuit, _ = learner.soft_learn(data, hp, first_split=first_split)
-    elif method == "learnspn":
-        circuit, _ = learner.learn_spn(data, hp, first_split=first_split)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ToyResult(method, circuit, gaussian_leaves(circuit, 0), gaussian_leaves(circuit, 1))
+    circuit, _ = getattr(learner, learner.METHODS[method])(data, hp, first_split=first_split)
+    return ToyResult(method, matrix, circuit, gaussian_leaves(circuit, 0), gaussian_leaves(circuit, 1))
 
 
 def x_mean_deviation(result: ToyResult) -> float:

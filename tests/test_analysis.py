@@ -34,8 +34,8 @@ class TestCappedLLTrace:
         circuit, trace = learn(data, hp, first_split=membership)
         lls = capped_ll_trace(data, hp, soft, first_split=membership)
         assert trace.steps[0].step_kind == "sum"
-        assert lls[0] == pytest.approx(
-            split_circuit(data, membership, hp).log_density(matrix).mean(), abs=1e-9)
+        # the learner's first step and split_circuit take the split by one rule
+        assert lls[0] == split_circuit(data, membership, hp).log_density(matrix).mean()
         assert lls[-1] == pytest.approx(circuit.log_density(matrix).mean(), abs=1e-9)
         assert lls != capped_ll_trace(data, hp, soft)
 
@@ -63,3 +63,19 @@ class TestCappedLLTrace:
         expected = [-4.049936056116659, -3.840289834335433, -3.8802226555259125, -3.8369658396974553]
         assert distinct == pytest.approx(expected, abs=1e-9)
         assert [s.effective_mass for s in trace.steps if s.step_kind == "sum"] == [400.0, 210.0, 99.0]
+
+
+class TestSplitCircuit:
+    def test_split_the_learner_would_not_take_is_factorized(self):
+        # one row of 1200 gives 1.1e-6 of its weight to a second cluster: a
+        # share above EPSILON_W, so the cluster is kept, but the first holds
+        # the whole mass to within 1e-9, so the learner factorizes
+        matrix = toy.generate(600, np.random.default_rng(0))
+        data = WeightedDataset(matrix, None, Schema.continuous(2))
+        membership = np.zeros((1200, 2))
+        membership[:, 0] = 1.0
+        membership[0] = (1.0 - 1.1e-6, 1.1e-6)
+        hp = Hyperparams()
+        split = split_circuit(data, membership, hp)
+        assert split.n_nodes == 3
+        assert split.to_json() == factorized_circuit(data, hp).to_json()

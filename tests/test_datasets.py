@@ -8,7 +8,6 @@ from softpc.datasets import (
     MAX_ARITY,
     check_manifest,
     load_discrete,
-    load_manifest,
     load_mixed_csv,
     read_schema_spec,
 )
@@ -93,11 +92,6 @@ class TestManifest:
         assert DISCRETE_MANIFEST["nltcs"] == (16, 16181, 2157, 3236)
         assert DISCRETE_MANIFEST["plants"] == (69, 17412, 2321, 3482)
         assert DISCRETE_MANIFEST["ad"] == (1556, 2461, 327, 491)
-
-    def test_load_manifest_from_path(self, tmp_path):
-        path = tmp_path / "m.tsv"
-        path.write_text("name\tvars\ttrain\tvalid\ttest\nfoo\t3\t10\t2\t4\n")
-        assert load_manifest(path) == {"foo": (3, 10, 2, 4)}
 
     def test_check_manifest_flags_mismatch(self, tmp_path):
         write_discrete(tmp_path, "nltcs", [[0] * 16, [1] * 16])

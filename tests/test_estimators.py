@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,11 +59,14 @@ class TestMultinomial:
             b = fit_multinomial(expanded, np.ones(expanded.size), arity, alpha=0.01)
             assert a.probs == b.probs
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            fit_multinomial([0, 3], [1, 1], arity=2)
-        with pytest.raises(ValueError):
-            fit_multinomial([0, 0.5], [1, 1], arity=2)
+    @pytest.mark.parametrize("bad", [np.nan, 1e30, -1.0, 1.5, 2.0])
+    def test_rejects_out_of_range(self, bad):
+        # arity 2: NaN and 1e30 cast to no int64 code, -1 and 2 lie outside
+        # [0, 2), 1.5 is no integer; none may warn on the way to the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="out of range"):
+                fit_multinomial([0.0, bad], [1.0, 1.0], arity=2)
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
