@@ -179,19 +179,6 @@ class Circuit:
             len(n.children) for n in self.nodes if not isinstance(n, LeafNode)
         )
 
-    @property
-    def n_params(self) -> int:
-        total = 0
-        for n in self.nodes:
-            if isinstance(n, SumNode):
-                total += len(n.weights)
-            elif isinstance(n, LeafNode):
-                if isinstance(n.dist, Multinomial):
-                    total += n.dist.arity
-                else:
-                    total += 2
-        return total
-
     # ------------------------------------------------------------------
     # validation
 

@@ -5,7 +5,9 @@ density-estimation datasets: comma-separated nonnegative integers, one row
 per line, no header, split across ``<name>.train.data``,
 ``<name>.valid.data``, ``<name>.test.data``.  A manifest of the expected
 (vars, train, valid, test) statistics ships with the package and can be
-checked against loaded data.
+checked against loaded data.  Each split is parsed in one ``np.loadtxt``
+pass; a file that pass rejects is read again line by line, which decides
+what loads or which ``DataError`` names the bad line.
 
 Mixed datasets are a CSV with a header plus a sidecar schema file, since
 the CSV alone cannot distinguish integer-coded categoricals from counts.
@@ -16,6 +18,7 @@ Sidecar format: one ``<column> cat`` or ``<column> cont`` entry per line;
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -67,8 +70,27 @@ DISCRETE_MANIFEST = load_manifest()
 
 
 def _read_discrete_file(path: Path):
+    """One split as a float array, parsed in one ``np.loadtxt`` pass.  A file
+    that pass rejects, warns about or reads with a level outside
+    ``[0, MAX_ARITY)`` goes to ``_read_discrete_lines``, which alone decides
+    the result or the ``DataError``."""
     if not path.exists():
         raise DataError(f"missing dataset file: {path}")
+    try:
+        with warnings.catch_warnings():
+            # an empty file only warns, and numpy 1.24 reads ``1.0`` as 1 with a warning
+            warnings.simplefilter("error")
+            codes = np.loadtxt(path, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError, Warning):  # the loop reads the file or names the line
+        codes = None
+    if codes is not None and codes.size and codes.min() >= 0 and codes.max() < MAX_ARITY:
+        return codes.astype(float)
+    return _read_discrete_lines(path)
+
+
+def _read_discrete_lines(path: Path):
+    """Read a ``.data`` file line by line; the reference for
+    ``_read_discrete_file``, and the path that names a bad file's line."""
     rows = []
     width = None
     with open(path) as fh:

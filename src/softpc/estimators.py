@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 # Weights below this are treated as zero and dropped before fitting.
 EPSILON_W = 1e-6
@@ -142,4 +141,16 @@ def leaf_log_pdf(dist, x):
 def gaussian_cdf(dist: Gaussian, x):
     """Gaussian CDF via the complementary error function; broadcasts like ``leaf_log_pdf``."""
     z = (np.asarray(x, dtype=float) - dist.mu) / dist.sigma
-    return 0.5 * erfc(-z / _SQRT2)
+    return 0.5 * _erfc(-z / _SQRT2)
+
+
+def _erfc(x):
+    """``scipy.special.erfc``, imported on the first call: scipy.special
+    adds about 0.3 s to importing softpc, and only interval queries need
+    it.  The first call rebinds this name to the ufunc itself, so later
+    calls go straight to it."""
+    global _erfc
+    from scipy.special import erfc
+
+    _erfc = erfc
+    return erfc(x)

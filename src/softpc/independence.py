@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 BINS = 4  # equal-frequency bins per continuous column in partition_scope
 # one-hot cells per row block of the Gram matrix in partition_scope (64 KiB)
@@ -100,8 +99,20 @@ def _chi2_tables(tables):
     dof = np.where(testable, (r - 1) * (c - 1), 0)
     p = np.ones(stat.size)
     tested = stat > 0
-    p[tested] = chdtrc(dof[tested], stat[tested])
+    p[tested] = _chdtrc(dof[tested], stat[tested])
     return stat, dof, p
+
+
+def _chdtrc(dof, stat):
+    """``scipy.special.chdtrc``, imported on the first call: scipy.special
+    adds about 0.3 s to importing softpc, and only learning needs it.  The
+    first call rebinds this name to the ufunc itself, so later calls go
+    straight to it."""
+    global _chdtrc
+    from scipy.special import chdtrc
+
+    _chdtrc = chdtrc
+    return chdtrc(dof, stat)
 
 
 def partition_scope(matrix, weights, scope, schema, p_threshold: float):

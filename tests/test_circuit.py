@@ -173,6 +173,14 @@ class TestValidate:
             MALFORMED["one-out-of-schema-variable-twice"]().validate())
 
 
+def run_fresh(code: str) -> list:
+    """Run ``code`` in a new interpreter that imports this softpc; returns
+    the words it prints."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(softpc.__file__)))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout.split()
+
+
 def test_import_leaves_scipy_sparse_unloaded():
     """scipy.sparse adds ~15 ms to an import; only evaluation loads it."""
     code = ("import sys, softpc\n"
@@ -183,10 +191,58 @@ def test_import_leaves_scipy_sparse_unloaded():
             "c = Circuit([LeafNode(0, Gaussian(0.0, 1.0))], 0, Schema.continuous(1))\n"
             "c.log_density([0.5])\n"
             "print('scipy.sparse' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(softpc.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.split() == ["False", "True"]
+    assert run_fresh(code) == ["False", "True"]
+
+
+class TestScipySpecialOnFirstUse:
+    """scipy.special adds ~0.3 s to an import; only interval queries and
+    chi-square tests load it, at their first call."""
+
+    def test_loading_and_evaluating_leave_it_unloaded(self):
+        code = ("import sys, numpy as np, softpc, softpc.cli\n"
+                "loaded = lambda: print('scipy.special' in sys.modules)\n"
+                "loaded()\n"
+                "from softpc.circuit import Circuit, LeafNode, ProductNode, SumNode\n"
+                "from softpc.estimators import Gaussian, Multinomial\n"
+                "from softpc.schema import Schema, Variable\n"
+                "nodes = [LeafNode(0, Gaussian(-0.5, 1.0)), LeafNode(1, Multinomial((0.2, 0.8))),\n"
+                "         LeafNode(0, Gaussian(0.5, 2.0)), LeafNode(1, Multinomial((0.6, 0.4))),\n"
+                "         ProductNode((0, 1)), ProductNode((2, 3)), SumNode((4, 5), (0.3, 0.7))]\n"
+                "schema = Schema([Variable('cont'), Variable('cat', 2)])\n"
+                "c = Circuit.from_json(Circuit(nodes, 6, schema).to_json())\n"
+                "assert c.validate() == []\n"
+                "c.log_density(np.array([[0.1, 0.0], [-2.0, 1.0]]))\n"
+                "c.sample(np.random.default_rng(0), 5)\n"
+                "c.log_marginal([0.5, None])\n"
+                "c.log_marginal([None, 1])\n"
+                "loaded()\n"
+                "c.log_marginal([(-1.0, 1.0), None])\n"
+                "loaded()\n")
+        assert run_fresh(code) == ["False", "False", "True"]
+
+    def test_first_partition_scope_loads_it(self):
+        code = ("import sys, numpy as np\n"
+                "from softpc.independence import partition_scope\n"
+                "from softpc.schema import Schema\n"
+                "print('scipy.special' in sys.modules)\n"
+                "m = np.random.default_rng(0).integers(0, 2, (60, 3)).astype(float)\n"
+                "partition_scope(m, np.ones(60), [0, 1, 2], Schema.binary(3), 0.01)\n"
+                "print('scipy.special' in sys.modules)\n")
+        assert run_fresh(code) == ["False", "True"]
+
+    def test_stand_ins_return_scipys_bits(self):
+        code = ("import numpy as np\n"
+                "from softpc import estimators, independence\n"
+                "x = np.concatenate([np.linspace(-40, 40, 801), [0.0, -0.0, np.inf, -np.inf]])\n"
+                "dof = np.repeat(np.arange(1, 10), 50).astype(float)\n"
+                "stat = np.tile(np.geomspace(1e-3, 300, 50), 9)\n"
+                "calls = [(estimators, '_erfc', (x,)), (independence, '_chdtrc', (dof, stat))]\n"
+                "runs = [[getattr(m, f)(*a).tobytes() for m, f, a in calls] for _ in range(2)]\n"
+                "from scipy.special import chdtrc, erfc\n"
+                "want = [erfc(x).tobytes(), chdtrc(dof, stat).tobytes()]\n"
+                "print(runs[0] == want, runs[1] == want)\n"
+                "print(estimators._erfc is erfc, independence._chdtrc is chdtrc)\n")
+        assert run_fresh(code) == ["True"] * 4
 
 
 class TestLogDensity:
@@ -1357,8 +1413,7 @@ class TestValidateMatchesReference:
 
 
 class TestCounts:
-    def test_node_edge_param_counts(self):
+    def test_node_and_edge_counts(self):
         c = fig1_circuit()
         assert c.n_nodes == 7
         assert c.n_edges == 6
-        assert c.n_params == 2 + 4 * 2  # sum weights + four (mu, sigma) pairs

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from softpc.datasets import (
     CONT_MAX_ABS,
@@ -9,6 +13,8 @@ from softpc.datasets import (
     check_manifest,
     load_discrete,
     load_mixed_csv,
+    _read_discrete_file,
+    _read_discrete_lines,
     read_schema_spec,
 )
 
@@ -84,6 +90,78 @@ class TestLoadDiscrete:
         b = load_discrete("det", tmp_path)
         assert np.array_equal(a.train, b.train)
         assert a.schema == b.schema
+
+
+# Tokens that int() and np.loadtxt read differently, or that one of them rejects.
+TOKEN_MUTATIONS = ["1_0", "\u0663", "+1", " 1", "1.0", "1e0", "12345678901234567890", "-1",
+                   str(MAX_ARITY - 1), str(MAX_ARITY)]
+LINE_MUTATIONS = ["trailing comma", "ragged row", "blank line", "whitespace-only line", "crlf",
+                  "empty file"]
+
+
+@st.composite
+def data_files(draw, mutation):
+    """The text of a valid ``.data`` file with ``mutation`` applied at a drawn place."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[str(draw(st.integers(0, 3))) for _ in range(n_cols)] for _ in range(n_rows)]
+    i = draw(st.integers(0, n_rows - 1))
+    newline = "\n"
+    if mutation in TOKEN_MUTATIONS:
+        rows[i][draw(st.integers(0, n_cols - 1))] = mutation
+    elif mutation == "trailing comma":
+        rows[i].append("")
+    elif mutation == "ragged row":
+        rows.insert(i, rows[i][:-1] if n_cols > 1 else rows[i] * 2)
+    elif mutation in ("blank line", "whitespace-only line"):
+        rows.insert(i, [""] if mutation == "blank line" else [" \t"])
+    elif mutation == "crlf":
+        newline = "\r\n"
+    elif mutation == "empty file":
+        return ""
+    return newline.join(",".join(r) for r in rows) + newline
+
+
+def read_outcome(read, path):
+    """``(array, None)`` or ``(None, DataError message)``; any warning fails."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return read(path), None
+    except DataError as exc:
+        return None, str(exc)
+
+
+class TestOneParseLoader:
+    """``_read_discrete_file`` parses with ``np.loadtxt`` and falls back to the
+    line loop; both must give the same array or the same ``DataError``."""
+
+    @pytest.mark.parametrize("mutation", [None] + TOKEN_MUTATIONS + LINE_MUTATIONS)
+    @settings(derandomize=True, deadline=None, max_examples=15,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_the_line_loop(self, tmp_path, mutation, data):
+        text = data.draw(data_files(mutation))
+        path = tmp_path / "split.data"
+        path.write_bytes(text.encode())
+        fast, fast_error = read_outcome(_read_discrete_file, path)
+        ref, ref_error = read_outcome(_read_discrete_lines, path)
+        assert fast_error == ref_error
+        if ref is not None:
+            assert fast.dtype == ref.dtype == np.float64
+            assert fast.shape == ref.shape
+            assert np.array_equal(fast, ref)
+
+    def test_infer_shaped_triple_loads_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(0)
+        parts = {"train": 16181, "valid": 2157, "test": 3236}
+        write_discrete(tmp_path, "infer", *(rng.integers(0, 2, (n, 16)).tolist()
+                                            for n in parts.values()))
+        bundle = load_discrete("infer", tmp_path)
+        for part in parts:
+            ref = _read_discrete_lines(tmp_path / f"infer.{part}.data")
+            got = getattr(bundle, part)
+            assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestManifest:

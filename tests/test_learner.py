@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softpc import independence, toy
 from softpc.analysis import factorized_circuit, singleton_split_membership, split_circuit
 from softpc.circuit import LeafNode, ProductNode, SumNode
 from softpc.estimators import Multinomial
 from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
-from softpc.schema import Schema
+from softpc.schema import Schema, Variable
 
 from conftest import all_binary_rows, pinned_data, step_counts
 
@@ -359,3 +361,39 @@ class TestProductChildrenGoStraightToClustering:
                         assert original(sub, weights, group, schema, hp.p_threshold) == [group]
                         wide += len(group) > 1
         assert wide > 0
+
+
+@st.composite
+def mixed_data(draw):
+    """Up to 200 rows of 2-6 variables, categorical (arity 2-5) or
+    continuous, each row drawn from one of two latent components so that the
+    learners find both products and sums."""
+    n_rows, n_vars = draw(st.integers(10, 200)), draw(st.integers(2, 6))
+    arities = draw(st.lists(st.sampled_from([None, 2, 3, 4, 5]), min_size=n_vars,
+                            max_size=n_vars))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.random(n_rows) < draw(st.floats(0.0, 1.0))
+    columns, variables = [], []
+    for arity in arities:
+        if arity is None:
+            values = rng.normal(rng.normal(0.0, 5.0, 2)[z.astype(int)], 1.0)
+            columns.append(np.round(values, draw(st.integers(0, 3))))  # rounding makes ties
+            variables.append(Variable("cont"))
+        else:
+            probs = rng.dirichlet(np.ones(arity), 2)
+            columns.append([rng.choice(arity, p=probs[int(k)]) for k in z])
+            variables.append(Variable("cat", arity))
+    return np.column_stack(columns).astype(float), Schema(variables)
+
+
+class TestEveryLearnedCircuitIsValid:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(mixed_data(), st.sampled_from([5.0, 50.0]))
+    def test_both_learners_with_both_clusterers(self, data, min_instances):
+        matrix, schema = data
+        for learn in (learn_spn, soft_learn):
+            for clusterer in ("em", "kmeans"):
+                hp = Hyperparams(clusterer=clusterer, min_instances=min_instances)
+                circuit, _ = learn(WeightedDataset(matrix, None, schema), hp)
+                assert circuit.validate() == []
+                assert np.isfinite(circuit.log_density(matrix).mean())
