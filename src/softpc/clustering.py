@@ -6,14 +6,20 @@ and EM over a mixture of fully factorized univariate distributions.  Both
 accept per-row weights, treated as frequencies throughout.
 
 Both keep their per-iteration arrays component-major, so every reduction
-runs along the rows.  Soft k-means first collapses the rows that are
-identical on the scope into distinct rows, encodes only those, as a
-``(d, m)`` array, and spreads the result back to the rows at the end;
-its random draws still range over the original rows.
+runs along the rows, and both write their largest per-iteration arrays
+into buffers that each call allocates once.  Soft k-means first
+collapses the rows that are identical on the scope into distinct rows,
+encodes only those, as a ``(d, m)`` array, and spreads the result back to
+the rows at the end; its random draws still range over the original
+rows.  An all-categorical scope finds its distinct rows from one integer
+key per row, any other scope from the rows' raw bytes; both give the same
+rows in the same order.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +30,8 @@ from .estimators import Gaussian, Multinomial, leaf_log_pdf
 CENTROID_TOL = 1e-6
 COLLAPSE_TOL = 1e-8
 CONVERGENCE_TOL = 1e-4
+# largest arity whose levels soft k-means ranks by table to key distinct rows
+_MAX_KEYED_ARITY = 1024
 
 
 @dataclass
@@ -80,29 +88,52 @@ def encode_rows(matrix, weights, scope, schema):
     return _encode_t(matrix[:, list(scope)], scope, schema, standardizers).T
 
 
-def softmax_memberships(encoded_t, centroids, beta: float):
+def softmax_memberships(encoded_t, centroids, beta: float, out=None, scratch=None):
     """Responsibilities softmax(beta * (1 - ||d - C_i|| / sum_j ||d - C_j||)).
 
     ``encoded_t`` is component-major, ``(d, m)``, and the result is
-    ``(k, m)``: one row of responsibilities per centroid.  Each centroid's
-    distances come from one ``(d, m)`` difference, squared in place and
-    summed over the components, so no ``(m, k, d)`` tensor is built.
+    ``(k, m)``: one row of responsibilities per centroid, written into
+    ``out`` when given.  The distances come from one broadcast difference
+    into a ``(k, d, m)`` array (``scratch`` when given), squared in place
+    and summed over the components.  The sums, maxima and totals over the
+    k centroids are one binary ufunc call per centroid, in centroid order,
+    the order a reduction over the leading axis adds in.  A row on every
+    centroid (all distances 0) keeps its zero distances, so it gets equal
+    scores: no preference.
     """
     k = centroids.shape[0]
-    dists = np.empty((k, encoded_t.shape[1]))
-    for i in range(k):
-        diff = encoded_t - centroids[i][:, None]
-        np.square(diff, out=diff)
-        diff.sum(axis=0, out=dists[i])
-    np.sqrt(dists, out=dists)
-    denom = dists.sum(axis=0)
-    # a point exactly on every centroid has all distances 0: a safe
-    # denominator leaves it equal scores, so no preference
-    rel = beta * (1.0 - dists / np.where(denom > 0, denom, 1.0))
-    rel -= rel.max(axis=0)
-    resp = np.exp(rel, out=rel)
-    resp /= resp.sum(axis=0)
-    return resp
+    d, m = encoded_t.shape
+    if out is None:
+        out = np.empty((k, m))
+    if scratch is None:
+        scratch = np.empty((k, d, m))
+    np.subtract(encoded_t, centroids[:, :, None], out=scratch)
+    np.square(scratch, out=scratch)
+    np.add.reduce(scratch, axis=1, out=out)
+    np.sqrt(out, out=out)
+    # the differences are spent: the first of them holds the per-row sums
+    acc = scratch[0, 0]
+    rows = list(out)
+    _fold(np.add, rows, acc)
+    np.divide(out, acc, out=out, where=acc > 0)
+    np.subtract(1.0, out, out=out)
+    np.multiply(beta, out, out=out)
+    _fold(np.maximum, rows, acc)
+    np.subtract(out, acc, out=out)
+    np.exp(out, out=out)
+    _fold(np.add, rows, acc)
+    np.divide(out, acc, out=out)
+    return out
+
+
+def _fold(ufunc, rows, acc):
+    """``ufunc.reduce`` over the list ``rows`` into ``acc``, one call per row in row order."""
+    if len(rows) == 1:
+        np.copyto(acc, rows[0])
+        return
+    ufunc(rows[0], rows[1], out=acc)
+    for row in rows[2:]:
+        ufunc(acc, row, out=acc)
 
 
 def _kmeanspp_init(encoded, inv, weights, k, rng):
@@ -138,14 +169,22 @@ def soft_kmeans(
     when the largest centroid shift falls below 1e-6.  ``rng=None``
     seeds the k-means++ initialisation with ``default_rng(0)``.
 
-    Distinct rows come first: the raw scope columns are uniqued by their
-    bytes, and only the distinct rows are encoded, each carrying the sum
-    of its rows' weights; all rows share their distinct row's
-    responsibilities.  The continuous columns are still standardized by
-    statistics over every row, so each distinct row encodes to the same
-    floats as its rows would.  The encoded rows are kept component-major,
-    ``(d, m)``: each iteration is one ``(d, m)`` distance pass per centroid
-    (``softmax_memberships``) and one ``(k, m) @ (m, d)`` centroid update.
+    Distinct rows come first: the raw scope columns are uniqued in the
+    order of their bytes, and only the distinct rows are encoded, each
+    carrying the sum of its rows' weights; all rows share their distinct
+    row's responsibilities.  When every scope variable is categorical and
+    every value one of its levels, each row's key is one int64: each level
+    maps to its rank in the byte order of its float64 (not the numeric
+    order: 2.0 sorts before 1.0), and the ranks combine into a mixed-radix
+    number, the first scope column most significant.  It sorts as the
+    bytes do, so the distinct rows come out in the same order as with the
+    rows' raw bytes as keys, which every other scope uses.  The continuous
+    columns are still standardized by statistics over every row, so each
+    distinct row encodes to the same floats as its rows would.  The encoded
+    rows are kept component-major, ``(d, m)``.  The memberships ``(k, m)``,
+    the ``(k, d, m)`` distance scratch and the centroid-shift buffer are
+    allocated once per call: each iteration is one ``softmax_memberships``
+    call into them and one ``(k, m) @ (m, d)`` centroid update.
 
     The random stream is the same as with every row clustered on its own.
     Each k-means++ draw still picks one of the ``n`` original rows, with
@@ -167,43 +206,120 @@ def soft_kmeans(
         return np.ones((n, 1))
 
     raw = np.ascontiguousarray(matrix[:, list(scope)])
-    row_bytes = np.dtype((np.void, raw.itemsize * raw.shape[1]))
-    _, first, inv = np.unique(raw.view(row_bytes).ravel(), return_index=True, return_inverse=True)
+    first, inv = _distinct_rows(raw, scope, schema)
     standardizers = _standardizers(matrix, weights, scope, schema)
     encoded_t = _encode_t(raw[first], scope, schema, standardizers)
     encoded = np.ascontiguousarray(encoded_t.T)
     group_w = np.bincount(inv, weights=weights, minlength=first.size)
 
     centroids = _kmeanspp_init(encoded, inv, weights, k, rng)
+    resp = np.empty((k, first.size))
+    scratch = np.empty((k,) + encoded_t.shape)
+    moved = np.empty_like(centroids)
     for _ in range(max_iter):
-        eff = softmax_memberships(encoded_t, centroids, beta)
+        eff = softmax_memberships(encoded_t, centroids, beta, out=resp, scratch=scratch)
         eff *= group_w
         mass = eff.sum(axis=1)
         fed = mass > COLLAPSE_TOL
-        new_centroids = np.divide(eff @ encoded, mass[:, None], out=centroids.copy(),
-                                  where=fed[:, None])
-        for i in np.flatnonzero(~fed):
-            # re-seed a starved cluster at the row farthest from its centroid
-            dists = np.sqrt(((encoded_t - centroids[i][:, None]) ** 2).sum(axis=0))
-            new_centroids[i] = encoded[inv[int(np.argmax(weights * dists[inv]))]]
-        shift = np.abs(new_centroids - centroids).max()
+        if fed.all():
+            new_centroids = eff @ encoded
+            new_centroids /= mass[:, None]
+        else:
+            new_centroids = np.divide(eff @ encoded, mass[:, None], out=centroids.copy(),
+                                      where=fed[:, None])
+            for i in np.flatnonzero(~fed):
+                # re-seed a starved cluster at the row farthest from its centroid
+                dists = np.sqrt(((encoded_t - centroids[i][:, None]) ** 2).sum(axis=0))
+                new_centroids[i] = encoded[inv[int(np.argmax(weights * dists[inv]))]]
+        np.subtract(new_centroids, centroids, out=moved)
+        shift = np.abs(moved, out=moved).max()
         centroids = new_centroids
         if shift < CENTROID_TOL:
             break
-    return np.ascontiguousarray(softmax_memberships(encoded_t, centroids, beta).T)[inv]
+    resp = softmax_memberships(encoded_t, centroids, beta, out=resp, scratch=scratch)
+    return np.ascontiguousarray(resp.T)[inv]
+
+
+@functools.lru_cache(maxsize=None)  # at most _MAX_KEYED_ARITY entries
+def _byte_ranks(arity):
+    """Rank of each level ``0..arity-1``, as a float64, in the order of its raw
+    bytes: the order ``np.unique`` sorts void row keys in (2.0 before 1.0)."""
+    ranks = np.empty(arity)
+    ranks[np.argsort(np.arange(arity, dtype=float).view(">u8"))] = np.arange(arity)
+    ranks.flags.writeable = False  # shared by every caller through the cache
+    return ranks
+
+
+@functools.lru_cache(maxsize=128)
+def _key_radix(arities):
+    """``(arities, radix)`` as float arrays, the first column most significant,
+    or ``None`` when a rank table or the keys would be too large for exact
+    float64 sums."""
+    if max(arities) > _MAX_KEYED_ARITY or math.prod(arities) > 2**53:
+        return None
+    radix = [math.prod(arities[j + 1 :]) for j in range(len(arities))]
+    out = np.array(arities, dtype=float), np.array(radix, dtype=float)
+    for a in out:
+        a.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+def _distinct_rows(raw, scope, schema):
+    """``first`` and ``inv`` of ``np.unique`` over the rows of ``raw``, keyed by their bytes."""
+    keys = _level_keys(raw, scope, schema)
+    if keys is None:
+        keys = raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1]))).ravel()
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inv
+
+
+def _level_keys(raw, scope, schema):
+    """One int64 per row of ``raw`` that sorts as the row's bytes do, or ``None``.
+
+    Only for an all-categorical scope whose values are all levels in
+    ``[0, arity)``: a continuous column, any other value, a ``-0.0`` (its
+    bytes differ from ``0.0``'s) or a key past 2**53 gets ``None``.  Each
+    level maps to its byte rank (levels 0 and 1 keep their value), and the
+    ranks combine into one mixed-radix key through one exact float64
+    matrix-vector product.
+    """
+    if not all(schema.is_cat(v) for v in scope):
+        return None
+    arities = tuple(schema[v].arity for v in scope)
+    key_radix = _key_radix(arities)
+    # a negative value or -0.0 has its sign bit set, and a NaN fails the bound
+    if key_radix is None or np.signbit(raw).any():
+        return None
+    upper, radix = key_radix
+    if not (raw < upper).all():
+        return None
+    codes = raw.astype(np.int64)
+    if (codes != raw).any():
+        return None
+    ranks = raw
+    wide = [j for j, a in enumerate(arities) if a > 2]
+    if wide:
+        ranks = raw.copy()
+        for j in wide:
+            ranks[:, j] = _byte_ranks(arities[j])[codes[:, j]]
+    return (ranks @ radix).astype(np.int64)
 
 
 def _normalize(joint):
     """Column-wise log-sum-exp of ``(K, n)`` log joints: ``(memberships, row log-likelihoods)``.
 
-    A row whose terms are all ``-inf`` gets the max floored at 0, as
-    ``scipy.special.logsumexp`` does.
+    The memberships are written over ``joint``.  A row whose terms are all
+    ``-inf`` gets the max floored at 0, as ``scipy.special.logsumexp`` does.
     """
     top = joint.max(axis=0)
-    top[~np.isfinite(top)] = 0.0
-    expd = np.exp(joint - top)
+    finite = np.isfinite(top)
+    if not finite.all():
+        top[~finite] = 0.0
+    joint -= top
+    expd = np.exp(joint, out=joint)
     total = expd.sum(axis=0)
-    return expd / total, np.log(total) + top
+    expd /= total
+    return expd, np.log(total) + top
 
 
 def em_factorized(
@@ -229,7 +345,9 @@ def em_factorized(
     log-likelihoods are returned as a third value.
 
     Each iteration is a few whole-matrix steps over all K components at
-    once.  The categorical scope columns form an ``(n, L)`` one-hot matrix
+    once, the ``(K, g, n)`` Gaussian deviations written into one buffer per
+    call and the log-sum-exp done in place on the log joints.  The
+    categorical scope columns form an ``(n, L)`` one-hot matrix
     ``E`` (each variable at its own offset) and the continuous ones an
     ``(n, g)`` matrix ``X``.  The effective weights ``W = weights * resp``
     have entries below ``estimators.EPSILON_W`` zeroed, as the leaf fits
@@ -276,7 +394,9 @@ def em_factorized(
     onehot = np.zeros((n, int(arities.sum())))
     np.put_along_axis(onehot, icodes + offsets, 1.0, axis=1)
     slot_arity = np.repeat(arities, arities)
+    slot_alpha = slot_arity * alpha
     x_t = np.ascontiguousarray(matrix[:, conts].T)
+    dev2 = np.empty((k,) + x_t.shape)
     heaviest = int(np.argmax(weights))
 
     prev_ll = -np.inf
@@ -295,9 +415,12 @@ def em_factorized(
             priors[restart] = np.maximum(priors[restart], COLLAPSE_TOL)
         priors = priors / priors.sum()
         s = w.sum(axis=1)
-        probs = (w @ onehot + alpha) / (s[:, None] + slot_arity * alpha)
+        probs = w @ onehot
+        probs += alpha
+        probs /= s[:, None] + slot_alpha
         mu = w @ x_t.T / s[:, None]
-        dev2 = (x_t - mu[:, :, None]) ** 2
+        np.subtract(x_t, mu[:, :, None], out=dev2)
+        np.square(dev2, out=dev2)
         ssq = np.matmul(dev2, w[:, :, None])[:, :, 0]
         # a component with one kept row has s * s == sum(w * w) exactly
         denom = s * s - np.einsum("kn,kn->k", w, w)
@@ -306,9 +429,11 @@ def em_factorized(
 
         # E-step
         empty = probs == 0.0  # a level without weight, possible only with alpha = 0
-        joint = np.log(np.where(empty, 1.0, probs)) @ onehot.T
         if empty.any():
+            joint = np.log(np.where(empty, 1.0, probs)) @ onehot.T
             joint[empty @ onehot.T > 0] = -np.inf
+        else:
+            joint = np.log(probs) @ onehot.T
         joint += np.matmul((-0.5 / sigma**2)[:, None, :], dev2)[:, 0, :]
         joint += (np.log(priors) - (np.log(sigma) + estimators._LOG_SQRT_2PI).sum(axis=1))[:, None]
         resp, row_ll = _normalize(joint)

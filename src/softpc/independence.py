@@ -68,13 +68,19 @@ def weighted_chi2(x, y, weights) -> Chi2Result:
     weights = np.asarray(weights, dtype=float)
     if not (x.shape == y.shape == weights.shape):
         raise ValueError("x, y, weights must have equal length")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
+    _check_weights(weights)
 
     nx, ny = int(x.max()) + 1, int(y.max()) + 1
     table = np.bincount(x * ny + y, weights=weights, minlength=nx * ny).reshape(1, nx, ny)
     stat, dof, p = _chi2_tables(table)
     return Chi2Result(float(stat[0]), int(dof[0]), float(p[0]))
+
+
+def _check_weights(weights):
+    """``ValueError`` unless every weight is finite and positive (a NaN
+    compares false against any bound, so it needs its own test)."""
+    if not (np.isfinite(weights) & (weights > 0)).all():
+        raise ValueError("weights must be finite and positive")
 
 
 def _chi2_tables(tables):
@@ -129,8 +135,7 @@ def partition_scope(matrix, weights, scope, schema, p_threshold: float):
         return [sorted(scope)]
     matrix = np.asarray(matrix)
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
+    _check_weights(weights)
 
     codes = np.empty((weights.size, len(scope)), dtype=np.int64)
     for j, v in enumerate(scope):

@@ -575,6 +575,181 @@ def reference_em_factorized(
     return resp, mixture
 
 
+def _allocating_softmax_memberships(encoded_t, centroids, beta):
+    # one fresh (d, m) difference per centroid; reductions over the centroids by numpy
+    k = centroids.shape[0]
+    dists = np.empty((k, encoded_t.shape[1]))
+    for i in range(k):
+        diff = encoded_t - centroids[i][:, None]
+        np.square(diff, out=diff)
+        diff.sum(axis=0, out=dists[i])
+    np.sqrt(dists, out=dists)
+    denom = dists.sum(axis=0)
+    rel = beta * (1.0 - dists / np.where(denom > 0, denom, 1.0))
+    rel -= rel.max(axis=0)
+    resp = np.exp(rel, out=rel)
+    resp /= resp.sum(axis=0)
+    return resp
+
+
+def reference_distinct_rows(raw):
+    """``first`` and ``inv`` of ``np.unique`` over the rows of ``raw``, keyed by their raw bytes."""
+    row_bytes = np.dtype((np.void, raw.itemsize * raw.shape[1]))
+    _, first, inv = np.unique(raw.view(row_bytes).ravel(), return_index=True, return_inverse=True)
+    return first, inv
+
+
+def reference_distinct_row_kmeans(
+    matrix, weights, scope, schema, k, beta, max_iter=100, rng=None
+):
+    """Soft k-means on distinct rows, with every array allocated per step.
+
+    This is the loop ``soft_kmeans`` ran before its iterations reused
+    per-call buffers: distinct rows come from ``np.unique`` over the raw
+    row bytes (void keys) for every scope, each iteration allocates its
+    distances per centroid, its memberships and its new centroids.  The
+    encoder and the k-means++ seeding are the module's own, which that
+    change left alone; ``soft_kmeans`` is pinned to this bit for bit.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    matrix = np.asarray(matrix, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n = weights.size
+    k = min(k, n)
+    if k == 1:
+        return np.ones((n, 1))
+
+    raw = np.ascontiguousarray(matrix[:, list(scope)])
+    first, inv = reference_distinct_rows(raw)
+    standardizers = clustering._standardizers(matrix, weights, scope, schema)
+    encoded_t = clustering._encode_t(raw[first], scope, schema, standardizers)
+    encoded = np.ascontiguousarray(encoded_t.T)
+    group_w = np.bincount(inv, weights=weights, minlength=first.size)
+
+    centroids = clustering._kmeanspp_init(encoded, inv, weights, k, rng)
+    for _ in range(max_iter):
+        eff = _allocating_softmax_memberships(encoded_t, centroids, beta)
+        eff *= group_w
+        mass = eff.sum(axis=1)
+        fed = mass > clustering.COLLAPSE_TOL
+        new_centroids = np.divide(eff @ encoded, mass[:, None], out=centroids.copy(),
+                                  where=fed[:, None])
+        for i in np.flatnonzero(~fed):
+            dists = np.sqrt(((encoded_t - centroids[i][:, None]) ** 2).sum(axis=0))
+            new_centroids[i] = encoded[inv[int(np.argmax(weights * dists[inv]))]]
+        shift = np.abs(new_centroids - centroids).max()
+        centroids = new_centroids
+        if shift < clustering.CENTROID_TOL:
+            break
+    resp = _allocating_softmax_memberships(encoded_t, centroids, beta)
+    return np.ascontiguousarray(resp.T)[inv]
+
+
+def _allocating_normalize(joint):
+    top = joint.max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    expd = np.exp(joint - top)
+    total = expd.sum(axis=0)
+    return expd / total, np.log(total) + top
+
+
+def reference_matrix_em(
+    matrix, weights, scope, schema, k, max_iter=100, alpha=0.01, rng=None,
+    init_membership=None, return_trace=False,
+):
+    """EM over whole-matrix steps, with every array allocated per step.
+
+    This is the loop ``em_factorized`` ran before its iterations reused a
+    per-call deviation buffer and normalised in place; its k-means start
+    is ``reference_distinct_row_kmeans``.  ``em_factorized`` is pinned to
+    this bit for bit.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    matrix = np.asarray(matrix, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n = weights.size
+    k = min(k, n)
+    if k == 1:
+        comp = estimators.fit_factorized(matrix, weights, scope, schema, alpha)
+        out = np.ones((n, 1)), clustering.FactorizedMixture(np.ones(1), [comp], tuple(scope))
+        return (*out, []) if return_trace else out
+
+    cats = [v for v in scope if schema.is_cat(v)]
+    conts = [v for v in scope if not schema.is_cat(v)]
+    arities = np.array([schema[v].arity for v in cats], dtype=np.int64)
+    icodes = estimators.categorical_codes(matrix[:, cats], arities)
+
+    if init_membership is not None:
+        resp = np.asarray(init_membership, dtype=float)
+    else:
+        resp = reference_distinct_row_kmeans(matrix, weights, scope, schema, k, beta=4.0,
+                                             max_iter=10, rng=rng)
+    k = resp.shape[1]
+
+    resp = resp.T
+    offsets = np.cumsum(arities) - arities
+    onehot = np.zeros((n, int(arities.sum())))
+    np.put_along_axis(onehot, icodes + offsets, 1.0, axis=1)
+    slot_arity = np.repeat(arities, arities)
+    x_t = np.ascontiguousarray(matrix[:, conts].T)
+    heaviest = int(np.argmax(weights))
+
+    prev_ll = -np.inf
+    ll_trace = []
+    total_w = weights.sum()
+    for _ in range(max_iter):
+        eff = weights * resp
+        priors = eff.sum(axis=1) / total_w
+        w = np.where(eff >= estimators.EPSILON_W, eff, 0.0)
+        restart = (priors < clustering.COLLAPSE_TOL) | ~w.any(axis=1)
+        if restart.any():
+            w[restart] = 0.0
+            w[restart, heaviest] = 1.0
+            priors[restart] = np.maximum(priors[restart], clustering.COLLAPSE_TOL)
+        priors = priors / priors.sum()
+        s = w.sum(axis=1)
+        probs = (w @ onehot + alpha) / (s[:, None] + slot_arity * alpha)
+        mu = w @ x_t.T / s[:, None]
+        dev2 = (x_t - mu[:, :, None]) ** 2
+        ssq = np.matmul(dev2, w[:, :, None])[:, :, 0]
+        denom = s * s - np.einsum("kn,kn->k", w, w)
+        bessel = np.divide(s, denom, out=np.zeros(k), where=denom > 0.0)
+        sigma = np.maximum(np.sqrt(bessel[:, None] * ssq), estimators.SIGMA_FLOOR)
+
+        empty = probs == 0.0
+        joint = np.log(np.where(empty, 1.0, probs)) @ onehot.T
+        if empty.any():
+            joint[empty @ onehot.T > 0] = -np.inf
+        joint += np.matmul((-0.5 / sigma**2)[:, None, :], dev2)[:, 0, :]
+        joint += (np.log(priors) - (np.log(sigma) + estimators._LOG_SQRT_2PI).sum(axis=1))[:, None]
+        resp, row_ll = _allocating_normalize(joint)
+        ll = float(np.dot(weights, row_ll))
+        ll_trace.append(ll)
+        if ll - prev_ll < clustering.CONVERGENCE_TOL and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+
+    mixture = None
+    if ll_trace:
+        leaves = {v: [Gaussian(float(m), float(sd)) for m, sd in zip(mu[:, j], sigma[:, j])]
+                  for j, v in enumerate(conts)}
+        for v, lo, a in zip(cats, offsets, arities):
+            leaves[v] = [Multinomial(tuple(row.tolist())) for row in probs[:, lo : lo + a]]
+        components = [[leaves[v][i] for v in scope] for i in range(k)]
+        mixture = clustering.FactorizedMixture(priors, components, tuple(scope))
+        joint = np.log(priors)[:, None] + np.array(
+            [sum(leaf_log_pdf(dist, matrix[:, v]) for v, dist in zip(scope, comp))
+             for comp in components]
+        )
+        resp, _ = _allocating_normalize(joint)
+    resp = np.ascontiguousarray(resp.T)
+    if return_trace:
+        return resp, mixture, ll_trace
+    return resp, mixture
+
+
 def reference_partition_scope(matrix, weights, scope, schema, p_threshold, bins=4):
     """``partition_scope`` with one ``weighted_chi2`` call per variable pair.
 

@@ -13,7 +13,14 @@ from softpc.estimators import SIGMA_FLOOR, Gaussian
 from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
 from softpc.schema import Schema, Variable
 
-from conftest import reference_em_factorized, reference_soft_kmeans
+import conftest
+from conftest import (
+    reference_distinct_row_kmeans,
+    reference_distinct_rows,
+    reference_em_factorized,
+    reference_matrix_em,
+    reference_soft_kmeans,
+)
 
 
 def blobs(rng, centers, n_per, sigma=0.1):
@@ -40,6 +47,19 @@ class TestSoftmaxMemberships:
         resp = softmax_memberships(encoded.T, centroids, beta=0.0)
         assert resp.shape == (4, 20)
         assert np.allclose(resp, 0.25, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_buffers_give_the_allocating_bits(self, rng, k):
+        encoded_t = rng.normal(size=(6, 40)).round(1)
+        centroids = rng.normal(size=(k, 6))
+        # row 0 sits on every centroid in the second call
+        for cents in (centroids, np.repeat(encoded_t[:, :1].T, k, axis=0)):
+            out, scratch = np.empty((k, 40)), np.empty((k, 6, 40))
+            got = softmax_memberships(encoded_t, cents, 4.0, out=out, scratch=scratch)
+            assert got is out
+            ref = conftest._allocating_softmax_memberships(encoded_t, cents, 4.0)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(softmax_memberships(encoded_t, cents, 4.0), ref)
 
     def test_rows_sum_to_one_and_lie_in_unit_interval(self, rng):
         resp = softmax_memberships(rng.normal(size=(50, 2)).T, rng.normal(size=(3, 2)), 4.0)
@@ -210,6 +230,176 @@ class TestLearnersMatchReferenceKmeans:
         assert [s.step_kind for s in got_trace.steps] == [s.step_kind for s in ref_trace.steps]
         assert "sum" in {s.step_kind for s in got_trace.steps}
         assert np.abs(got.log_density(test) - ref.log_density(test)).max() <= 1e-9
+
+
+def _categorical_rows(rng, n, arities, patterns=40):
+    # rows drawn from a few patterns, so they repeat
+    table = np.column_stack([rng.integers(0, a, size=patterns) for a in arities])
+    matrix = table[rng.integers(0, patterns, size=n)].astype(float)
+    return matrix, Schema.categorical([int(a) for a in arities])
+
+
+class TestSoftKmeansMatchesAllocatingReference:
+    # bit for bit: the same memberships and the same random stream after each call
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("case", ["soft_binary", "categorical_2_to_7", "mixed"])
+    def test_same_bits_as_allocating_loop(self, rng, case, k):
+        if case == "soft_binary":
+            matrix, schema = _soft_binary_rows(rng, 600)
+        elif case == "categorical_2_to_7":
+            matrix, schema = _categorical_rows(rng, 500, range(2, 8))
+        else:
+            matrix, schema = _repeated_mixed(rng, n=500)
+        weights = rng.uniform(0.01, 3.0, size=matrix.shape[0])
+        self._assert_same_bits(matrix, weights, tuple(range(matrix.shape[1])), schema, k, 4.0)
+
+    @pytest.mark.parametrize("case", ["starved_cluster", "one_row", "scope_subset"])
+    def test_same_bits_in_edge_cases(self, rng, case):
+        if case == "starved_cluster":
+            matrix, weights, schema, k, beta = _starved_cluster(rng)
+            scope = (0,)
+        elif case == "one_row":
+            matrix, schema = _repeated_mixed(rng, n=1)
+            weights, scope, k, beta = np.array([0.7]), (0, 1, 2), 3, 4.0
+        else:
+            matrix, schema = _categorical_rows(rng, 400, (3, 2, 6, 4, 5))
+            weights, scope, k, beta = np.ones(400), (4, 0, 2), 3, 8.0
+        self._assert_same_bits(matrix, weights, scope, schema, k, beta)
+
+    @staticmethod
+    def _assert_same_bits(matrix, weights, scope, schema, k, beta):
+        got_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            got = soft_kmeans(matrix, weights, scope, schema, k, beta, rng=got_rng)
+            ref = reference_distinct_row_kmeans(matrix, weights, scope, schema, k, beta,
+                                                rng=ref_rng)
+            assert np.array_equal(got, ref)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestEmMatchesAllocatingReference:
+    @pytest.mark.parametrize("case", ["kmeans_start", "empty_levels", "collapsed_prior"])
+    def test_same_bits_as_allocating_loop(self, rng, case):
+        matrix, schema = _latent_mixed(rng, n=300)
+        weights = rng.uniform(0.05, 3.0, size=300)
+        scope, kwargs = tuple(range(6)), {}
+        if case == "empty_levels":
+            # alpha = 0 leaves the levels without weight at probability 0
+            matrix, schema = _categorical_rows(rng, 300, (2, 3, 4, 2))
+            matrix[:150, 3] = 0.0
+            init = np.zeros((300, 2))
+            init[:150, 0] = init[150:, 1] = 1.0
+            scope, kwargs = (0, 1, 2, 3), {"alpha": 0.0, "init_membership": init}
+        elif case == "collapsed_prior":
+            kwargs = {"init_membership": np.column_stack([np.ones(300) - 1e-12,
+                                                          np.full(300, 1e-12)])}
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2):
+            got, got_mix, got_trace = em_factorized(
+                matrix, weights, scope, schema, 2, rng=got_rng, return_trace=True, **kwargs)
+            ref, ref_mix, ref_trace = reference_matrix_em(
+                matrix, weights, scope, schema, 2, rng=ref_rng, return_trace=True, **kwargs)
+            assert np.array_equal(got, ref)
+            assert got_trace == ref_trace
+            assert np.array_equal(got_mix.priors, ref_mix.priors)
+            assert got_mix.components == ref_mix.components
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        if case == "empty_levels":
+            assert 0.0 in [p for comp in got_mix.components for p in comp[3].probs]
+
+
+class TestLearnersMatchAllocatingClusterers:
+    # fractional row weights (soft_learn, EM) are where a change of memory
+    # order in a reduction shows in the last bits; unit weights hide it
+    @pytest.mark.parametrize("learn", [learn_spn, soft_learn])
+    @pytest.mark.parametrize("clusterer,rows", [("kmeans", "soft_binary"), ("kmeans", "mixed"),
+                                                ("em", "mixed")])
+    def test_same_json(self, rng, monkeypatch, learn, clusterer, rows):
+        if rows == "soft_binary":
+            matrix, schema = _soft_binary_rows(rng, 600)
+        else:
+            matrix, schema = _latent_mixed(rng, n=300)
+        hp = Hyperparams(p_threshold=0.01, clusterer=clusterer, seed=3)
+        got, _ = learn(WeightedDataset(matrix, None, schema), hp)
+        monkeypatch.setattr(clustering, "soft_kmeans", reference_distinct_row_kmeans)
+        monkeypatch.setattr(clustering, "em_factorized", reference_matrix_em)
+        ref, ref_trace = learn(WeightedDataset(matrix, None, schema), hp)
+        assert "sum" in {s.step_kind for s in ref_trace.steps}
+        assert got.to_json() == ref.to_json()
+
+
+class TestDistinctRowKeys:
+    @pytest.mark.parametrize("n_cols", [1, 2, 7, 16])
+    def test_categorical_keys_give_void_key_order(self, rng, n_cols):
+        arities = rng.integers(2, 8, size=n_cols)
+        matrix, schema = _categorical_rows(rng, 500, arities)
+        scope = tuple(rng.permutation(n_cols))
+        raw = np.ascontiguousarray(matrix[:, list(scope)])
+        keys = clustering._level_keys(raw, scope, schema)
+        assert keys is not None and keys.dtype == np.int64
+        got = clustering._distinct_rows(raw, scope, schema)
+        for a, b in zip(got, reference_distinct_rows(raw)):
+            assert np.array_equal(a, b)
+
+    def test_level_ranks_follow_float_bytes(self):
+        # 2.0's bytes sort before 1.0's: the key order is not the numeric order
+        raw = np.array([[1.0], [2.0], [0.0]])
+        first, inv = clustering._distinct_rows(raw, (0,), Schema.categorical([3]))
+        assert first.tolist() == [2, 1, 0] and inv.tolist() == [2, 1, 0]
+
+    @pytest.mark.parametrize("case", ["negative_zero", "continuous", "past_int64",
+                                      "arity_past_rank_table", "fraction", "nan", "out_of_range"])
+    def test_other_scopes_take_void_keys(self, rng, case):
+        matrix, schema = _categorical_rows(rng, 300, (2, 3, 4))
+        if case == "negative_zero":
+            matrix[::7, 1] = -0.0
+        elif case == "continuous":
+            schema = Schema([schema[0], Variable("cont"), schema[2]])
+        elif case == "past_int64":
+            schema = Schema.categorical([1024] * 7)
+            matrix = rng.integers(0, 1024, size=(300, 7)).astype(float)
+        elif case == "arity_past_rank_table":
+            schema = Schema([schema[0], Variable("cat", clustering._MAX_KEYED_ARITY + 1), schema[2]])
+            matrix[:, 1] = rng.integers(0, clustering._MAX_KEYED_ARITY + 1, size=300)
+        elif case == "out_of_range":
+            matrix[5, 2] = 4.0
+        else:
+            matrix[5, 2] = {"fraction": 0.5, "nan": np.nan}[case]
+        scope = tuple(range(matrix.shape[1]))
+        raw = np.ascontiguousarray(matrix)
+        assert clustering._level_keys(raw, scope, schema) is None
+        got = clustering._distinct_rows(raw, scope, schema)
+        for a, b in zip(got, reference_distinct_rows(raw)):
+            assert np.array_equal(a, b)
+
+
+class TestTracedCalls:
+    # bench/spans.py counts k-means iterations as calls of
+    # clustering.softmax_memberships and EM iterations as leaf_log_pdf calls
+    # after the EM loop; both must go through those module names
+    @pytest.mark.parametrize("max_iter", [1, 4, 100])
+    def test_one_membership_call_per_iteration_and_one_after(self, rng, monkeypatch, max_iter):
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(original)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(clustering, "softmax_memberships",
+                            counting(clustering.softmax_memberships))
+        monkeypatch.setattr(conftest, "_allocating_softmax_memberships",
+                            counting(conftest._allocating_softmax_memberships))
+        matrix, schema = _soft_binary_rows(rng, 600)
+        args = (matrix, np.ones(600), tuple(range(16)), schema, 2, 4.0, max_iter)
+        soft_kmeans(*args, rng=np.random.default_rng(2))
+        got = len(calls)
+        reference_distinct_row_kmeans(*args, rng=np.random.default_rng(2))
+        assert got == len(calls) - got
+        assert 2 <= got <= max_iter + 1
+        if max_iter < 100:
+            assert got == max_iter + 1
 
 
 class TestEmFactorized:
@@ -438,7 +628,9 @@ class TestEmFactorizedMatchesLoopReference:
             return_trace=True,
         )
         assert len(trace) > 1
-        # only the membership pass after the loop evaluates leaves one by one
+        # only the membership pass after the loop evaluates leaves one by one:
+        # K * |scope| calls, whatever the number of iterations
+        assert len(leaf_evals) == 2 * 6
         assert leaf_evals == [dist for comp in mixture.components for dist in comp]
         assert np.allclose(resp.sum(axis=1), 1.0)
 

@@ -127,6 +127,15 @@ class TestWeightedChi2:
         with pytest.raises(ValueError):
             weighted_chi2([0, 1], [0, 1], [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, rng, bad):
+        # y copies x: a NaN weight used to give p_value 1 here
+        x = rng.integers(0, 2, size=200)
+        weights = np.ones(200)
+        weights[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            weighted_chi2(x, x, weights)
+
 
 class TestChi2Tail:
     def test_boundaries_and_monotonicity(self):
@@ -249,3 +258,13 @@ class TestPartitionScopeMatchesPairwiseReference:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             partition_scope(np.zeros((2, 2)), [1.0, 0.0], (0, 1), Schema.binary(2), 0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, rng, bad):
+        # column 1 copies column 0: a NaN weight used to split them apart
+        matrix = rng.integers(0, 2, size=(200, 3)).astype(float)
+        matrix[:, 1] = matrix[:, 0]
+        weights = np.ones(200)
+        weights[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            partition_scope(matrix, weights, (0, 1, 2), Schema.binary(3), 0.01)
