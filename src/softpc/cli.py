@@ -130,21 +130,24 @@ def cmd_learn(args) -> int:
     return EXIT_OK
 
 
-def _read_existing_results(path: Path):
-    keys = set()
-    lines = []
+def _read_existing_results(path: Path) -> list:
+    """The data rows of the results table at ``path``, each as its list of
+    text fields; none if there is no file.  ``DataError`` names a line whose
+    field count is not ``len(RESULT_COLUMNS)``."""
+    rows = []
     if not path.exists():
-        return keys, lines
-    text = path.read_text().splitlines()
-    for line in text:
+        return rows
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
         if line.startswith("#") or line.startswith(RESULT_COLUMNS[0] + "\t"):
             continue
         if not line.strip():
             continue
-        parts = line.split("\t")
-        keys.add(tuple(parts[:5]))
-        lines.append(line)
-    return keys, lines
+        fields = line.split("\t")
+        if len(fields) != len(RESULT_COLUMNS):
+            raise DataError(f"{path} line {number}: {len(fields)} fields, "
+                            f"expected {len(RESULT_COLUMNS)}")
+        rows.append(fields)
+    return rows
 
 
 def cmd_grid(args) -> int:
@@ -155,15 +158,14 @@ def cmd_grid(args) -> int:
     cells = [(c, p, a) for c in clusterers for p in ps for a in alphas]
 
     out_path = Path(args.out) if args.out else None
-    existing_keys, existing_lines = (set(), [])
-    if out_path:
-        existing_keys, existing_lines = _read_existing_results(out_path)
+    existing = _read_existing_results(out_path) if out_path else []
 
     def key_of(cell):
         c, p, a = cell
         return (args.data, args.method, c, f"{p:.6g}", f"{a:.6g}")
 
-    todo = [cell for cell in cells if args.force or key_of(cell) not in existing_keys]
+    done = {tuple(fields[:5]) for fields in existing}
+    todo = [cell for cell in cells if args.force or key_of(cell) not in done]
 
     def run(task):
         (c, p, a), rep = task
@@ -177,14 +179,16 @@ def cmd_grid(args) -> int:
             for i, (c, p, a) in enumerate(todo)]
 
     header = "\t".join(RESULT_COLUMNS)
-    body = existing_lines + [_fmt_row(r) for r in rows]
-    table = "\n".join([RESULTS_SCHEMA, header] + body) + "\n"
+    body = existing + [_fmt_row(r).split("\t") for r in rows]
+    table = "\n".join([RESULTS_SCHEMA, header] + ["\t".join(fields) for fields in body]) + "\n"
     if out_path:
         out_path.write_text(table)
         plot_path = out_path.with_suffix(out_path.suffix + ".plot.tsv")
+        # every cell of this grid, in grid order, from its last row in the table
+        last = {tuple(fields[:5]): fields for fields in body}
         plot_lines = ["x\ty\tseries"]
-        for r in rows:
-            plot_lines.append(f"p={r[3]:.6g},alpha={r[4]:.6g}\t{r[6]:.6g}\t{r[2]}")
+        for fields in (last[key_of(cell)] for cell in cells):
+            plot_lines.append(f"p={fields[3]},alpha={fields[4]}\t{fields[6]}\t{fields[2]}")
         plot_path.write_text("\n".join(plot_lines) + "\n")
     print(table, end="")
 

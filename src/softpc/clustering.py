@@ -18,9 +18,8 @@ rows in the same order.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +40,7 @@ class FactorizedMixture:
     priors: np.ndarray  # (K,)
     components: list  # K lists of LeafDists, aligned with the scope order
     scope: tuple
+    ll_trace: list = field(default_factory=list)  # EM's weighted log-likelihood per iteration
 
 
 def _standardizers(matrix, weights, scope, schema):
@@ -221,16 +221,12 @@ def soft_kmeans(
         eff *= group_w
         mass = eff.sum(axis=1)
         fed = mass > COLLAPSE_TOL
-        if fed.all():
-            new_centroids = eff @ encoded
-            new_centroids /= mass[:, None]
-        else:
-            new_centroids = np.divide(eff @ encoded, mass[:, None], out=centroids.copy(),
-                                      where=fed[:, None])
-            for i in np.flatnonzero(~fed):
-                # re-seed a starved cluster at the row farthest from its centroid
-                dists = np.sqrt(((encoded_t - centroids[i][:, None]) ** 2).sum(axis=0))
-                new_centroids[i] = encoded[inv[int(np.argmax(weights * dists[inv]))]]
+        new_centroids = np.divide(eff @ encoded, mass[:, None], out=centroids.copy(),
+                                  where=fed[:, None])
+        for i in np.flatnonzero(~fed):
+            # re-seed a starved cluster at the row farthest from its centroid
+            dists = np.sqrt(((encoded_t - centroids[i][:, None]) ** 2).sum(axis=0))
+            new_centroids[i] = encoded[inv[int(np.argmax(weights * dists[inv]))]]
         np.subtract(new_centroids, centroids, out=moved)
         shift = np.abs(moved, out=moved).max()
         centroids = new_centroids
@@ -240,28 +236,12 @@ def soft_kmeans(
     return np.ascontiguousarray(resp.T)[inv]
 
 
-@functools.lru_cache(maxsize=None)  # at most _MAX_KEYED_ARITY entries
 def _byte_ranks(arity):
     """Rank of each level ``0..arity-1``, as a float64, in the order of its raw
     bytes: the order ``np.unique`` sorts void row keys in (2.0 before 1.0)."""
     ranks = np.empty(arity)
     ranks[np.argsort(np.arange(arity, dtype=float).view(">u8"))] = np.arange(arity)
-    ranks.flags.writeable = False  # shared by every caller through the cache
     return ranks
-
-
-@functools.lru_cache(maxsize=128)
-def _key_radix(arities):
-    """``(arities, radix)`` as float arrays, the first column most significant,
-    or ``None`` when a rank table or the keys would be too large for exact
-    float64 sums."""
-    if max(arities) > _MAX_KEYED_ARITY or math.prod(arities) > 2**53:
-        return None
-    radix = [math.prod(arities[j + 1 :]) for j in range(len(arities))]
-    out = np.array(arities, dtype=float), np.array(radix, dtype=float)
-    for a in out:
-        a.flags.writeable = False  # shared by every caller through the cache
-    return out
 
 
 def _distinct_rows(raw, scope, schema):
@@ -285,13 +265,12 @@ def _level_keys(raw, scope, schema):
     """
     if not all(schema.is_cat(v) for v in scope):
         return None
-    arities = tuple(schema[v].arity for v in scope)
-    key_radix = _key_radix(arities)
-    # a negative value or -0.0 has its sign bit set, and a NaN fails the bound
-    if key_radix is None or np.signbit(raw).any():
+    arities = [schema[v].arity for v in scope]
+    # a rank table or a key too large for exact float64 sums
+    if max(arities) > _MAX_KEYED_ARITY or math.prod(arities) > 2**53:
         return None
-    upper, radix = key_radix
-    if not (raw < upper).all():
+    # a negative value or -0.0 has its sign bit set, and a NaN fails the bound
+    if np.signbit(raw).any() or not (raw < np.array(arities, dtype=float)).all():
         return None
     codes = raw.astype(np.int64)
     if (codes != raw).any():
@@ -302,6 +281,7 @@ def _level_keys(raw, scope, schema):
         ranks = raw.copy()
         for j in wide:
             ranks[:, j] = _byte_ranks(arities[j])[codes[:, j]]
+    radix = np.array([math.prod(arities[j + 1 :]) for j in range(len(arities))], dtype=float)
     return (ranks @ radix).astype(np.int64)
 
 
@@ -312,9 +292,7 @@ def _normalize(joint):
     ``-inf`` gets the max floored at 0, as ``scipy.special.logsumexp`` does.
     """
     top = joint.max(axis=0)
-    finite = np.isfinite(top)
-    if not finite.all():
-        top[~finite] = 0.0
+    top[~np.isfinite(top)] = 0.0
     joint -= top
     expd = np.exp(joint, out=joint)
     total = expd.sum(axis=0)
@@ -332,17 +310,18 @@ def em_factorized(
     alpha: float = 0.01,
     rng=None,
     init_membership=None,
-    return_trace: bool = False,
 ):
     """Weighted EM for a mixture of fully factorized distributions.
 
-    Returns ``(membership, FactorizedMixture)``.  The weighted train
+    Always returns ``(membership, FactorizedMixture)``.  The weighted train
     log-likelihood is nondecreasing across iterations; iteration stops
-    when the improvement drops below ``CONVERGENCE_TOL`` or after ``max_iter`` steps.
-    Unless ``init_membership`` is supplied, responsibilities are seeded
-    from a short soft k-means pass, drawn from ``rng`` (``default_rng(0)``
-    when ``None``).  With ``return_trace`` the per-iteration weighted
-    log-likelihoods are returned as a third value.
+    when the improvement drops below ``CONVERGENCE_TOL`` or after
+    ``max_iter`` steps, and the mixture's ``ll_trace`` holds that
+    log-likelihood after each step (``[]`` for k = 1, which fits one
+    component and iterates not at all).  ``max_iter`` must be at least 1,
+    else ``ValueError``.  Unless ``init_membership`` is supplied,
+    responsibilities are seeded from a short soft k-means pass, drawn from
+    ``rng`` (``default_rng(0)`` when ``None``).
 
     Each iteration is a few whole-matrix steps over all K components at
     once, the ``(K, g, n)`` Gaussian deviations written into one buffer per
@@ -365,6 +344,8 @@ def em_factorized(
     Raises ``ValueError`` if a categorical scope column holds a value
     that is not an integer in ``[0, arity)``.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if rng is None:
         rng = np.random.default_rng(0)
     matrix = np.asarray(matrix, dtype=float)
@@ -373,8 +354,7 @@ def em_factorized(
     k = min(k, n)
     if k == 1:
         comp = estimators.fit_factorized(matrix, weights, scope, schema, alpha)
-        out = np.ones((n, 1)), FactorizedMixture(np.ones(1), [comp], tuple(scope))
-        return (*out, []) if return_trace else out
+        return np.ones((n, 1)), FactorizedMixture(np.ones(1), [comp], tuple(scope))
 
     cats = [v for v in scope if schema.is_cat(v)]
     conts = [v for v in scope if not schema.is_cat(v)]
@@ -429,11 +409,9 @@ def em_factorized(
 
         # E-step
         empty = probs == 0.0  # a level without weight, possible only with alpha = 0
+        joint = np.log(np.where(empty, 1.0, probs)) @ onehot.T
         if empty.any():
-            joint = np.log(np.where(empty, 1.0, probs)) @ onehot.T
             joint[empty @ onehot.T > 0] = -np.inf
-        else:
-            joint = np.log(probs) @ onehot.T
         joint += np.matmul((-0.5 / sigma**2)[:, None, :], dev2)[:, 0, :]
         joint += (np.log(priors) - (np.log(sigma) + estimators._LOG_SQRT_2PI).sum(axis=1))[:, None]
         resp, row_ll = _normalize(joint)
@@ -443,25 +421,19 @@ def em_factorized(
             break
         prev_ll = ll
 
-    mixture = None
-    if ll_trace:
-        leaves = {v: [Gaussian(float(m), float(sd)) for m, sd in zip(mu[:, j], sigma[:, j])]
-                  for j, v in enumerate(conts)}
-        for v, lo, a in zip(cats, offsets, arities):
-            leaves[v] = [Multinomial(tuple(row.tolist())) for row in probs[:, lo : lo + a]]
-        components = [[leaves[v][i] for v in scope] for i in range(k)]
-        mixture = FactorizedMixture(priors, components, tuple(scope))
-        # repeats the last E-step leaf by leaf: bench/spans.py counts EM work
-        # as leaf_log_pdf calls under an em_factorized call
-        joint = np.log(priors)[:, None] + np.array(
-            [sum(leaf_log_pdf(dist, matrix[:, v]) for v, dist in zip(scope, comp))
-             for comp in components]
-        )
-        resp, _ = _normalize(joint)
-    resp = np.ascontiguousarray(resp.T)
-    if return_trace:
-        return resp, mixture, ll_trace
-    return resp, mixture
+    leaves = {v: [Gaussian(float(m), float(sd)) for m, sd in zip(mu[:, j], sigma[:, j])]
+              for j, v in enumerate(conts)}
+    for v, lo, a in zip(cats, offsets, arities):
+        leaves[v] = [Multinomial(tuple(row.tolist())) for row in probs[:, lo : lo + a]]
+    components = [[leaves[v][i] for v in scope] for i in range(k)]
+    # repeats the last E-step leaf by leaf: bench/spans.py counts EM work
+    # as leaf_log_pdf calls under an em_factorized call
+    joint = np.log(priors)[:, None] + np.array(
+        [sum(leaf_log_pdf(dist, matrix[:, v]) for v, dist in zip(scope, comp))
+         for comp in components]
+    )
+    resp, _ = _normalize(joint)
+    return np.ascontiguousarray(resp.T), FactorizedMixture(priors, components, tuple(scope), ll_trace)
 
 
 def harden(membership):

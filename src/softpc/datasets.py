@@ -163,8 +163,9 @@ def check_manifest(bundle: DatasetBundle):
 
 
 def read_schema_spec(path) -> dict:
-    """Parse a sidecar schema file into ``{column_name: 'cat' | 'cont'}``."""
-    spec = {}
+    """Parse a sidecar schema file into ``{column_name: 'cat' | 'cont'}``;
+    a column declared twice is a ``DataError``."""
+    spec, declared = {}, {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -172,7 +173,11 @@ def read_schema_spec(path) -> dict:
         parts = line.split()
         if len(parts) != 2 or parts[1] not in ("cat", "cont"):
             raise DataError(f"{path}:{lineno}: expected '<column> cat|cont'")
+        if parts[0] in declared:
+            raise DataError(f"{path}:{lineno}: column {parts[0]!r} already declared "
+                            f"on line {declared[parts[0]]}")
         spec[parts[0]] = parts[1]
+        declared[parts[0]] = lineno
     if not spec:
         raise DataError(f"{path}: empty schema spec")
     return spec

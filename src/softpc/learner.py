@@ -76,7 +76,8 @@ class WeightedDataset:
 
     All input checks of the learners happen here: values must be finite,
     categorical values integers in ``[0, arity)`` and row weights at
-    least ``estimators.EPSILON_W``.
+    least ``estimators.EPSILON_W``.  A ``-0.0`` is stored as ``0.0``, in a
+    copy of ``matrix``, so numerically equal inputs learn the same circuit.
     """
 
     matrix: np.ndarray
@@ -97,6 +98,10 @@ class WeightedDataset:
                 np.any(col != np.floor(col)) or col.min() < 0 or col.max() >= var.arity
             ):
                 raise ValueError(f"column {v}: categorical values must be integers in [0, arity)")
+        if np.signbit(self.matrix[self.matrix == 0.0]).any():
+            # -0.0 equals 0.0, but distinct rows are told apart by their bytes;
+            # adding 0.0 makes a new array, so the caller's keeps its values
+            self.matrix = self.matrix + 0.0
         if self.row_weights is None:
             self.row_weights = np.ones(self.matrix.shape[0])
         self.row_weights = np.asarray(self.row_weights, dtype=float)

@@ -369,12 +369,43 @@ class TestGrid:
         assert "# best by validation LL" in stdout
         _, rows = parse_table(first)
         assert len(rows) == 3  # three p values for the fixed alpha
-        # rerun: completed cells are kept verbatim, nothing recomputed
+        plot = out.with_suffix(out.suffix + ".plot.tsv")
+        first_plot = plot.read_text()
+        assert first_plot.startswith("x\ty\tseries\n")
+        assert len(first_plot.splitlines()) == 1 + 3
+        # rerun: completed cells are kept verbatim, nothing recomputed, and
+        # the plot still covers every cell
         assert run(base + cell) == EXIT_OK
         capsys.readouterr()
         assert out.read_text() == first
-        plot = out.with_suffix(out.suffix + ".plot.tsv")
-        assert plot.read_text().startswith("x\ty\tseries\n")
+        assert plot.read_text() == first_plot
+
+    def test_resumed_grid_plots_every_cell(self, data_dir, tmp_path, capsys):
+        cell = ["grid", "--data", "coin", "--method", "learnspn", "--clusterer", "kmeans",
+                "--alpha", 0.01, "--reps", 1]
+        fresh, resumed = tmp_path / "fresh.tsv", tmp_path / "resumed.tsv"
+        assert run(["--data-dir", data_dir, "--out", fresh] + cell) == EXIT_OK
+        base = ["--data-dir", data_dir, "--out", resumed]
+        assert run(base + cell + ["--p", 0.001]) == EXIT_OK
+        assert run(base + cell) == EXIT_OK
+        capsys.readouterr()
+        plot = lambda out: out.with_suffix(out.suffix + ".plot.tsv").read_text()  # noqa: E731
+        # grid order, whichever run learned a cell
+        assert plot(resumed) == plot(fresh)
+
+    def test_truncated_results_line_is_data_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "results.tsv"
+        args = ["--data-dir", data_dir, "--out", out, "grid", "--data", "coin",
+                "--method", "learnspn", "--clusterer", "kmeans", "--p", 0.01,
+                "--alpha", 0.01, "--reps", 1]
+        assert run(args) == EXIT_OK
+        lines = out.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit("\t", 1)[0]
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(out) in err and f"line {len(lines)}" in err
 
     def test_thread_count_does_not_change_results(self, data_dir, tmp_path, capsys):
         outs = []

@@ -295,12 +295,11 @@ class TestEmMatchesAllocatingReference:
                                                           np.full(300, 1e-12)])}
         got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(2):
-            got, got_mix, got_trace = em_factorized(
-                matrix, weights, scope, schema, 2, rng=got_rng, return_trace=True, **kwargs)
+            got, got_mix = em_factorized(matrix, weights, scope, schema, 2, rng=got_rng, **kwargs)
             ref, ref_mix, ref_trace = reference_matrix_em(
                 matrix, weights, scope, schema, 2, rng=ref_rng, return_trace=True, **kwargs)
             assert np.array_equal(got, ref)
-            assert got_trace == ref_trace
+            assert got_mix.ll_trace == ref_trace
             assert np.array_equal(got_mix.priors, ref_mix.priors)
             assert got_mix.components == ref_mix.components
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -453,10 +452,10 @@ class TestEmFactorized:
         matrix = rng.integers(0, 2, size=(300, 4)).astype(float)
         matrix[:150, :2] = 1.0 - matrix[:150, :2]
         weights = rng.uniform(0.5, 2.0, size=300)
-        _, _, trace = em_factorized(
-            matrix, weights, (0, 1, 2, 3), Schema.binary(4), 2,
-            alpha=0.0, rng=rng, return_trace=True,
+        _, mixture = em_factorized(
+            matrix, weights, (0, 1, 2, 3), Schema.binary(4), 2, alpha=0.0, rng=rng
         )
+        trace = mixture.ll_trace
         assert len(trace) >= 2
         assert np.all(np.diff(trace) >= -1e-9)
 
@@ -468,10 +467,8 @@ class TestEmFactorized:
             [rng.normal(-3, 1, size=(100, 1)), rng.normal(3, 1, size=(100, 1))]
         )
         weights = rng.uniform(0.5, 2.0, size=200)
-        _, _, trace = em_factorized(
-            matrix, weights, (0,), Schema.continuous(1), 2, rng=rng, return_trace=True
-        )
-        diffs = np.diff(trace)
+        _, mixture = em_factorized(matrix, weights, (0,), Schema.continuous(1), 2, rng=rng)
+        diffs = np.diff(mixture.ll_trace)
         assert np.all(diffs[:-1] >= -1e-9)
         assert diffs[-1] >= -1e-2
 
@@ -480,6 +477,13 @@ class TestEmFactorized:
         resp, mixture = em_factorized(matrix, np.ones(10), (0,), Schema.continuous(1), 1)
         assert resp.shape == (10, 1)
         assert mixture.priors.tolist() == [1.0]
+        assert mixture.ll_trace == []
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_max_iter_below_one_raises(self, rng, k):
+        matrix = rng.normal(size=(10, 1))
+        with pytest.raises(ValueError, match="max_iter"):
+            em_factorized(matrix, np.ones(10), (0,), Schema.continuous(1), k, max_iter=0)
 
     def test_collapsed_component_restarts(self, rng):
         # an init putting (almost) nothing in component 2 must not crash
@@ -510,9 +514,7 @@ def _latent_mixed(rng, n=400, n_cat=3, n_cont=3, k=2):
 
 def _assert_matches_reference(matrix, weights, scope, schema, k, seed=0, **kwargs):
     got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, got_mix, got_trace = em_factorized(
-        matrix, weights, scope, schema, k, rng=got_rng, return_trace=True, **kwargs
-    )
+    got, got_mix = em_factorized(matrix, weights, scope, schema, k, rng=got_rng, **kwargs)
     ref, ref_mix, ref_trace = reference_em_factorized(
         matrix, weights, scope, schema, k, rng=ref_rng, return_trace=True, **kwargs
     )
@@ -528,8 +530,8 @@ def _assert_matches_reference(matrix, weights, scope, schema, k, seed=0, **kwarg
                 assert abs(a.mu - b.mu) <= 1e-12 and abs(a.sigma - b.sigma) <= 1e-12
             else:
                 assert np.abs(np.subtract(a.probs, b.probs)).max() <= 1e-12
-    assert len(got_trace) == len(ref_trace)
-    assert np.allclose(got_trace, ref_trace, rtol=1e-12, atol=0.0)
+    assert len(got_mix.ll_trace) == len(ref_trace)
+    assert np.allclose(got_mix.ll_trace, ref_trace, rtol=1e-12, atol=0.0)
     return got, got_mix
 
 
@@ -623,11 +625,10 @@ class TestEmFactorizedMatchesLoopReference:
 
         monkeypatch.setattr(clustering, "leaf_log_pdf", counted)
         matrix, schema = _latent_mixed(rng)
-        resp, mixture, trace = em_factorized(
-            matrix, np.ones(matrix.shape[0]), tuple(range(6)), schema, 2, rng=rng,
-            return_trace=True,
+        resp, mixture = em_factorized(
+            matrix, np.ones(matrix.shape[0]), tuple(range(6)), schema, 2, rng=rng
         )
-        assert len(trace) > 1
+        assert len(mixture.ll_trace) > 1
         # only the membership pass after the loop evaluates leaves one by one:
         # K * |scope| calls, whatever the number of iterations
         assert len(leaf_evals) == 2 * 6

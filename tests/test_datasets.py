@@ -254,6 +254,12 @@ class TestMixedCsv:
         with pytest.raises(DataError):
             read_schema_spec(bad)
 
+    def test_schema_spec_column_declared_twice(self, tmp_path):
+        spec = tmp_path / "s.schema"
+        spec.write_text("a cat\nb cont\n\na cont\n")
+        with pytest.raises(DataError, match=r"s\.schema:4: column 'a' already declared on line 1"):
+            read_schema_spec(spec)
+
     @pytest.mark.parametrize("row, got", [("red", 1), ("red,1.5,extra", 3)])
     def test_ragged_row_rejected(self, tmp_path, row, got):
         csv, sidecar = self.write_csv(tmp_path)

@@ -80,6 +80,33 @@ class TestWeightedDataset:
             with pytest.raises(ValueError, match="arity"):
                 WeightedDataset(np.array([[0.0], [1.0], [bad]]), None, Schema.binary(1))
 
+    @pytest.mark.parametrize("kind", ["binary", "mixed"])
+    def test_signed_zero_learns_as_zero(self, kind):
+        rng = np.random.default_rng(3)
+        z = rng.integers(0, 4, size=1000)
+        if kind == "binary":
+            # soft-binary-shaped rows: 16 binary variables whose rows repeat
+            probs = np.clip(rng.beta(0.5, 0.5, size=(4, 16)), 0.02, 0.98)
+            rows = (rng.random((1000, 16)) < probs[z]).astype(float)
+            schema = Schema.binary(16)
+        else:
+            # continuous columns rounded to integers, so many are 0.0
+            cont = np.round(rng.normal(z[:, None], 1.0, size=(1000, 4)))
+            cat = (rng.random((1000, 4)) < (z[:, None] + 1) / 5).astype(float)
+            rows = np.hstack([cont, cat])
+            schema = Schema([Variable("cont")] * 4 + [Variable("cat", 2)] * 4)
+        signed = rows.copy()
+        zeros = np.flatnonzero(signed == 0.0)
+        signed.flat[zeros[::2]] = -0.0
+        assert np.array_equal(rows, signed) and np.signbit(signed).any()
+        kept = signed.copy()
+        hp = Hyperparams(p_threshold=0.01, alpha=0.01, clusterer="kmeans", seed=3)
+        want, _ = soft_learn(WeightedDataset(rows, None, schema), hp)
+        got, _ = soft_learn(WeightedDataset(signed, None, schema), hp)
+        assert got.to_json() == want.to_json()
+        # the caller's array is not rewritten
+        assert np.array_equal(np.signbit(signed), np.signbit(kept))
+
     def test_rejects_row_weights_below_epsilon(self, rng):
         with pytest.raises(ValueError, match="row weights"):
             WeightedDataset(rng.normal(size=(5, 2)), np.full(5, 1e-7), Schema.continuous(2))
