@@ -13,16 +13,19 @@ steps) and sums (even steps).  Each inner node takes the first step of its
 kind after all of its children, so no node depends on a node in its own
 group, and a circuit that mixes sums and products at one height needs fewer
 groups than one per height and kind.  Rows are evaluated in chunks of a
-bounded number of node-rows; per chunk there is one leaf call per variable
-and one vectorised step per group, first step first: a product group is
-one call of scipy's compiled CSR kernel on its ``(indptr, indices, ones)``
-arrays, a sum group a few ufunc calls.  A chunk of one row, as in every
-``log_marginal`` query, runs those steps on a 1-D view of its table, so
-that the fixed cost of each call stays small.  Sampling is one pass the
-other way over the sum groups only, last step first: each draws a child per
-row and sends the row on, in one push, to the sums and leaves that child
-reaches through product edges.  Then each leaf block, the categorical
-leaves of one arity or all the Gaussians, draws its values in a few calls.
+bounded number of node-rows, all in one node-by-row table allocated once
+per call; per chunk there is one leaf call per variable, which writes its
+leaves' values straight into their block of the table through
+``leaf_log_pdf(out=)``, and one vectorised step per group, first step
+first: a product group is one call of scipy's compiled CSR kernel on its
+``(indptr, indices, ones)`` arrays, a sum group a few ufunc calls.  A
+chunk of one row, as in every ``log_marginal`` query, runs those steps on
+a 1-D view of its table, so that the fixed cost of each call stays small.
+Sampling is one pass the other way over the sum groups only, last step
+first: each draws a child per row and sends the row on, in one push, to
+the sums and leaves that child reaches through product edges.  Then each
+leaf block, the categorical leaves of one arity or all the Gaussians,
+draws its values in a few calls.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ from .estimators import (
 from .schema import Schema, Variable
 
 WEIGHT_TOL = 1e-9
-# node-rows per evaluation chunk, so a chunk's table is 4 MiB: about 512 rows
-# of a 1000-node circuit.  Smaller chunks pay more per-step Python overhead,
-# larger ones fall out of cache; 2**19 and 2**20 measured fastest.
+# node-rows per evaluation chunk, so the table is 4 MiB: about 512 rows of a
+# 1000-node circuit.  Smaller chunks pay more per-step Python overhead,
+# larger ones fall out of cache; 2**19 and 2**20 measured fastest when every
+# chunk allocated its own table and each leaf call its own array.
 _CHUNK_CELLS = 1 << 19
 # cells per chunk of the sampler's leaf pass (pairs times table rows), so its
 # temporaries stay in cache in calls of many rows; 2**16 pairs of a binary
@@ -428,9 +432,12 @@ class Circuit:
         codes of its levels.
 
         Rows go through in chunks, so the table holds ``slots x chunk``
-        floats whatever ``n`` is.  Per chunk, each variable's leaves take one
-        ``leaf_log_pdf`` call (or two ``gaussian_cdf`` calls for an interval,
-        or 0 when marginalised).  Then each group, in step order, is one
+        floats whatever ``n`` is.  It is allocated once per call; a shorter
+        last chunk uses the front of it as a contiguous ``(slots, width)``
+        table.  Per chunk, each variable's leaves take one ``leaf_log_pdf``
+        call, which writes into their block of the table through ``out=``
+        (or two ``gaussian_cdf`` calls for an interval, or 0 when
+        marginalised).  Then each group, in step order, is one
         vectorised step, on a 1-D view of the table when the chunk has one
         row.  A product group zeroes its block and calls
         ``csr_matvecs``, the compiled kernel behind ``csr_matrix @ table``,
@@ -450,20 +457,24 @@ class Circuit:
         matvecs = _sparsetools.csr_matvecs
         n_slots = len(self.nodes)
         out = np.empty(n)
+        # the table for every chunk; csr_matvecs needs a contiguous one
+        buf = np.empty((n_slots, chunk if n > chunk else n))
         with np.errstate(divide="ignore"):
             for first in range(0, n, chunk):
                 rows = slice(first, min(first + chunk, n))
                 width = rows.stop - first
-                vals = np.empty((n_slots, width))
+                vals = buf
+                if width < buf.shape[1]:
+                    vals = buf.reshape(-1)[:n_slots * width].reshape(n_slots, width)
                 for v, lo, hi, dist in leaves:
                     entry = columns[v]
                     if entry is None:
                         vals[lo:hi] = 0.0
                     elif isinstance(entry, tuple):
-                        vals[lo:hi] = np.log(gaussian_cdf(dist, entry[1])
-                                             - gaussian_cdf(dist, entry[0]))
+                        np.log(gaussian_cdf(dist, entry[1]) - gaussian_cdf(dist, entry[0]),
+                               out=vals[lo:hi])
                     else:
-                        vals[lo:hi] = leaf_log_pdf(dist, entry[rows])
+                        leaf_log_pdf(dist, entry[rows], out=vals[lo:hi])
                 # one row: a 1-D view, so no ufunc broadcasts over columns of one
                 table = vals.reshape(-1) if width == 1 else vals
                 for lo, hi, children, log_weights, _ in groups:

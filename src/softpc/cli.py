@@ -181,21 +181,22 @@ def cmd_grid(args) -> int:
     header = "\t".join(RESULT_COLUMNS)
     body = existing + [_fmt_row(r).split("\t") for r in rows]
     table = "\n".join([RESULTS_SCHEMA, header] + ["\t".join(fields) for fields in body]) + "\n"
+    # every cell of this grid, in grid order, from its last row in the table,
+    # whichever run learned it: the plot and the best line read these
+    last = {tuple(fields[:5]): fields for fields in body}
+    grid = [last[key_of(cell)] for cell in cells]
     if out_path:
         out_path.write_text(table)
         plot_path = out_path.with_suffix(out_path.suffix + ".plot.tsv")
-        # every cell of this grid, in grid order, from its last row in the table
-        last = {tuple(fields[:5]): fields for fields in body}
         plot_lines = ["x\ty\tseries"]
-        for fields in (last[key_of(cell)] for cell in cells):
+        for fields in grid:
             plot_lines.append(f"p={fields[3]},alpha={fields[4]}\t{fields[6]}\t{fields[2]}")
         plot_path.write_text("\n".join(plot_lines) + "\n")
     print(table, end="")
 
-    if rows:
-        best = max(rows, key=lambda r: r[5])  # selected on validation LL
-        print(f"# best by validation LL: clusterer={best[2]} p={best[3]:g} "
-              f"alpha={best[4]:g} ll_test_mean={best[6]:.6g}")
+    best = max(grid, key=lambda fields: float(fields[5]))  # selected on validation LL
+    print(f"# best by validation LL: clusterer={best[2]} p={best[3]} "
+          f"alpha={best[4]} ll_test_mean={best[6]}")
     return EXIT_OK
 
 

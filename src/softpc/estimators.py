@@ -105,7 +105,8 @@ class CategoricalTable:
     """Categorical leaves stacked for repeated evaluation: ``log_probs`` is
     their ``(k, arity)`` table of log probabilities, taken once.
     ``leaf_log_pdf`` reads it with codes that the caller has checked, as
-    ``categorical_codes`` does."""
+    ``categorical_codes`` does: it clips a code out of range, it does not
+    reject it."""
 
     log_probs: np.ndarray
 
@@ -122,17 +123,29 @@ def categorical_codes(values, arity):
     return codes
 
 
-def leaf_log_pdf(dist, x):
-    """Log pmf/pdf of a leaf; broadcasts over array ``x`` and stacked parameters."""
+def leaf_log_pdf(dist, x, out=None):
+    """Log pmf/pdf of a leaf; broadcasts over array ``x`` and stacked parameters.
+
+    With ``out``, a float array of the result's shape, the values are
+    written into it and it is returned, so that a stacked leaf fills its
+    block of a larger table without a temporary.  The values are the same
+    bits either way.
+    """
     if isinstance(dist, CategoricalTable):
-        return dist.log_probs.take(np.asarray(x).astype(np.intp), axis=1)
+        # mode="clip" lets take write into ``out`` unbuffered; the codes are checked
+        return dist.log_probs.take(np.asarray(x).astype(np.intp), axis=1, out=out, mode="clip")
     if isinstance(dist, Multinomial):
         with np.errstate(divide="ignore"):
             logp = np.log(np.asarray(dist.probs))
-        out = logp[..., categorical_codes(x, logp.shape[-1])]
+        out = logp.take(categorical_codes(x, logp.shape[-1]), axis=-1, out=out)
     elif isinstance(dist, Gaussian):
-        z = (np.asarray(x, dtype=float) - dist.mu) / dist.sigma
-        out = -0.5 * z * z - np.log(dist.sigma) - _LOG_SQRT_2PI
+        # -0.5 * z * z - log(sigma) - log(sqrt(2 pi)) with z = (x - mu) / sigma,
+        # in place; (-0.5 * z) * z in that order, as z * z alone overflows sooner
+        out = np.subtract(np.asarray(x, dtype=float), dist.mu, out=out)
+        out /= dist.sigma
+        out *= -0.5 * out
+        out -= np.log(dist.sigma)
+        out -= _LOG_SQRT_2PI
     else:
         raise TypeError(f"unknown leaf distribution {type(dist)!r}")
     return float(out) if out.ndim == 0 else out

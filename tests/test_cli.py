@@ -49,6 +49,12 @@ def parse_table(text):
     return header, [dict(zip(header, ln.split("\t"))) for ln in lines[1:]]
 
 
+def best_line(stdout):
+    lines = [ln for ln in stdout.splitlines() if ln.startswith("# best by validation LL")]
+    assert len(lines) == 1
+    return lines[0]
+
+
 class TestLearn:
     def test_happy_path_writes_model_and_report(self, data_dir, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -374,11 +380,12 @@ class TestGrid:
         assert first_plot.startswith("x\ty\tseries\n")
         assert len(first_plot.splitlines()) == 1 + 3
         # rerun: completed cells are kept verbatim, nothing recomputed, and
-        # the plot still covers every cell
+        # the plot and the best line still cover every cell
         assert run(base + cell) == EXIT_OK
-        capsys.readouterr()
+        rerun = capsys.readouterr().out
         assert out.read_text() == first
         assert plot.read_text() == first_plot
+        assert best_line(rerun) == best_line(stdout)
 
     def test_resumed_grid_plots_every_cell(self, data_dir, tmp_path, capsys):
         cell = ["grid", "--data", "coin", "--method", "learnspn", "--clusterer", "kmeans",
@@ -392,6 +399,24 @@ class TestGrid:
         plot = lambda out: out.with_suffix(out.suffix + ".plot.tsv").read_text()  # noqa: E731
         # grid order, whichever run learned a cell
         assert plot(resumed) == plot(fresh)
+
+    def test_resumed_grid_ranks_every_cell(self, data_dir, tmp_path, capsys):
+        """A one-cell run of the best cell, then the full grid: the best line
+        ranks the cell learned first too, as a fresh full run does."""
+        cell = ["grid", "--data", "twoblock", "--method", "softlearn", "--clusterer", "em",
+                "--alpha", 0.01, "--reps", 1]
+        args = ["--data-dir", data_dir, "--seed", 2]
+        assert run(args + cell) == EXIT_OK
+        stdout = capsys.readouterr().out
+        best = best_line(stdout)
+        _, rows = parse_table(stdout)
+        top = max(rows, key=lambda row: float(row["ll_valid_mean"]))
+        assert f" p={top['p']} " in best
+        resumed = args + ["--out", tmp_path / "resumed.tsv"]
+        assert run(resumed + cell + ["--p", top["p"]]) == EXIT_OK
+        capsys.readouterr()
+        assert run(resumed + cell) == EXIT_OK
+        assert best_line(capsys.readouterr().out) == best
 
     def test_truncated_results_line_is_data_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "results.tsv"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from softpc.estimators import (
     EPSILON_W,
     SIGMA_FLOOR,
+    CategoricalTable,
     Gaussian,
     Multinomial,
     fit_gaussian,
@@ -195,6 +196,46 @@ class TestLeafLogPdf:
         dist = Gaussian(1.5, 0.7)
         total, _ = quad(lambda x: math.exp(leaf_log_pdf(dist, x)), -20, 20)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_gaussian_keeps_the_textbook_arithmetic(self):
+        """The in-place sequence gives the bits of the formula written out,
+        also where z * z alone would overflow (|z| > 1.34e154) and where
+        the square is subnormal."""
+        mu = np.array([[0.0], [1.5], [-2.0e3]])
+        sigma = np.array([[1.0], [0.7], [1e-3]])
+        x = np.array([0.0, 1.0, -3.5, 1.4e154, -1.9e154, 1e-160, 5e-324, 1e300, 2.5e3])
+        z = (x - mu) / sigma
+        with np.errstate(over="ignore"):
+            expected = -0.5 * z * z - np.log(sigma) - 0.5 * math.log(2.0 * math.pi)
+            got = leaf_log_pdf(Gaussian(mu, sigma), x)
+        assert np.isneginf(got).any() and np.isfinite(got[0, 3])  # z * z alone overflows there
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("which", ["categorical", "gaussian"])
+    @pytest.mark.parametrize("n", [8, 1])
+    def test_out_writes_its_block_bit_for_bit(self, which, n):
+        """With ``out``, a stacked leaf fills a (k, n) row block of a larger
+        table with the allocating call's bits, touches nothing else, and
+        returns the block itself."""
+        rng = np.random.default_rng(19)
+        if which == "categorical":
+            probs = rng.dirichlet(np.ones(3), size=5)
+            probs[1, 2] = probs[3, 0] = 0.0  # -inf for leaf 1 at code 2, leaf 3 at code 0
+            with np.errstate(divide="ignore"):
+                dist = CategoricalTable(np.log(probs))
+            x = np.array([2.0, 0.0, 1.0, 2.0, 0.0, 1.0, 1.0, 2.0])[:n]
+        else:
+            dist = Gaussian(rng.normal(size=(5, 1)), rng.uniform(0.1, 2.0, size=(5, 1)))
+            x = rng.normal(size=n) * 3.0
+        expected = leaf_log_pdf(dist, x)
+        assert expected.shape == (5, n)
+        table = np.full((11, n), 7.0)
+        block = table[4:9]
+        assert leaf_log_pdf(dist, x, out=block) is block
+        assert block.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert (table[:4] == 7.0).all() and (table[9:] == 7.0).all()
+        if which == "categorical":
+            assert np.isneginf(block).sum() == np.isneginf(expected).sum() > 0
 
 
 class TestGaussianCdf:
