@@ -510,12 +510,20 @@ class Circuit:
         rows = np.atleast_2d(arr)
         if rows.shape[1] != len(self.schema):
             raise ValueError("row length does not match schema")
-        nan = np.isnan(rows).any(axis=0)
+        # checked here once, so the evaluator's leaf calls check nothing; a
+        # chunk of rows at a time, so the checks' temporaries stay small
+        # next to the evaluator's one-chunk table
+        step = self._compiled()[1]
+        blocks = [rows[first:first + step] for first in range(0, rows.shape[0], step)]
+        nan = np.zeros(rows.shape[1], dtype=bool)
+        for block in blocks:
+            nan |= np.isnan(block).any(axis=0)
         if nan.any():
             raise ValueError(f"NaN value for variable {int(nan.argmax())}")
-        # checked here once, so the evaluator's leaf calls check nothing
         cats = [v for v, var in enumerate(self.schema) if var.kind == "cat"]
-        categorical_codes(rows[:, cats], [self.schema[v].arity for v in cats])
+        arities = [self.schema[v].arity for v in cats]
+        for block in blocks:
+            categorical_codes(block[:, cats], arities)
         out = self._evaluate(rows.T, rows.shape[0])
         return float(out[0]) if arr.ndim == 1 else out
 

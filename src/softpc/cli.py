@@ -8,6 +8,7 @@ exit codes: 0 ok, 2 usage, 3 data error, 4 internal.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -59,18 +60,12 @@ def load_bundle(name: str, data_dir, seed: int) -> datasets.DatasetBundle:
     raise UsageError(f"unknown dataset {name!r} (no files under {data_dir})")
 
 
-def _make_hp(args, p=None, alpha=None, clusterer=None, seed=None) -> Hyperparams:
+def _make_hp(args, **cell) -> Hyperparams:
+    """The ``Hyperparams`` that the learning flags in ``args`` set, with
+    ``cell``'s fields in their place; ``UsageError`` names a bad value."""
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(Hyperparams)}
     try:
-        return Hyperparams(
-            p_threshold=args.p if p is None else p,
-            alpha=args.alpha if alpha is None else alpha,
-            beta=args.beta,
-            n_clusters=args.clusters,
-            min_instances=args.min_instances,
-            max_cluster_iters=args.max_cluster_iters,
-            clusterer=(clusterer or args.clusterer),
-            seed=args.seed if seed is None else seed,
-        )
+        return Hyperparams(**{**fields, **cell})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -88,20 +83,19 @@ def _mean_ll(circuit: Circuit, matrix) -> float:
     return float(np.mean(circuit.log_density(matrix)))
 
 
-def _run_cell(bundle, method, clusterer, p, alpha, seed, args):
+def _run_cell(bundle, method, hp):
     """One repetition of a cell: ``(circuit, (ll_valid, ll_test, nodes, seconds))``."""
-    hp = _make_hp(args, p=p, alpha=alpha, clusterer=clusterer, seed=seed)
     circuit, seconds = _train(bundle.train, bundle.schema, method, hp)
     return circuit, (_mean_ll(circuit, bundle.valid), _mean_ll(circuit, bundle.test),
                      circuit.n_nodes, seconds)
 
 
-def _result_row(args, clusterer, p, alpha, results) -> tuple:
+def _result_row(args, hp, results) -> tuple:
     """A results-table row (``RESULT_COLUMNS``) from a cell's repetitions,
     each as ``_run_cell`` returns it: LLs averaged, test-LL std, mean node
     count, seconds summed."""
     valids, tests, nodes, seconds = (np.array(column) for column in zip(*results))
-    return (args.data, args.method, clusterer, p, alpha, float(valids.mean()),
+    return (args.data, args.method, hp.clusterer, hp.p_threshold, hp.alpha, float(valids.mean()),
             float(tests.mean()), float(tests.std()), int(nodes.mean()), float(seconds.sum()))
 
 
@@ -121,12 +115,12 @@ def _fmt_row(values) -> str:
 
 def cmd_learn(args) -> int:
     bundle = load_bundle(args.data, args.data_dir, args.seed)
-    circuit, result = _run_cell(bundle, args.method, args.clusterer, args.p, args.alpha,
-                                args.seed, args)
+    hp = _make_hp(args)
+    circuit, result = _run_cell(bundle, args.method, hp)
     if args.out_model:
         Path(args.out_model).write_text(circuit.to_json())
     print("\t".join(RESULT_COLUMNS))
-    print(_fmt_row(_result_row(args, args.clusterer, args.p, args.alpha, [result])))
+    print(_fmt_row(_result_row(args, hp, [result])))
     return EXIT_OK
 
 
@@ -152,31 +146,31 @@ def _read_existing_results(path: Path) -> list:
 
 def cmd_grid(args) -> int:
     bundle = load_bundle(args.data, args.data_dir, args.seed)
-    clusterers = [args.clusterer] if args.clusterer else list(CLUSTERERS)
-    ps = [args.p] if args.p is not None else list(P_GRID)
-    alphas = [args.alpha] if args.alpha is not None else list(ALPHA_GRID)
-    cells = [(c, p, a) for c in clusterers for p in ps for a in alphas]
+    # an unpinned --clusterer, --p or --alpha (None) takes every grid value
+    cells = [_make_hp(args, clusterer=c, p_threshold=p, alpha=a)
+             for c in ([args.clusterer] if args.clusterer else CLUSTERERS)
+             for p in ([args.p_threshold] if args.p_threshold is not None else P_GRID)
+             for a in ([args.alpha] if args.alpha is not None else ALPHA_GRID)]
 
     out_path = Path(args.out) if args.out else None
     existing = _read_existing_results(out_path) if out_path else []
 
-    def key_of(cell):
-        c, p, a = cell
-        return (args.data, args.method, c, f"{p:.6g}", f"{a:.6g}")
+    def key_of(hp):
+        return (args.data, args.method, hp.clusterer, f"{hp.p_threshold:.6g}", f"{hp.alpha:.6g}")
 
     done = {tuple(fields[:5]) for fields in existing}
-    todo = [cell for cell in cells if args.force or key_of(cell) not in done]
+    todo = [hp for hp in cells if args.force or key_of(hp) not in done]
 
     def run(task):
-        (c, p, a), rep = task
+        hp, rep = task
         # each (cell, repetition) owns its own seed stream
-        return _run_cell(bundle, args.method, c, p, a, args.seed + rep, args)[1]
+        return _run_cell(bundle, args.method, dataclasses.replace(hp, seed=hp.seed + rep))[1]
 
-    tasks = [(cell, rep) for cell in todo for rep in range(args.reps)]
+    tasks = [(hp, rep) for hp in todo for rep in range(args.reps)]
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         results = list(pool.map(run, tasks))  # in task order, so a cell's reps are adjacent
-    rows = [_result_row(args, c, p, a, results[i * args.reps:(i + 1) * args.reps])
-            for i, (c, p, a) in enumerate(todo)]
+    rows = [_result_row(args, hp, results[i * args.reps:(i + 1) * args.reps])
+            for i, hp in enumerate(todo)]
 
     header = "\t".join(RESULT_COLUMNS)
     body = existing + [_fmt_row(r).split("\t") for r in rows]
@@ -184,7 +178,7 @@ def cmd_grid(args) -> int:
     # every cell of this grid, in grid order, from its last row in the table,
     # whichever run learned it: the plot and the best line read these
     last = {tuple(fields[:5]): fields for fields in body}
-    grid = [last[key_of(cell)] for cell in cells]
+    grid = [last[key_of(hp)] for hp in cells]
     if out_path:
         out_path.write_text(table)
         plot_path = out_path.with_suffix(out_path.suffix + ".plot.tsv")
@@ -243,12 +237,12 @@ def cmd_sample(args) -> int:
 
 def cmd_synthetic_quality(args) -> int:
     bundle = load_bundle(args.data, args.data_dir, args.seed)
+    base = _make_hp(args)
     originals, synthetics = [], []
     for rep in range(args.reps):
-        seed = args.seed + rep
-        hp = _make_hp(args, seed=seed)
+        hp = dataclasses.replace(base, seed=base.seed + rep)
         circuit1, _ = _train(bundle.train, bundle.schema, args.method, hp)
-        synthetic = circuit1.sample(np.random.default_rng(seed), bundle.train.shape[0])
+        synthetic = circuit1.sample(np.random.default_rng(hp.seed), bundle.train.shape[0])
         circuit2, _ = _train(synthetic, bundle.schema, args.method, hp)
         originals.append(_mean_ll(circuit1, bundle.test))
         synthetics.append(_mean_ll(circuit2, bundle.test))
@@ -298,18 +292,30 @@ def cmd_validate_model(args) -> int:
 # parser
 
 
-def _add_common_hp(sp, grid=False):
+def _learning_flags(grid=False) -> argparse.ArgumentParser:
+    """A fresh parent parser with the flags of the learning commands, each
+    stored under the ``Hyperparams`` field it sets (``--seed`` is global).
+    With ``grid``, ``--clusterer``, ``--p`` and ``--alpha`` default to
+    ``None``: the grid then takes each of their values."""
     hp = Hyperparams()
-    sp.add_argument("--p", type=float, default=None if grid else hp.p_threshold,
-                    help="chi-square significance threshold")
-    sp.add_argument("--alpha", type=float, default=None if grid else hp.alpha,
-                    help="Laplace smoothing pseudo-count")
-    sp.add_argument("--beta", type=float, default=hp.beta, help="softmax sharpness (k-means)")
-    sp.add_argument("--clusters", type=int, default=hp.n_clusters, help="children per sum node")
-    sp.add_argument("--min-instances", type=float, default=hp.min_instances,
-                    help="stop clustering below this effective sample size")
-    sp.add_argument("--max-cluster-iters", type=int, default=hp.max_cluster_iters,
-                    help="iteration cap inside clustering (2 = early-stop mode)")
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--data", required=True)
+    flags.add_argument("--method", choices=METHODS, required=True)
+    flags.add_argument("--clusterer", choices=CLUSTERERS, default=None if grid else hp.clusterer,
+                       help="restrict to one clusterer (default: both)" if grid else None)
+    flags.add_argument("--p", dest="p_threshold", metavar="P", type=float,
+                       default=None if grid else hp.p_threshold,
+                       help="chi-square significance threshold")
+    flags.add_argument("--alpha", type=float, default=None if grid else hp.alpha,
+                       help="Laplace smoothing pseudo-count")
+    flags.add_argument("--beta", type=float, default=hp.beta, help="softmax sharpness (k-means)")
+    flags.add_argument("--clusters", dest="n_clusters", metavar="CLUSTERS", type=int,
+                       default=hp.n_clusters, help="children per sum node")
+    flags.add_argument("--min-instances", type=float, default=hp.min_instances,
+                       help="stop clustering below this effective sample size")
+    flags.add_argument("--max-cluster-iters", type=int, default=hp.max_cluster_iters,
+                       help="iteration cap inside clustering (2 = early-stop mode)")
+    return flags
 
 
 def _count(text: str, least: int) -> int:
@@ -338,20 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="results table path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("learn", help="train one circuit and report likelihoods")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--method", choices=METHODS, required=True)
-    sp.add_argument("--clusterer", choices=CLUSTERERS, default="em")
-    _add_common_hp(sp)
+    sp = sub.add_parser("learn", parents=[_learning_flags()],
+                        help="train one circuit and report likelihoods")
     sp.add_argument("--out-model", default=None)
     sp.set_defaults(func=cmd_learn)
 
-    sp = sub.add_parser("grid", help="hyperparameter grid with repetitions")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--method", choices=METHODS, required=True)
-    sp.add_argument("--clusterer", choices=CLUSTERERS, default=None,
-                    help="restrict to one clusterer (default: both)")
-    _add_common_hp(sp, grid=True)
+    sp = sub.add_parser("grid", parents=[_learning_flags(grid=True)],
+                        help="hyperparameter grid with repetitions")
     sp.add_argument("--reps", type=_positive_int, default=9)
     sp.add_argument("--force", action="store_true",
                     help="recompute cells already present in the results file")
@@ -369,12 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_sample)
 
-    sp = sub.add_parser("synthetic-quality",
+    sp = sub.add_parser("synthetic-quality", parents=[_learning_flags()],
                         help="train, sample, retrain on the samples, compare test LL")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--method", choices=METHODS, required=True)
-    sp.add_argument("--clusterer", choices=CLUSTERERS, default="em")
-    _add_common_hp(sp)
     sp.add_argument("--reps", type=_positive_int, default=3)
     sp.set_defaults(func=cmd_synthetic_quality)
 

@@ -195,20 +195,27 @@ def soft_kmeans(
     same randomness.  A starved cluster's re-seed draws nothing: it takes
     the original row of largest ``weight * distance``, the first one on a
     tie.
+
+    Raises ``ValueError`` if a categorical scope column holds a value
+    that is not an integer in ``[0, arity)``.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     matrix = np.asarray(matrix, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    raw = np.ascontiguousarray(matrix[:, list(scope)])
+    first, inv = _distinct_rows(raw, scope, schema)
+    distinct = raw[first]
+    # every value of a column is in some distinct row, so checking those checks all
+    cat_at = [j for j, v in enumerate(scope) if schema.is_cat(v)]
+    estimators.categorical_codes(distinct[:, cat_at], [schema[scope[j]].arity for j in cat_at])
     n = weights.size
     k = min(k, n)
     if k == 1:
         return np.ones((n, 1))
 
-    raw = np.ascontiguousarray(matrix[:, list(scope)])
-    first, inv = _distinct_rows(raw, scope, schema)
     standardizers = _standardizers(matrix, weights, scope, schema)
-    encoded_t = _encode_t(raw[first], scope, schema, standardizers)
+    encoded_t = _encode_t(distinct, scope, schema, standardizers)
     encoded = np.ascontiguousarray(encoded_t.T)
     group_w = np.bincount(inv, weights=weights, minlength=first.size)
 

@@ -197,8 +197,9 @@ def load_mixed_csv(
     as with fewer than 6 rows, a column name that appears twice in the
     header, and a continuous value that is not finite or exceeds
     ``CONT_MAX_ABS`` in magnitude are ``DataError``s.  Categorical levels are
-    dictionary-encoded in first-appearance order over the training split,
-    and a level appearing only in valid/test is a ``DataError``.
+    dictionary-encoded in first-appearance order over the training split;
+    a level appearing only in valid/test, or a column with more than
+    ``MAX_ARITY`` training levels, is a ``DataError``.
     """
     csv_path = Path(csv_path)
     if isinstance(schema_spec, (str, Path)):
@@ -263,6 +264,9 @@ def load_mixed_csv(
             levels = {}
             for i in idx_train:  # first-appearance order over the training split
                 levels.setdefault(raw[i], len(levels))
+            if len(levels) > MAX_ARITY:
+                raise DataError(f"{csv_path}: column {colname!r}: {len(levels)} levels in the "
+                                f"training split, more than the {MAX_ARITY} allowed")
             codes = np.empty(n)
             for i in range(n):
                 code = levels.get(raw[i])

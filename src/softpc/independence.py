@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import categorical_codes
+
 BINS = 4  # equal-frequency bins per continuous column in partition_scope
 # one-hot cells per row block of the Gram matrix in partition_scope (64 KiB)
 _GRAM_BLOCK_CELLS = 2**13
@@ -61,14 +63,16 @@ def weighted_chi2(x, y, weights) -> Chi2Result:
     expected weight are skipped and categories with zero margin do not
     count toward the degrees of freedom.  Tables with a single effective
     row/column, or with total weight below ``2 * r * c``, return
-    ``p_value = 1`` (no usable evidence of dependence).
+    ``p_value = 1`` (no usable evidence of dependence).  ``ValueError``
+    unless every code is a nonnegative integer.
     """
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
+    x, y = np.asarray(x), np.asarray(y)
     weights = np.asarray(weights, dtype=float)
     if not (x.shape == y.shape == weights.shape):
         raise ValueError("x, y, weights must have equal length")
     _check_weights(weights)
+    # a negative code fails the bound as a huge unsigned one
+    x, y = categorical_codes(np.stack((x, y)), np.iinfo(np.int64).max)
 
     nx, ny = int(x.max()) + 1, int(y.max()) + 1
     table = np.bincount(x * ny + y, weights=weights, minlength=nx * ny).reshape(1, nx, ny)
@@ -128,7 +132,9 @@ def partition_scope(matrix, weights, scope, schema, p_threshold: float):
     (continuous columns discretized first) and returns the connected
     components of the resulting dependency graph, each sorted, ordered by
     their smallest variable.  All pair tables come from one weighted Gram
-    matrix of the one-hot scope codes.
+    matrix of the one-hot scope codes.  Raises ``ValueError`` if a
+    categorical scope column holds a value that is not an integer in
+    ``[0, arity)``.
     """
     scope = list(scope)
     if len(scope) < 2:
@@ -137,13 +143,14 @@ def partition_scope(matrix, weights, scope, schema, p_threshold: float):
     weights = np.asarray(weights, dtype=float)
     _check_weights(weights)
 
-    codes = np.empty((weights.size, len(scope)), dtype=np.int64)
+    # the continuous columns become bin codes, then one call checks and
+    # converts every column (a bin code is always below BINS)
+    codes = matrix[:, scope]
     for j, v in enumerate(scope):
-        col = matrix[:, v]
-        if schema.is_cat(v):
-            codes[:, j] = col.astype(np.int64)
-        else:
-            codes[:, j], _ = discretize(col, weights, BINS)
+        if not schema.is_cat(v):
+            codes[:, j], _ = discretize(codes[:, j], weights, BINS)
+    codes = categorical_codes(codes, [schema[v].arity if schema.is_cat(v) else BINS
+                                      for v in scope])
 
     # one-hot columns per variable at its own offset; column `width` stays
     # zero and pads every variable to the widest one in the pair tables.

@@ -561,14 +561,17 @@ class TestEvaluatorMatchesReference:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_peak_memory_is_bounded_by_the_chunk(self):
+    @pytest.mark.parametrize("n_rows", [20_000, 100_000])
+    def test_peak_memory_is_bounded_by_the_chunk(self, n_rows):
         """The node-by-row table covers one chunk of rows, never all of them,
         and is allocated once per call: a 20k-row batch on a 681-node circuit
         peaks under two chunk tables, where a full table would take
         n_nodes * n_rows * 8 bytes (109 MB), and a table per chunk plus each
-        leaf call's own array reached about 2.1 chunk tables."""
+        leaf call's own array reached about 2.1 chunk tables.  The input
+        checks go a chunk at a time too: checking the whole batch at once
+        took 6.3 chunk tables at 100k rows."""
         rng = np.random.default_rng(5)
-        n_vars, n_parts, n_rows = 16, 40, 20_000
+        n_vars, n_parts = 16, 40
         nodes, products = [], []
         for _ in range(n_parts):
             for v in range(n_vars):
@@ -589,6 +592,15 @@ class TestEvaluatorMatchesReference:
         assert peak < c.n_nodes * n_rows * 8 / 10
         table = c.n_nodes * c._compiled()[1] * 8
         assert peak < 1.75 * table + out.nbytes
+        # checked a chunk at a time, still over the whole batch: a level out
+        # of range in the last chunk fails, and the NaN error names the
+        # lowest variable with a NaN in any chunk
+        rows[-1, 5] = 2.0
+        with pytest.raises(ValueError, match="categorical value out of range"):
+            c.log_density(rows)
+        rows[0, 9] = rows[-1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN value for variable 2$"):
+            c.log_density(rows)
 
 
 def product_chain(n_vars: int, rng) -> Circuit:

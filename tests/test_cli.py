@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import time
 
@@ -5,7 +7,9 @@ import numpy as np
 import pytest
 
 from softpc.circuit import Circuit
+from softpc import cli
 from softpc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RESULT_COLUMNS, main
+from softpc.learner import CLUSTERERS, Hyperparams
 
 from conftest import small_mixed_circuit
 
@@ -170,6 +174,18 @@ class TestLearn:
         assert code == EXIT_DATA
         assert time.perf_counter() - start < 1.0
         assert "big.test.data:7: column 3 (from 0): level 99999999" in capsys.readouterr().err
+
+    def test_csv_levels_are_bounded_by_the_arity_cap(self, tmp_path, capsys):
+        # as in a .data file, 1024 levels load and 1025 do not; 20 rows per
+        # level, so the training split (70% of the rows, drawn at random)
+        # holds every level and valid and test hold no other
+        (tmp_path / "many.schema").write_text("colour cat\n")
+        for n_levels, code in ((1024, EXIT_OK), (1025, EXIT_DATA)):
+            lines = ["colour"] + [f"c{i % n_levels}" for i in range(20 * n_levels)]
+            (tmp_path / "many.csv").write_text("\n".join(lines) + "\n")
+            assert run(["--data-dir", tmp_path, "learn", "--data", "many",
+                        "--method", "learnspn"]) == code
+        assert "many.csv: column 'colour': 1025 levels" in capsys.readouterr().err
 
     def test_duplicate_csv_column_is_data_error(self, tmp_path, capsys):
         lines = ["size,size"] + [f"{i / 10},{i / 5}" for i in range(50)]
@@ -432,6 +448,17 @@ class TestGrid:
         err = capsys.readouterr().err
         assert str(out) in err and f"line {len(lines)}" in err
 
+    def test_bad_hyperparameter_is_usage_error_with_every_cell_done(self, data_dir, tmp_path,
+                                                                    capsys):
+        # a grid with nothing left to learn used to exit 0 without checking
+        args = ["--data-dir", data_dir, "--out", tmp_path / "r.tsv", "grid", "--data", "coin",
+                "--method", "learnspn", "--clusterer", "em", "--p", 0.01, "--alpha", 0.01,
+                "--reps", 1]
+        assert run(args) == EXIT_OK
+        capsys.readouterr()
+        assert run(args + ["--clusters", 0]) == EXIT_USAGE
+        assert "n_clusters" in capsys.readouterr().err
+
     def test_thread_count_does_not_change_results(self, data_dir, tmp_path, capsys):
         outs = []
         for threads, name in ((1, "a.tsv"), (4, "b.tsv")):
@@ -486,6 +513,72 @@ class TestSyntheticQuality:
                  "--method", "softlearn", "--reps", 0])
         assert exc.value.code == EXIT_USAGE
         assert "count >= 1" in capsys.readouterr().err
+
+
+class TestLearningFlags:
+    """learn, grid and synthetic-quality share one flag set; each flag's
+    value reaches its Hyperparams field through _make_hp."""
+
+    @pytest.mark.parametrize("command", ["learn", "grid", "synthetic-quality"])
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--clusterer", "kmeans", "clusterer"), ("--p", 0.05, "p_threshold"),
+         ("--alpha", 0.5, "alpha"), ("--beta", 7.5, "beta"), ("--clusters", 3, "n_clusters"),
+         ("--min-instances", 12.5, "min_instances"),
+         ("--max-cluster-iters", 9, "max_cluster_iters")],
+    )
+    def test_each_flag_sets_its_field(self, command, flag, value, field):
+        args = cli.build_parser().parse_args(
+            ["--seed", "4", command, "--data", "d", "--method", "learnspn", flag, str(value)])
+        # grid's unpinned clusterer, p and alpha come from the cell
+        cell = {"clusterer": "em", "p_threshold": 0.01, "alpha": 0.01} if command == "grid" else {}
+        cell.pop(field, None)
+        hp = cli._make_hp(args, **cell)
+        assert getattr(hp, field) == value
+        assert hp == dataclasses.replace(Hyperparams(seed=4), **{field: value})
+
+    @pytest.mark.parametrize("command", ["learn", "synthetic-quality"])
+    def test_defaults_are_the_hyperparams_defaults(self, command):
+        # grid's None defaults do not leak into the other commands
+        cli.build_parser().parse_args(["grid", "--data", "d", "--method", "learnspn"])
+        args = cli.build_parser().parse_args([command, "--data", "d", "--method", "learnspn"])
+        assert cli._make_hp(args) == Hyperparams()
+
+    def test_bad_cell_value_is_usage_error(self):
+        args = cli.build_parser().parse_args(["learn", "--data", "d", "--method", "learnspn"])
+        with pytest.raises(cli.UsageError, match="p_threshold"):
+            cli._make_hp(args, p_threshold=1.5)
+
+    @pytest.fixture
+    def learned_cells(self, monkeypatch):
+        """Runs grid with a stub learner; returns the Hyperparams of each
+        repetition it learns, in task order."""
+        seen = []
+
+        def fake_run_cell(bundle, method, hp):
+            seen.append(hp)
+            return None, (-1.0, -1.0, 1, 0.0)
+
+        monkeypatch.setattr(cli, "_run_cell", fake_run_cell)
+        return seen
+
+    @pytest.mark.parametrize(
+        "pin, clusterers, ps, alphas",
+        [([], CLUSTERERS, cli.P_GRID, cli.ALPHA_GRID),
+         (["--clusterer", "kmeans"], ("kmeans",), cli.P_GRID, cli.ALPHA_GRID),
+         (["--p", 0.001], CLUSTERERS, (0.001,), cli.ALPHA_GRID),
+         (["--alpha", 0.1], CLUSTERERS, cli.P_GRID, (0.1,))],
+    )
+    def test_grid_enumerates_cells_in_order(self, data_dir, learned_cells, capsys,
+                                            pin, clusterers, ps, alphas):
+        assert run(["--data-dir", data_dir, "--seed", 5, "grid", "--data", "coin",
+                    "--method", "learnspn", "--reps", 2, "--beta", 3.0] + pin) == EXIT_OK
+        cells = list(itertools.product(clusterers, ps, alphas))
+        assert learned_cells == [
+            Hyperparams(p_threshold=p, alpha=a, beta=3.0, clusterer=c, seed=5 + rep)
+            for c, p, a in cells for rep in range(2)]
+        _, rows = parse_table(capsys.readouterr().out)
+        assert [(r["clusterer"], float(r["p"]), float(r["alpha"])) for r in rows] == cells
 
 
 class TestToyExample:

@@ -132,6 +132,21 @@ class TestSoftKmeans:
                         rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("value", [-1.0, 2.0, 0.5, np.nan])
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_categorical_value_not_a_level_raises(self, rng, value, column):
+        # -1 used to set the previous variable's one-hot slot, 2 the next
+        # one's (or to index past the encoding), and 0.5 to count as level
+        # 0; the continuous column 2 may hold any real, -0.5 and 0.5 here
+        matrix = rng.integers(0, 2, size=(200, 4)).astype(float)
+        matrix[:, 2] -= 0.5
+        schema = Schema([Variable("cat", 2)] * 2 + [Variable("cont"), Variable("cat", 2)])
+        args = (np.ones(200), (0, 1, 2, 3), schema, 2, 4.0)
+        assert soft_kmeans(matrix, *args, rng=rng).shape == (200, 2)
+        matrix[17, column] = value
+        with pytest.raises(ValueError, match="out of range"):
+            soft_kmeans(matrix, *args, rng=rng)
+
 
 def _repeated_binary(rng, n=1500, n_vars=6, patterns=12):
     table = rng.integers(0, 2, size=(patterns, n_vars))

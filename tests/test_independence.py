@@ -136,6 +136,16 @@ class TestWeightedChi2:
         with pytest.raises(ValueError, match="finite"):
             weighted_chi2(x, x, weights)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.5, np.nan])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_rejects_codes_that_are_not_levels(self, rng, bad, side):
+        # 0.5 used to be truncated to level 0
+        codes = {"x": rng.integers(0, 2, size=200).astype(float),
+                 "y": rng.integers(0, 2, size=200).astype(float)}
+        codes[side][17] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            weighted_chi2(codes["x"], codes["y"], np.ones(200))
+
 
 class TestChi2Tail:
     def test_boundaries_and_monotonicity(self):
@@ -268,3 +278,14 @@ class TestPartitionScopeMatchesPairwiseReference:
         weights[17] = bad
         with pytest.raises(ValueError, match="finite"):
             partition_scope(matrix, weights, (0, 1, 2), Schema.binary(3), 0.01)
+
+    @pytest.mark.parametrize("value", [-1.0, 2.0, 0.5, np.nan])
+    def test_rejects_categorical_values_that_are_not_levels(self, rng, value):
+        # column 2 is continuous, a copy of column 0 moved to -1 and 0.5
+        matrix = rng.integers(0, 2, size=(200, 3)).astype(float)
+        matrix[:, 2] = matrix[:, 0] * 1.5 - 1.0
+        schema = Schema([Variable("cat", 2), Variable("cat", 2), Variable("cont")])
+        assert partition_scope(matrix, np.ones(200), (0, 1, 2), schema, 0.01) == [[0, 2], [1]]
+        matrix[17, 1] = value
+        with pytest.raises(ValueError, match="out of range"):
+            partition_scope(matrix, np.ones(200), (0, 1, 2), schema, 0.01)
