@@ -297,36 +297,43 @@ class Circuit:
         after the steps of all its children.  So steps
         alternate between products and sums, each group fills one
         contiguous block of slots from slots below it, and a node waits
-        for its children only.  Returns ``(root_slot, chunk, leaves,
-        groups, draws)``:
+        for its children only.
+
+        One pass over the nodes finds each node's step and frontier (the
+        slots of the sums and leaves it reaches through product edges only,
+        in order; itself for a sum or a leaf).  Each leaf block, a run of
+        variables of one kind and arity, is then stacked once, and one loop
+        over the steps builds each group and a sum group's sampler entry.
+        Returns ``(root_slot, chunk, leaves, groups, draws)``:
 
         - ``leaves``: per variable, ``(v, lo, hi, stacked)``, its block of
-          slots and its leaf parameters stacked once: a ``CategoricalTable``
-          of ``(k, arity)`` log probabilities, or a ``Gaussian`` of
-          ``(k, 1)`` mu/sigma columns;
-        - ``groups``: per nonempty step, ``(lo, hi, children, log_weights,
-          cumulative)``.  For a product group ``children`` is the CSR form
+          slots and its rows of its leaf block: a ``CategoricalTable`` of
+          ``(k, arity)`` log probabilities, or a ``Gaussian`` of ``(k, 1)``
+          mu/sigma columns, views of the block's one log-probability array
+          or of its mu and sigma vectors;
+        - ``groups``: per nonempty step, ``(lo, hi, children,
+          log_weights)``.  For a product group ``children`` is the CSR form
           of its node-by-slot matrix of ones, ``(indptr, indices, ones)``:
           node ``k``'s child slots are ``indices[indptr[k]:indptr[k + 1]]``
           in order, both index arrays are ``intp`` as the kernel wants one
-          index dtype, and ``log_weights`` and ``cumulative`` are None.  For
-          a sum group ``children`` is a ``(width, nodes)`` array of child
-          slots by position, ``width`` at least 2, ``log_weights`` the
-          matching ``(width, nodes)`` log weights and ``cumulative`` the
-          ``(width - 1, nodes)`` ``_cumulative`` table of the weights; a sum
-          with fewer children repeats its first child with weight 0;
+          index dtype, and ``log_weights`` is None.  For a sum group
+          ``children`` is a ``(width, nodes)`` array of child slots by
+          position, ``width`` at least 2, and ``log_weights`` the matching
+          ``(width, nodes)`` log weights; a sum with fewer children repeats
+          its first child with weight 0;
         - ``draws``, the sampler's view, ``(indptr, indices, starts, sums,
           blocks, leaf_var)``.  ``indptr``/``indices`` is the CSR form of
-          each slot's frontier: the slots of the sums and leaves it reaches
-          through product edges only, in order, itself for a sum or a leaf.
-          ``sums`` holds per sum group ``(lo, cumulative, firsts, sizes)``,
-          the frontier's start and length of each child by flat (position,
-          node) index, ``sizes`` None when every length is 1.  ``blocks``
-          holds per run of variables of one kind and arity ``(lo, table)``:
-          a ``(arity - 1, leaves)`` ``_cumulative`` table of the leaves'
-          probs, or a ``Gaussian`` of their mu/sigma vectors.  ``starts`` is
-          the first slot of each block, then of each sum group, then the
-          slot count; ``leaf_var`` each leaf slot's variable.
+          each slot's frontier.  ``sums`` holds per sum group ``(lo,
+          cumulative, firsts, sizes)``: the ``(width - 1, nodes)``
+          ``_cumulative`` table of its weights, and the frontier's start
+          and length of each child by flat (position, node) index,
+          ``sizes`` None when every length is 1.  ``blocks`` holds per leaf
+          block ``(lo, table)``: a ``(arity - 1, leaves)`` ``_cumulative``
+          table of the probs whose logs the variables read, or the
+          ``Gaussian`` of mu/sigma vectors whose rows they read.
+          ``starts`` is the first slot of each block, then of each sum
+          group, then the slot count; ``leaf_var`` each leaf slot's
+          variable.
         """
         if self._plan is None:
             step = [0] * len(self.nodes)
@@ -360,28 +367,31 @@ class Circuit:
 
             leaves, blocks, lo = [], [], 0
             for _, run in itertools.groupby(variables, key=kind):
-                first, params = lo, []
-                for v in run:
-                    dists = [self.nodes[i].dist for i in by_var[v]]
-                    if isinstance(dists[0], Multinomial):
-                        probs = np.array([d.probs for d in dists])
-                        with np.errstate(divide="ignore"):
-                            stacked = CategoricalTable(np.log(probs))
-                        params.append(probs)
-                    else:
-                        stacked = Gaussian(np.array([[d.mu] for d in dists]),
-                                           np.array([[d.sigma] for d in dists]))
-                        params.append(stacked)
-                    leaves.append((v, lo, lo + len(dists), stacked))
-                    lo += len(dists)
-                if isinstance(stacked, Gaussian):
-                    table = Gaussian(np.concatenate([g.mu[:, 0] for g in params]),
-                                     np.concatenate([g.sigma[:, 0] for g in params]))
+                run = list(run)
+                dists = [self.nodes[i].dist for v in run for i in by_var[v]]
+                gaussian = isinstance(dists[0], Gaussian)
+                if gaussian:
+                    table = Gaussian(np.array([d.mu for d in dists]),
+                                     np.array([d.sigma for d in dists]))
                 else:
-                    table = _cumulative(np.concatenate(params).T)
+                    probs = np.array([d.probs for d in dists])
+                    with np.errstate(divide="ignore"):
+                        log_probs = np.log(probs)
+                    table = _cumulative(probs.T)
+                first = lo
                 blocks.append((first, table))
+                for v in run:
+                    rows = slice(lo - first, lo - first + len(by_var[v]))
+                    stacked = (Gaussian(table.mu[rows, None], table.sigma[rows, None]) if gaussian
+                               else CategoricalTable(log_probs[rows]))
+                    leaves.append((v, lo, lo + len(by_var[v]), stacked))
+                    lo += len(by_var[v])
 
-            groups = []
+            reach = [frontier[i] for i in order]
+            indptr = np.cumsum([0, *map(len, reach)], dtype=np.intp)
+            indices = slot_of.take(np.fromiter(_chain(reach), np.intp, indptr[-1]))
+            sizes = np.diff(indptr)
+            groups, sums = [], []
             for s, ids in sorted(by_step.items()):
                 nodes = [self.nodes[i] for i in ids]
                 if s % 2 == 0:
@@ -391,30 +401,22 @@ class Circuit:
                                         for node, k in zip(nodes, pad)]].T
                     weights = np.array([list(node.weights) + [0.0] * k
                                         for node, k in zip(nodes, pad)]).T
-                    cumulative = _cumulative(weights)
                     with np.errstate(divide="ignore"):
                         log_weights = np.log(weights)
-                else:
-                    counts = [len(node.children) for node in nodes]
-                    indices = slot_of[[c for node in nodes for c in node.children]]
-                    indptr = np.cumsum([0] + counts, dtype=np.intp)
-                    children = (indptr, indices, np.ones(len(indices)))
-                    log_weights = cumulative = None
-                groups.append((lo, lo + len(ids), children, log_weights, cumulative))
-                lo += len(ids)
-
-            reach = [frontier[i] for i in order]
-            indptr = np.cumsum([0, *map(len, reach)], dtype=np.intp)
-            indices = slot_of.take(np.fromiter(_chain(reach), np.intp, indptr[-1]))
-            sizes = np.diff(indptr)
-            sums = []
-            for lo, _, children, _, cumulative in groups:
-                if cumulative is not None:
                     # by flat (position, node) index: where each child's
                     # frontier starts in ``indices`` and how long it is
                     counts = sizes.take(children).ravel()
-                    sums.append((lo, cumulative, indptr.take(children).ravel(),
+                    sums.append((lo, _cumulative(weights), indptr.take(children).ravel(),
                                  None if (counts == 1).all() else counts))
+                else:
+                    child_slots = slot_of[[c for node in nodes for c in node.children]]
+                    child_ptr = np.cumsum([0, *(len(node.children) for node in nodes)],
+                                          dtype=np.intp)
+                    children = (child_ptr, child_slots, np.ones(len(child_slots)))
+                    log_weights = None
+                groups.append((lo, lo + len(ids), children, log_weights))
+                lo += len(ids)
+
             starts = np.array([b[0] for b in blocks] + [s[0] for s in sums] + [len(order)],
                               dtype=np.int64)
             leaf_var = np.repeat([leaf[0] for leaf in leaves],
@@ -477,7 +479,7 @@ class Circuit:
                         leaf_log_pdf(dist, entry[rows], out=vals[lo:hi])
                 # one row: a 1-D view, so no ufunc broadcasts over columns of one
                 table = vals.reshape(-1) if width == 1 else vals
-                for lo, hi, children, log_weights, _ in groups:
+                for lo, hi, children, log_weights in groups:
                     block = table[lo:hi]
                     if log_weights is None:
                         block.fill(0.0)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import datasets, learner, toy
 from .circuit import Circuit, InvalidCircuitError, ModelParseError
-from .datasets import DataError
+from .datasets import DataError, read_text
 from .learner import CLUSTERERS, METHODS, Hyperparams, WeightedDataset
 
 EXIT_OK = 0
@@ -131,7 +131,7 @@ def _read_existing_results(path: Path) -> list:
     rows = []
     if not path.exists():
         return rows
-    for number, line in enumerate(path.read_text().splitlines(), start=1):
+    for number, line in enumerate(read_text(path).splitlines(), start=1):
         if line.startswith("#") or line.startswith(RESULT_COLUMNS[0] + "\t"):
             continue
         if not line.strip():
@@ -207,7 +207,7 @@ def _check_model_fits(circuit: Circuit, bundle) -> None:
 
 
 def cmd_eval(args) -> int:
-    circuit = Circuit.from_json(Path(args.model).read_text())
+    circuit = Circuit.from_json(read_text(args.model))
     bundle = load_bundle(args.data, args.data_dir, args.seed)
     _check_model_fits(circuit, bundle)
     print("split\tll_mean")
@@ -217,7 +217,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    circuit = Circuit.from_json(Path(args.model).read_text())
+    circuit = Circuit.from_json(read_text(args.model))
     rng = np.random.default_rng(args.seed)
     rows = circuit.sample(rng, args.n)
     # a column at a time from Python ints and floats, not cell by cell
@@ -275,7 +275,7 @@ def cmd_toy_example(args) -> int:
 
 def cmd_validate_model(args) -> int:
     try:
-        circuit = Circuit.from_json(Path(args.model).read_text(), check=False)
+        circuit = Circuit.from_json(read_text(args.model), check=False)
     except ModelParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -395,7 +395,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ModelParseError, InvalidCircuitError, FileNotFoundError) as exc:
+    # an OSError names the file that could not be read or written
+    except (DataError, ModelParseError, InvalidCircuitError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -18,6 +18,7 @@ Sidecar format: one ``<column> cat`` or ``<column> cont`` entry per line;
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .estimators import CONT_MAX_ABS
 from .schema import Schema, Variable
 
 SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train/valid/test shares of a mixed CSV's rows
@@ -32,17 +34,21 @@ SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train/valid/test shares of a mixed CSV's ro
 # probability per level, so a stray huge level would make every leaf of
 # its variable that large (level 99999999 took seconds per learn).
 MAX_ARITY = 1024
-# Largest magnitude of a continuous CSV value.  Learning sums weighted
-# squares of differences of values, and a Gaussian leaf divides them by
-# its sigma, which may be as small as estimators.SIGMA_FLOOR; within this
-# bound both stay finite for any row count.  Beyond about 1e154 a column's
-# variance overflows and learned likelihoods come out -inf, or nan near
-# 1e308.
-CONT_MAX_ABS = 1e100
 
 
 class DataError(ValueError):
     """Raised for malformed or missing dataset inputs."""
+
+
+def read_text(path, newline=None) -> str:
+    """The text of the file at ``path``, read as ``open`` reads it with
+    ``newline``.  A file that does not decode is a ``DataError`` naming it;
+    one that cannot be opened raises the ``OSError``, which names it too."""
+    try:
+        with open(path, newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot decode: {exc}") from None
 
 
 @dataclass
@@ -93,28 +99,28 @@ def _read_discrete_lines(path: Path):
     ``_read_discrete_file``, and the path that names a bad file's line."""
     rows = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [int(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer token") from exc
-            if min(row) < 0:
-                raise DataError(f"{path}:{lineno}: negative value")
-            if max(row) >= MAX_ARITY:
-                j = next(j for j, v in enumerate(row) if v >= MAX_ARITY)
-                raise DataError(f"{path}:{lineno}: column {j} (from 0): level {row[j]} "
-                                f"beyond the largest allowed level {MAX_ARITY - 1}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataError(
-                    f"{path}:{lineno}: ragged row (got {len(row)} values, expected {width})"
-                )
-            rows.append(row)
+    # universal newlines leave only "\n" to split on, as iterating the file would
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [int(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-integer token") from exc
+        if min(row) < 0:
+            raise DataError(f"{path}:{lineno}: negative value")
+        if max(row) >= MAX_ARITY:
+            j = next(j for j, v in enumerate(row) if v >= MAX_ARITY)
+            raise DataError(f"{path}:{lineno}: column {j} (from 0): level {row[j]} "
+                            f"beyond the largest allowed level {MAX_ARITY - 1}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataError(
+                f"{path}:{lineno}: ragged row (got {len(row)} values, expected {width})"
+            )
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: empty file")
     return np.asarray(rows, dtype=float)
@@ -166,7 +172,7 @@ def read_schema_spec(path) -> dict:
     """Parse a sidecar schema file into ``{column_name: 'cat' | 'cont'}``;
     a column declared twice is a ``DataError``."""
     spec, declared = {}, {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -207,19 +213,18 @@ def load_mixed_csv(
 
     if not csv_path.exists():
         raise DataError(f"missing dataset file: {csv_path}")
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{csv_path}: empty file") from None
-        raw_rows = []
-        for row in reader:
-            if len(row) not in (0, len(header)):
-                raise DataError(f"{csv_path}:{reader.line_num}: ragged row "
-                                f"(got {len(row)} fields, expected {len(header)})")
-            if row:
-                raw_rows.append(row)
+    reader = csv.reader(io.StringIO(read_text(csv_path, newline=""), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{csv_path}: empty file") from None
+    raw_rows = []
+    for row in reader:
+        if len(row) not in (0, len(header)):
+            raise DataError(f"{csv_path}:{reader.line_num}: ragged row "
+                            f"(got {len(row)} fields, expected {len(header)})")
+        if row:
+            raw_rows.append(row)
     if not raw_rows:
         raise DataError(f"{csv_path}: no data rows")
 

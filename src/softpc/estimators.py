@@ -19,6 +19,19 @@ EPSILON_W = 1e-6
 # (single point, or effective sample size of one).
 SIGMA_FLOOR = 1e-3
 
+# Bounds on what the learners accept, checked where the input enters: a
+# continuous value in a CSV file or a ``WeightedDataset``, and a dataset's
+# total row weight and the pseudo-count ``alpha``.  A Gaussian fit sums the
+# weights' squares and the weighted squared deviations, each term at most
+# ``(2 * CONT_MAX_ABS) ** 2``, and its leaf divides deviations by a sigma
+# as small as ``SIGMA_FLOOR``; a multinomial fit divides by the total
+# weight plus ``arity * alpha``.  Within both bounds all of these stay
+# finite.  Beyond them, values near 1e154, weights totalling about 1e308 or
+# an ``alpha`` near 1e308 overflowed into non-finite sigmas or
+# probabilities that no longer sum to 1.
+CONT_MAX_ABS = 1e100
+MAX_TOTAL_WEIGHT = 1e100
+
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 

@@ -33,7 +33,8 @@ class Hyperparams:
 
     - ``p_threshold`` (``--p``): chi-square p-value below which two
       variables count as dependent.
-    - ``alpha`` (``--alpha``): multinomial pseudo-count for leaf fits.
+    - ``alpha`` (``--alpha``): multinomial pseudo-count for leaf fits, at
+      most ``estimators.MAX_TOTAL_WEIGHT``.
     - ``beta`` (``--beta``): softmax sharpness of soft k-means.
     - ``n_clusters`` (``--clusters``): children per sum node.
     - ``min_instances`` (``--min-instances``): subproblems with less
@@ -56,8 +57,8 @@ class Hyperparams:
     def __post_init__(self):
         if not 0.0 < self.p_threshold < 1.0:
             raise ValueError("p_threshold must be in (0, 1)")
-        if not 0.0 <= self.alpha < np.inf:
-            raise ValueError("alpha must be finite and nonnegative")
+        if not 0.0 <= self.alpha <= estimators.MAX_TOTAL_WEIGHT:
+            raise ValueError(f"alpha must be in [0, {estimators.MAX_TOTAL_WEIGHT:g}]")
         if not 0.0 <= self.beta < np.inf:
             raise ValueError("beta must be finite and nonnegative")
         for name, least in (("n_clusters", 1), ("max_cluster_iters", 1), ("seed", 0)):
@@ -74,9 +75,11 @@ class Hyperparams:
 class WeightedDataset:
     """Dense data matrix with per-row positive weights.
 
-    All input checks of the learners happen here: values must be finite,
-    categorical values integers in ``[0, arity)`` and row weights at
-    least ``estimators.EPSILON_W``.  A ``-0.0`` is stored as ``0.0``, in a
+    All input checks of the learners happen here: values must be finite
+    and at most ``estimators.CONT_MAX_ABS`` in magnitude, categorical
+    values integers in ``[0, arity)``, and row weights at least
+    ``estimators.EPSILON_W`` and at most ``estimators.MAX_TOTAL_WEIGHT``
+    in total.  A ``-0.0`` is stored as ``0.0``, in a
     copy of ``matrix``, so numerically equal inputs learn the same circuit.
     """
 
@@ -92,6 +95,9 @@ class WeightedDataset:
             raise ValueError("matrix width does not match schema")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("matrix values must be finite")
+        if np.abs(self.matrix).max() > estimators.CONT_MAX_ABS:
+            raise ValueError(f"matrix values must be at most {estimators.CONT_MAX_ABS:g} "
+                             "in magnitude")
         for v, var in enumerate(self.schema):
             col = self.matrix[:, v]
             if var.kind == "cat" and (
@@ -109,6 +115,10 @@ class WeightedDataset:
             raise ValueError("row_weights length mismatch")
         if not np.all(np.isfinite(self.row_weights) & (self.row_weights >= estimators.EPSILON_W)):
             raise ValueError(f"row weights must be finite and at least {estimators.EPSILON_W}")
+        with np.errstate(over="ignore"):  # a total that overflows is inf, and fails
+            total = self.row_weights.sum()
+        if not total <= estimators.MAX_TOTAL_WEIGHT:
+            raise ValueError(f"row weights must total at most {estimators.MAX_TOTAL_WEIGHT:g}")
 
 
 @dataclass

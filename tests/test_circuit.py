@@ -751,7 +751,7 @@ class TestStepScheduleMatchesHeightGroups:
         for c in pinned_circuits():
             _, _, leaves, groups, _ = c._compiled()
             assert groups[0][0] == leaves[-1][2]
-            for (lo, hi, children, log_weights, _), following in zip(groups, groups[1:] + [None]):
+            for (lo, hi, children, log_weights), following in zip(groups, groups[1:] + [None]):
                 if log_weights is None:
                     indptr, slots, ones = children
                     # the CSR kernel takes both index arrays in one dtype
@@ -945,8 +945,8 @@ class TestSampleMatchesReference:
         nodes.append(ProductNode(tuple(sums)))
         c = Circuit(nodes, len(nodes) - 1, Schema.categorical([2, 3, 5]))
         assert c.validate() == []
-        sum_groups = [g for g in c._compiled()[3] if g[4] is not None]
-        assert [g[4].shape for g in sum_groups] == [(4, 3)]
+        *_, (_, _, _, sums, _, _) = c._compiled()
+        assert [cumulative.shape for _, cumulative, _, _ in sums] == [(4, 3)]
         n = 50_000
         rows = c.sample(rng, n)
         for v, w in enumerate(weights):
@@ -1075,8 +1075,8 @@ class TestSamplerShapes:
         c = SAMPLER_SHAPES[name]()
         _, _, leaves, groups, (indptr, indices, *_) = c._compiled()
         kinds = ["leaf"] * leaves[-1][2]
-        for lo, hi, _, _, cumulative in groups:
-            kinds += ["product" if cumulative is None else "sum"] * (hi - lo)
+        for lo, hi, _, log_weights in groups:
+            kinds += ["product" if log_weights is None else "sum"] * (hi - lo)
         for slot, kind in enumerate(kinds):
             reach = indices[indptr[slot]:indptr[slot + 1]].tolist()
             if kind == "product":
@@ -1088,7 +1088,7 @@ class TestSamplerShapes:
         c = products_of_products_of_products()
         _, _, leaves, groups, (indptr, indices, *_) = c._compiled()
         sizes = np.diff(indptr)
-        products = [s for lo, hi, _, _, cumulative in groups if cumulative is None
+        products = [s for lo, hi, _, log_weights in groups if log_weights is None
                     for s in range(lo, hi)]
         # per chain: (mixture, Gaussian), then a ternary leaf, then the top mixture
         assert sorted(sizes[products].tolist()) == [2, 2, 3, 3, 4, 4]
@@ -1107,8 +1107,65 @@ class TestSamplerShapes:
         assert blocks[1][1].mu.shape == blocks[1][1].sigma.shape == (4,)
         assert leaf_var.tolist() == [0, 0, 2, 2, 1, 1, 3, 3]
 
+    @pytest.mark.parametrize("c", [*pinned_circuits(), *(f() for f in SAMPLER_SHAPES.values())],
+                             ids=[*(f"pinned{i}" for i in range(17)), *SAMPLER_SHAPES])
+    def test_each_variable_reads_rows_of_its_leaf_block(self, c):
+        """Each leaf block is stacked once: a variable's evaluation table is
+        a view of its rows of the block's one table, the one the sampler
+        reads for Gaussians and whose probs it reads for categoricals."""
+        _, _, leaves, _, (_, _, _, _, blocks, _) = c._compiled()
+        bounds = [lo for lo, _ in blocks] + [leaves[-1][2]]
+        for (first, table), end in zip(blocks, bounds[1:]):
+            rows = [(lo - first, hi - first, stacked)
+                    for _, lo, hi, stacked in leaves if first <= lo < end]
+            for lo, hi, stacked in rows:
+                if isinstance(table, Gaussian):
+                    assert stacked.mu.shape == stacked.sigma.shape == (hi - lo, 1)
+                    assert np.shares_memory(stacked.mu, table.mu[lo:hi])
+                    assert np.shares_memory(stacked.sigma, table.sigma[lo:hi])
+                    assert np.array_equal(stacked.mu[:, 0], table.mu[lo:hi])
+                else:
+                    block = stacked.log_probs.base
+                    assert block is not None and block.shape == (end - first, len(table) + 1)
+                    assert np.shares_memory(stacked.log_probs, block[lo:hi])
+                    assert np.array_equal(stacked.log_probs, block[lo:hi])
+                    assert block is rows[0][2].log_probs.base
+
 
 class TestSampleDeterminism:
+    # sha256 of ``sample(default_rng(3), 2000)`` on each of ``pinned_circuits()``
+    PINNED_SAMPLES = [
+        "7781d8692791b8fb9e2056e6ff56a0ddc12df7472b8b8e9edc238d7e8ebc3aa9",
+        "4c47ff114aee9fa9be287744070739d1d05448e8d2cdd95dfbaf3d46e2ead5e6",
+        "258389bc498ff8469231fd5d258dfc6ebbf6a547845fa30f093b85746b73ca43",
+        "7e449bbdb681bb37824f65e3352070de2fbcb553e8edfe078bcdf4d60a165bc4",
+        "24c1d18cd7b40abbfc5e560f8ded8da523f8966c3c9584988f67ddfbeb1b491a",
+        "baf36f9ec45c2281f68ced38a75f7fe7af7c3f7e43bb11cc54d94426434d96f6",
+        "db9a7259052eb56b527f1e012d47c7a556b46af3d933dcf47767f958f4563280",
+        "ae810e62e1eecd7fcac65c23a21827bcf6615768bcabf9dd4562a8f6e93652d2",
+        "895d692da4360b33276ce51e970643ba40cb8ceb0db2864d7c0008659ccc56fb",
+        "c5485d0c2bf5bd57684738b379a93288831cbc7aeef9b6d1075b6b00c489c781",
+        "190c9a827c538362552fbe3dc7827369e2964a52af34a521d01a02db30227267",
+        "bd605537d975c66ec3ed584bae46a582fb1898e31af9f647d5e43c18adcded61",
+        "bd296367aea9e14ca6d1691434eccc1e0c46333aa56b8c8e7816f000c4f969bc",
+        "f61ee3d2a044f8ed08fd1b5ede67c13d0860b9b6ecac7944a8d483af7c5dcf0c",
+        "0ec2ea0ef857f66e784ca58cd18d7ffff786522a116749fec416165b60126e54",
+        "961c19044e3da7b26304e903122214a063db4c51014390883bff7c545d1fa99c",
+        "1ba601be9695d129e1b3cdfe902e22fd791cdc05154b0723639a8ae066c4fc2e",
+    ]
+
+    @pytest.mark.parametrize("index", range(17))
+    def test_pinned_sample_bytes(self, index):
+        """The draw order and the compiled layout it follows, pinned."""
+        c = list(pinned_circuits())[index]
+        got = hashlib.sha256(c.sample(np.random.default_rng(3), 2000).tobytes()).hexdigest()
+        assert got == self.PINNED_SAMPLES[index]
+
+    def test_pinned_sample_bytes_of_a_large_call(self):
+        c = list(pinned_circuits())[1]
+        got = hashlib.sha256(c.sample(np.random.default_rng(3), 20_000).tobytes()).hexdigest()
+        assert got == "7511cc318972626f7c4a4770ba7a8937cb4f4c15fc1a371205f29c5810e50c37"
+
     def test_leaf_chunk_size_does_not_change_the_draws(self, monkeypatch):
         circuits = [random_mixed_circuit(np.random.default_rng(s), n_vars=6) for s in range(3)]
         circuits += [arities_1000_2_3(), alternating_kinds()]

@@ -1,10 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
+import math
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softpc.circuit import Circuit
 from softpc import cli
@@ -110,7 +118,8 @@ class TestLearn:
     @pytest.mark.parametrize(
         "flag, value",
         [("--p", 1.5), ("--clusters", 0), ("--clusters", -1), ("--max-cluster-iters", 0),
-         ("--beta", -1.0), ("--beta", "nan"), ("--alpha", "inf"), ("--min-instances", "nan")],
+         ("--beta", -1.0), ("--beta", "nan"), ("--alpha", "inf"), ("--alpha", "1e308"),
+         ("--min-instances", "nan")],
     )
     def test_bad_hyperparameter_is_usage_error(self, data_dir, capsys, flag, value):
         code = run(["--data-dir", data_dir, "learn", "--data", "twoblock",
@@ -295,6 +304,165 @@ class TestValidateAndEval:
         assert code == EXIT_DATA
         captured = capsys.readouterr()
         assert "node 1: leaf variable" in captured.out + captured.err
+
+
+class TestUnreadableFiles:
+    """A file that cannot be read, decoded or written is a data error that
+    names it, at each place the commands read or write one."""
+
+    @pytest.fixture()
+    def model_path(self, data_dir, tmp_path):
+        model = tmp_path / "m.json"
+        run(["--data-dir", data_dir, "learn", "--data", "twoblock", "--method", "learnspn",
+             "--out-model", model])
+        return model
+
+    @pytest.mark.parametrize("command", ["validate-model", "sample"])
+    def test_undecodable_model(self, tmp_path, capsys, command):
+        model = tmp_path / "bad.json"
+        model.write_bytes(b"\xff\xfe{}")
+        argv = {"validate-model": ["validate-model", "--model", model],
+                "sample": ["sample", "--model", model, "--n", 3]}[command]
+        assert run(argv) == EXIT_DATA
+        assert f"{model}: cannot decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate-model", "eval"])
+    def test_directory_as_model(self, data_dir, tmp_path, capsys, command):
+        argv = {"validate-model": ["validate-model", "--model", tmp_path],
+                "eval": ["--data-dir", data_dir, "eval", "--model", tmp_path, "--data", "coin"]}
+        assert run(argv[command]) == EXIT_DATA
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+    def test_undecodable_data_split(self, data_dir, tmp_path, capsys):
+        for part in ("train", "valid", "test"):
+            source = data_dir / f"twoblock.{part}.data"
+            (tmp_path / f"tb.{part}.data").write_bytes(source.read_bytes())
+        with open(tmp_path / "tb.valid.data", "ab") as fh:
+            fh.write(b"0,1,\xff,1,1,0\n")
+        code = run(["--data-dir", tmp_path, "learn", "--data", "tb", "--method", "learnspn"])
+        assert code == EXIT_DATA
+        assert f"{tmp_path / 'tb.valid.data'}: cannot decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["mix.csv", "mix.schema"])
+    def test_undecodable_csv_or_sidecar(self, tmp_path, capsys, name):
+        lines = ["colour,size"] + [f"{('red', 'blue')[i % 2]},{i / 10}" for i in range(50)]
+        (tmp_path / "mix.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "mix.schema").write_text("colour cat\nsize cont\n")
+        with open(tmp_path / name, "ab") as fh:
+            fh.write(b"# \xff\n" if name == "mix.schema" else b"red,\xff\n")
+        code = run(["--data-dir", tmp_path, "learn", "--data", "mix", "--method", "learnspn"])
+        assert code == EXIT_DATA
+        assert f"{tmp_path / name}: cannot decode" in capsys.readouterr().err
+
+    def test_directory_as_grid_results_file(self, data_dir, tmp_path, capsys):
+        code = run(["--data-dir", data_dir, "--out", tmp_path, "grid", "--data", "coin",
+                    "--method", "learnspn", "--reps", 1, "--clusterer", "em", "--p", 0.01,
+                    "--alpha", 0.1])
+        assert code == EXIT_DATA
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+    def test_directory_as_learned_model_file(self, data_dir, tmp_path, capsys):
+        code = run(["--data-dir", data_dir, "learn", "--data", "coin", "--method", "learnspn",
+                    "--out-model", tmp_path])
+        assert code == EXIT_DATA
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+
+def _csv_files():
+    """A small mixed CSV with its sidecar, as file name -> bytes."""
+    rng = np.random.default_rng(5)
+    rows = [f"{('red', 'blue', 'green')[i % 3]},{rng.normal(i % 2 * 4, 1):.3f},{i % 2}"
+            for i in range(40)]
+    return {"mix.csv": ("colour,size,flag\n" + "\n".join(rows) + "\n").encode(),
+            "mix.schema": b"colour cat\nsize cont\nflag cat\n"}
+
+
+def _discrete_files():
+    """A small discrete triple, as file name -> bytes."""
+    rng = np.random.default_rng(6)
+    return {f"tri.{part}.data": "".join(",".join(map(str, row)) + "\n"
+                                        for row in rng.integers(0, 3, (n, 3))).encode()
+            for part, n in (("train", 30), ("valid", 8), ("test", 8))}
+
+
+FUZZ_BASES = {"mix": _csv_files(), "tri": _discrete_files()}
+# values put into a field: huge, tiny, non-finite, negative, fractional,
+# unseen levels and non-numbers
+FUZZ_FIELDS = ["1e308", "-1e308", "1e100", "1.0000000000000002e100", "1e200", "1e-320",
+               "5e-324", "-0.0", "nan", "inf", "-inf", "1e400", "0", "-1", "0.5", "7",
+               "1023", "1024", "99999999", "purple", "", " ", "cat", "cont", "size"]
+FUZZ_BYTES = [b"\xff", b"\xfe\xff", b"\xc3", b"\x00", b"\r", b"\"", b","]
+
+
+@st.composite
+def mutated_datasets(draw):
+    """A base dataset's files after 1-3 mutations: a field replaced, dropped
+    or duplicated; a line dropped or duplicated; a file cut short or
+    emptied; or bytes inserted."""
+    name = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    files = {k: v.split(b"\n") for k, v in FUZZ_BASES[name].items()}
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(sorted(files)))
+        lines = files[target]
+        if not lines:  # emptied by an earlier cut
+            lines.append(b"")
+        at = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["field", "drop field", "dup field", "drop line", "dup line",
+                                   "cut", "bytes"]))
+        fields = lines[at].split(b",")
+        j = draw(st.integers(0, len(fields) - 1))
+        if op == "field":
+            fields[j] = draw(st.sampled_from(FUZZ_FIELDS)).encode()
+        elif op == "drop field":
+            del fields[j]
+        elif op == "dup field":
+            fields.insert(j, fields[j])
+        elif op == "drop line":
+            del lines[at]
+        elif op == "dup line":
+            lines.insert(at, lines[at])
+        elif op == "cut":
+            del lines[at:]  # at 0 the file is empty; a short CSV leaves a split empty
+        else:
+            k = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:k] + draw(st.sampled_from(FUZZ_BYTES)) + lines[at][k:]
+        if op in ("field", "drop field", "dup field"):
+            lines[at] = b",".join(fields)
+    method = draw(st.sampled_from(["learnspn", "softlearn"]))
+    clusterer = draw(st.sampled_from(list(CLUSTERERS)))
+    return name, {k: b"\n".join(v) for k, v in files.items()}, method, clusterer
+
+
+def _quiet_main(argv):
+    """``main(argv)``'s exit code and stdout, stderr swallowed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue()
+
+
+class TestFileBoundaryFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(mutated_datasets())
+    def test_mutated_files_learn_valid_or_fail_cleanly(self, case):
+        name, files, method, clusterer = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for file, data in files.items():
+                (tmp / file).write_bytes(data)
+            model = tmp / "model.json"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out = _quiet_main(["--data-dir", tmp, "learn", "--data", name,
+                                         "--method", method, "--clusterer", clusterer,
+                                         "--out-model", model])
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+            if code == EXIT_OK:
+                _, rows = parse_table(out)
+                assert math.isfinite(float(rows[0]["ll_valid_mean"]))
+                assert math.isfinite(float(rows[0]["ll_test_mean"]))
+                assert _quiet_main(["validate-model", "--model", model])[0] == EXIT_OK
 
 
 class TestSample:

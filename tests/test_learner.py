@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from softpc import independence, toy
 from softpc.analysis import factorized_circuit, singleton_split_membership, split_circuit
 from softpc.circuit import LeafNode, ProductNode, SumNode
-from softpc.estimators import Multinomial
-from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
+from softpc.estimators import CONT_MAX_ABS, MAX_TOTAL_WEIGHT, Multinomial
+from softpc.learner import CLUSTERERS, Hyperparams, WeightedDataset, learn_spn, soft_learn
 from softpc.schema import Schema, Variable
 
 from conftest import all_binary_rows, pinned_data, step_counts
@@ -424,3 +424,63 @@ class TestEveryLearnedCircuitIsValid:
                 circuit, _ = learn(WeightedDataset(matrix, None, schema), hp)
                 assert circuit.validate() == []
                 assert np.isfinite(circuit.log_density(matrix).mean())
+
+
+def bound_data(n=400):
+    """Two-component rows over (cont, cat(2), cont, cat(3)); the continuous
+    columns are scaled to reach +-CONT_MAX_ABS exactly."""
+    rng = np.random.default_rng(0)
+    z = rng.random(n) < 0.4
+    cont = np.clip(rng.normal(np.where(z, 0.5, -0.5), 0.3), -1.0, 1.0) * CONT_MAX_ABS
+    cont[:3] = (CONT_MAX_ABS, -CONT_MAX_ABS, CONT_MAX_ABS)
+    binary = np.where(z, rng.random(n) < 0.8, rng.random(n) < 0.2)
+    matrix = np.column_stack([cont, binary, cont[::-1], rng.integers(0, 3, n)]).astype(float)
+    schema = Schema([Variable("cont"), Variable("cat", 2), Variable("cont"), Variable("cat", 3)])
+    return matrix, schema
+
+
+class TestInputBounds:
+    """At each documented bound on what the learners accept, every learner
+    returns a valid circuit with finite log densities; one step past it,
+    the input is rejected where it enters."""
+
+    @staticmethod
+    def assert_learns_valid(matrix, schema, weights, **fields):
+        for learn in (learn_spn, soft_learn):
+            for clusterer in CLUSTERERS:
+                hp = Hyperparams(clusterer=clusterer, **fields)
+                circuit, _ = learn(WeightedDataset(matrix, weights, schema), hp)
+                assert circuit.validate() == []
+                assert np.isfinite(circuit.log_density(matrix)).all()
+
+    def test_continuous_magnitude(self):
+        matrix, schema = bound_data()
+        assert np.abs(matrix).max() == CONT_MAX_ABS
+        self.assert_learns_valid(matrix, schema, None, min_instances=5.0)
+        for bad in (np.nextafter(CONT_MAX_ABS, np.inf), -np.nextafter(CONT_MAX_ABS, np.inf), 1e200):
+            outside = matrix.copy()
+            outside[7, 2] = bad
+            with pytest.raises(ValueError, match="at most 1e\\+100 in magnitude"):
+                WeightedDataset(outside, None, schema)
+
+    def test_total_row_weight(self):
+        matrix, schema = bound_data()
+        weights = np.full(len(matrix), MAX_TOTAL_WEIGHT / len(matrix))
+        assert weights.sum() == MAX_TOTAL_WEIGHT
+        # a mass threshold on the weights' scale, so a soft split does not
+        # recurse until each child's mass falls below 50
+        self.assert_learns_valid(matrix, schema, weights, min_instances=MAX_TOTAL_WEIGHT / 8)
+        over = weights.copy()
+        over[0] = np.nextafter(over[0], np.inf) * (1 + 1e-12)
+        for bad in (over, np.full(len(matrix), 1e306), np.full(len(matrix), 1e110)):
+            with pytest.raises(ValueError, match="total at most 1e\\+100"):
+                WeightedDataset(matrix, bad, schema)
+
+    def test_alpha(self):
+        matrix, schema = bound_data()
+        categorical = matrix[:, [1, 3]]
+        self.assert_learns_valid(categorical, Schema([schema[1], schema[3]]), None,
+                                 alpha=MAX_TOTAL_WEIGHT, min_instances=5.0)
+        for bad in (np.nextafter(MAX_TOTAL_WEIGHT, np.inf), 1e308):
+            with pytest.raises(ValueError, match="alpha must be in"):
+                Hyperparams(alpha=bad)
