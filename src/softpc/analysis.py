@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit
-from .learner import (Hyperparams, WeightedDataset, _assemble, _check_membership, _root,
-                      _split, _steps)
+from .clustering import check_membership
+from .learner import Hyperparams, WeightedDataset, _assemble, _root, _split, _steps
 
 
 def capped_ll_trace(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split=None) -> list:
@@ -40,10 +40,11 @@ def split_circuit(data: WeightedDataset, membership, hp: Hyperparams) -> Circuit
     gives ``factorized_circuit``.
 
     ``membership`` is an (n, K) matrix of nonnegative rows summing to 1
-    (``ValueError`` otherwise); one-hot rows reproduce a hard split.
+    (``ValueError`` otherwise, from ``clustering.check_membership``);
+    one-hot rows reproduce a hard split.
     """
     root = _root(data)
-    _split(root, _check_membership(membership, data.matrix.shape[0]))
+    _split(root, check_membership(membership, data.matrix.shape[0]))
     return _assemble(root, data.matrix, data.schema, hp.alpha)
 
 

@@ -43,6 +43,22 @@ class FactorizedMixture:
     ll_trace: list = field(default_factory=list)  # EM's weighted log-likelihood per iteration
 
 
+def check_membership(membership, n_rows: int) -> np.ndarray:
+    """``membership`` as a float array; ``ValueError`` unless it is a finite,
+    nonnegative ``(n_rows, K)`` array, K >= 1, whose rows sum to 1 (within
+    1e-9).  The rule of every membership a caller hands in: EM's
+    ``init_membership``, the learners' ``first_split`` and
+    ``analysis.split_circuit``'s."""
+    membership = np.asarray(membership, dtype=float)
+    if membership.ndim != 2 or membership.shape[0] != n_rows or membership.shape[1] < 1:
+        raise ValueError(f"membership must have shape ({n_rows}, K), got {membership.shape}")
+    if not np.all(np.isfinite(membership) & (membership >= 0.0)):
+        raise ValueError("membership entries must be finite and nonnegative")
+    if np.any(np.abs(membership.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("membership rows must sum to 1")
+    return membership
+
+
 def _standardizers(matrix, weights, scope, schema):
     """Per scope variable: ``None`` if categorical, else the ``(mean, std)``
     that standardize it, weighted over every row of ``matrix``."""
@@ -197,12 +213,13 @@ def soft_kmeans(
     tie.
 
     Raises ``ValueError`` if a categorical scope column holds a value
-    that is not an integer in ``[0, arity)``.
+    that is not an integer in ``[0, arity)`` (``estimators.categorical_codes``),
+    or if ``weights`` fails ``estimators.check_weights``, one per row.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     matrix = np.asarray(matrix, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    weights = estimators.check_weights(weights, matrix.shape[0])
     raw = np.ascontiguousarray(matrix[:, list(scope)])
     first, inv = _distinct_rows(raw, scope, schema)
     distinct = raw[first]
@@ -349,15 +366,19 @@ def em_factorized(
     (``leaf_log_pdf``, one call per component and variable).
 
     Raises ``ValueError`` if a categorical scope column holds a value
-    that is not an integer in ``[0, arity)``.
+    that is not an integer in ``[0, arity)`` (``estimators.categorical_codes``),
+    if ``weights`` fails ``estimators.check_weights``, one per row, or if
+    ``init_membership`` fails ``check_membership``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if rng is None:
         rng = np.random.default_rng(0)
     matrix = np.asarray(matrix, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n = weights.size
+    n = matrix.shape[0]
+    weights = estimators.check_weights(weights, n)
+    if init_membership is not None:
+        init_membership = check_membership(init_membership, n)
     k = min(k, n)
     if k == 1:
         comp = estimators.fit_factorized(matrix, weights, scope, schema, alpha)
@@ -368,9 +389,8 @@ def em_factorized(
     arities = np.array([schema[v].arity for v in cats], dtype=np.int64)
     icodes = estimators.categorical_codes(matrix[:, cats], arities)
 
-    if init_membership is not None:
-        resp = np.asarray(init_membership, dtype=float)
-    else:
+    resp = init_membership
+    if resp is None:
         resp = soft_kmeans(matrix, weights, scope, schema, k, beta=4.0, max_iter=10, rng=rng)
     k = resp.shape[1]
 

@@ -3,6 +3,10 @@
 Row weights are treated as frequencies.  Multinomial counts are weighted
 sums per class (optionally Laplace-smoothed); Gaussian parameters use the
 weighted mean and the weighted Bessel-corrected standard deviation.
+
+Two input rules live here, one function each: ``check_weights`` for the
+per-row weights of the clusterers and the independence tests, and
+``categorical_codes`` for categorical levels.
 """
 
 from __future__ import annotations
@@ -51,13 +55,34 @@ class Gaussian:
     sigma: float
 
 
+def check_weights(weights, n_rows: int) -> np.ndarray:
+    """``weights`` as a float array; ``ValueError`` unless it holds one
+    finite, positive weight per row: shape ``(n_rows,)``.  The rule of the
+    clusterers' and the independence tests' per-row weights, and of
+    ``WeightedDataset``'s, which bounds them further."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n_rows,):
+        raise ValueError(f"weights must have shape ({n_rows},), got {weights.shape}")
+    # a NaN compares false against any bound, so it needs its own test
+    if not (np.isfinite(weights) & (weights > 0)).all():
+        raise ValueError("weights must be finite and positive")
+    return weights
+
+
 def _clean(values, weights):
+    """The leaf fits' rule: ``values`` and ``weights`` are 1-d, nonempty and
+    of equal length, every weight finite and nonnegative (``ValueError``
+    otherwise); rows weighing less than ``EPSILON_W`` are dropped."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.shape != weights.shape or values.ndim != 1:
         raise ValueError("values and weights must be 1-d arrays of equal length")
     if values.size == 0:
         raise ValueError("empty column")
+    # np.min propagates a NaN, which fails the bound; two reductions and no
+    # temporaries, as every leaf of every learned circuit passes here
+    if not (weights.min() >= 0 and weights.max() < np.inf):
+        raise ValueError("weights must be finite and nonnegative")
     keep = weights >= EPSILON_W
     values, weights = values[keep], weights[keep]
     if values.size == 0:
@@ -69,7 +94,8 @@ def fit_multinomial(values, weights, arity: int, alpha: float = 0.0) -> Multinom
     """Fit a weighted multinomial with per-class pseudo-count ``alpha``.
 
     P(class j) = (C_j + alpha) / (sum_l C_l + arity * alpha), where C_j is
-    the total weight of rows with value j.
+    the total weight of rows with value j.  Weights follow ``_clean``'s
+    rule: finite and nonnegative, those below ``EPSILON_W`` dropped.
     """
     values, weights = _clean(values, weights)
     if alpha < 0:
@@ -84,7 +110,8 @@ def fit_gaussian(values, weights) -> Gaussian:
 
     sigma^2 = S / (S^2 - Q) * sum_i v_i (d_i - mu)^2 with S = sum v_i and
     Q = sum v_i^2.  Degenerate inputs (one point, S^2 == Q, or zero spread)
-    fall back to ``SIGMA_FLOOR``.
+    fall back to ``SIGMA_FLOOR``.  Weights follow ``_clean``'s rule, as in
+    ``fit_multinomial``.
     """
     values, weights = _clean(values, weights)
     s = weights.sum()
@@ -126,13 +153,14 @@ class CategoricalTable:
 
 def categorical_codes(values, arity):
     """``values`` as int64 codes; ``ValueError`` unless each is an integer
-    in ``[0, arity)``.  ``arity`` broadcasts against ``values``."""
+    in ``[0, arity)``.  ``arity`` broadcasts against ``values``.  The one
+    check of categorical levels, for every entry that takes them."""
     values = np.asarray(values)
     with np.errstate(invalid="ignore"):  # a NaN casts to some integer and fails the check
         codes = values.astype(np.int64)
     # negative codes wrap to huge unsigned ones, so one bound covers both ends
     if (codes != values).any() or (codes.view(np.uint64) >= np.asarray(arity, np.uint64)).any():
-        raise ValueError("categorical value out of range")
+        raise ValueError("categorical value out of range: each must be an integer in [0, arity)")
     return codes
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import categorical_codes
+from .estimators import categorical_codes, check_weights
 
 BINS = 4  # equal-frequency bins per continuous column in partition_scope
 # one-hot cells per row block of the Gram matrix in partition_scope (64 KiB)
@@ -36,12 +36,13 @@ def discretize(values, weights, bins: int):
     Returns ``(codes, edges)`` where codes are bin indices in
     ``{0..len(edges)}`` and edges are cut points (midpoints between the
     adjacent distinct values).  If fewer distinct values than bins exist,
-    the bin count is reduced accordingly.
+    the bin count is reduced accordingly.  ``weights`` must pass
+    ``estimators.check_weights``, one per value.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
     values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    weights = check_weights(weights, values.size)
     uniq, inv = np.unique(values, return_inverse=True)
     if uniq.size == 1:
         return np.zeros(values.shape, dtype=np.int64), np.empty(0)
@@ -64,13 +65,13 @@ def weighted_chi2(x, y, weights) -> Chi2Result:
     count toward the degrees of freedom.  Tables with a single effective
     row/column, or with total weight below ``2 * r * c``, return
     ``p_value = 1`` (no usable evidence of dependence).  ``ValueError``
-    unless every code is a nonnegative integer.
+    unless every code is a nonnegative integer, ``x`` and ``y`` have equal
+    length and ``weights`` passes ``estimators.check_weights``.
     """
     x, y = np.asarray(x), np.asarray(y)
-    weights = np.asarray(weights, dtype=float)
-    if not (x.shape == y.shape == weights.shape):
-        raise ValueError("x, y, weights must have equal length")
-    _check_weights(weights)
+    if x.shape != y.shape:
+        raise ValueError("x and y must have equal length")
+    weights = check_weights(weights, x.size)
     # a negative code fails the bound as a huge unsigned one
     x, y = categorical_codes(np.stack((x, y)), np.iinfo(np.int64).max)
 
@@ -78,13 +79,6 @@ def weighted_chi2(x, y, weights) -> Chi2Result:
     table = np.bincount(x * ny + y, weights=weights, minlength=nx * ny).reshape(1, nx, ny)
     stat, dof, p = _chi2_tables(table)
     return Chi2Result(float(stat[0]), int(dof[0]), float(p[0]))
-
-
-def _check_weights(weights):
-    """``ValueError`` unless every weight is finite and positive (a NaN
-    compares false against any bound, so it needs its own test)."""
-    if not (np.isfinite(weights) & (weights > 0)).all():
-        raise ValueError("weights must be finite and positive")
 
 
 def _chi2_tables(tables):
@@ -134,14 +128,14 @@ def partition_scope(matrix, weights, scope, schema, p_threshold: float):
     their smallest variable.  All pair tables come from one weighted Gram
     matrix of the one-hot scope codes.  Raises ``ValueError`` if a
     categorical scope column holds a value that is not an integer in
-    ``[0, arity)``.
+    ``[0, arity)`` (``estimators.categorical_codes``), or if ``weights``
+    fails ``estimators.check_weights``, one per row of ``matrix``.
     """
+    matrix = np.asarray(matrix)
+    weights = check_weights(weights, matrix.shape[0])
     scope = list(scope)
     if len(scope) < 2:
         return [sorted(scope)]
-    matrix = np.asarray(matrix)
-    weights = np.asarray(weights, dtype=float)
-    _check_weights(weights)
 
     # the continuous columns become bin codes, then one call checks and
     # converts every column (a bin code is always below BINS)

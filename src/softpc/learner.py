@@ -38,7 +38,10 @@ class Hyperparams:
     - ``beta`` (``--beta``): softmax sharpness of soft k-means.
     - ``n_clusters`` (``--clusters``): children per sum node.
     - ``min_instances`` (``--min-instances``): subproblems with less
-      weight than this are fully factorized.
+      weight than this are fully factorized.  It is in row-weight units,
+      not rows: a soft split keeps every row in every child at a share of
+      its weight, so on rows with large weights ``soft_learn`` keeps
+      splitting for as long as the shares still add up to it.
     - ``max_cluster_iters`` (``--max-cluster-iters``): iteration cap of
       the clusterer.
     - ``clusterer`` (``--clusterer``): a name in ``CLUSTERERS``.
@@ -77,7 +80,8 @@ class WeightedDataset:
 
     All input checks of the learners happen here: values must be finite
     and at most ``estimators.CONT_MAX_ABS`` in magnitude, categorical
-    values integers in ``[0, arity)``, and row weights at least
+    values integers in ``[0, arity)`` (``estimators.categorical_codes``),
+    and row weights as ``estimators.check_weights`` requires, at least
     ``estimators.EPSILON_W`` and at most ``estimators.MAX_TOTAL_WEIGHT``
     in total.  A ``-0.0`` is stored as ``0.0``, in a
     copy of ``matrix``, so numerically equal inputs learn the same circuit.
@@ -98,23 +102,17 @@ class WeightedDataset:
         if np.abs(self.matrix).max() > estimators.CONT_MAX_ABS:
             raise ValueError(f"matrix values must be at most {estimators.CONT_MAX_ABS:g} "
                              "in magnitude")
-        for v, var in enumerate(self.schema):
-            col = self.matrix[:, v]
-            if var.kind == "cat" and (
-                np.any(col != np.floor(col)) or col.min() < 0 or col.max() >= var.arity
-            ):
-                raise ValueError(f"column {v}: categorical values must be integers in [0, arity)")
+        cats = [v for v in range(len(self.schema)) if self.schema.is_cat(v)]
+        estimators.categorical_codes(self.matrix[:, cats], [self.schema[v].arity for v in cats])
         if np.signbit(self.matrix[self.matrix == 0.0]).any():
             # -0.0 equals 0.0, but distinct rows are told apart by their bytes;
             # adding 0.0 makes a new array, so the caller's keeps its values
             self.matrix = self.matrix + 0.0
         if self.row_weights is None:
             self.row_weights = np.ones(self.matrix.shape[0])
-        self.row_weights = np.asarray(self.row_weights, dtype=float)
-        if self.row_weights.shape != (self.matrix.shape[0],):
-            raise ValueError("row_weights length mismatch")
-        if not np.all(np.isfinite(self.row_weights) & (self.row_weights >= estimators.EPSILON_W)):
-            raise ValueError(f"row weights must be finite and at least {estimators.EPSILON_W}")
+        self.row_weights = estimators.check_weights(self.row_weights, self.matrix.shape[0])
+        if not (self.row_weights >= estimators.EPSILON_W).all():
+            raise ValueError(f"row weights must be at least {estimators.EPSILON_W}")
         with np.errstate(over="ignore"):  # a total that overflows is inf, and fails
             total = self.row_weights.sum()
         if not total <= estimators.MAX_TOTAL_WEIGHT:
@@ -222,19 +220,6 @@ def _cluster(matrix, weights, scope, schema, hp, rng):
     return resp
 
 
-def _check_membership(membership, n_rows: int) -> np.ndarray:
-    """``membership`` as a float array; ``ValueError`` unless it is a finite,
-    nonnegative ``(n_rows, K)`` array, K >= 1, whose rows sum to 1."""
-    membership = np.asarray(membership, dtype=float)
-    if membership.ndim != 2 or membership.shape[0] != n_rows or membership.shape[1] < 1:
-        raise ValueError(f"membership must have shape ({n_rows}, K), got {membership.shape}")
-    if not np.all(np.isfinite(membership) & (membership >= 0.0)):
-        raise ValueError("membership entries must be finite and nonnegative")
-    if np.any(np.abs(membership.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("membership rows must sum to 1")
-    return membership
-
-
 def _steps(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
     """The recursion, one decision at a time: after each decision, yield the
     partial tree's root ``_Sub`` and the step's ``StepRecord``.  Open
@@ -242,7 +227,7 @@ def _steps(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
     full = data.matrix
     schema = data.schema
     if first_split is not None:  # the first clustered subproblem holds every row
-        first_split = _check_membership(first_split, full.shape[0])
+        first_split = clustering.check_membership(first_split, full.shape[0])
     rng = np.random.default_rng(np.random.SeedSequence(hp.seed))
 
     root = _root(data)
@@ -289,7 +274,7 @@ def learn_spn(data: WeightedDataset, hp: Hyperparams, first_split=None):
 
     ``first_split``, a finite, nonnegative ``(n_rows, K)`` membership whose
     rows sum to 1, replaces the clusterer's at the first sum decision;
-    anything else raises ``ValueError``."""
+    anything else raises ``ValueError`` (``clustering.check_membership``)."""
     return _learn(data, hp, soft=False, first_split=first_split)
 
 

@@ -123,6 +123,15 @@ MALFORMED = {
 }
 
 
+class TestVariable:
+    @pytest.mark.parametrize("kind, arity, match", [
+        ("ordinal", None, "unknown variable kind"), ("cat", None, "arity >= 2"),
+        ("cat", 1, "arity >= 2"), ("cont", 2, "continuous variables have no arity")])
+    def test_malformed_variable_rejected(self, kind, arity, match):
+        with pytest.raises(ValueError, match=match):
+            Variable(kind, arity)
+
+
 class TestValidate:
     def test_mixture_of_products_is_valid(self):
         assert fig1_circuit().validate() == []
@@ -144,8 +153,11 @@ class TestValidate:
         assert any("not single-rooted" in v for v in violations)
 
     def test_child_after_parent_detected(self):
-        violations = MALFORMED["child-after-parent"]().validate()
-        assert any("precede" in v for v in violations)
+        circuit = MALFORMED["child-after-parent"]()
+        assert any("precede" in v for v in circuit.validate())
+        # the evaluator's plan refuses it too, rather than reading a later slot
+        with pytest.raises(ValueError, match=r"children \(1, 1\) do not precede it"):
+            circuit.log_density([0.0])
 
     def test_incomplete_root_scope_detected(self):
         violations = MALFORMED["incomplete-root-scope"]().validate()
@@ -350,6 +362,11 @@ class TestLogMarginal:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             fig1_circuit().log_marginal([(1.0, -1.0), None])
+
+    @pytest.mark.parametrize("query", [[None], [None, None, None]])
+    def test_query_of_another_length_rejected(self, query):
+        with pytest.raises(ValueError, match="query length does not match schema"):
+            fig1_circuit().log_marginal(query)
 
     @pytest.mark.parametrize(
         "query",

@@ -213,6 +213,12 @@ class TestLearn:
         assert code == EXIT_DATA
         assert f"{rows} data rows split" in capsys.readouterr().err
 
+    def test_csv_without_its_sidecar_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "mix.csv").write_bytes(_csv_files()["mix.csv"])
+        code = run(["--data-dir", tmp_path, "learn", "--data", "mix", "--method", "learnspn"])
+        assert code == EXIT_DATA
+        assert f"needs a sidecar schema file {tmp_path / 'mix.schema'}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ["red", "red,0.5,0.7"])
     def test_ragged_csv_row_is_data_error(self, tmp_path, capsys, row):
         lines = ["colour,size"] + [f"{('red', 'blue')[i % 2]},{i / 10}" for i in range(200)]
@@ -266,6 +272,14 @@ class TestValidateAndEval:
         out = capsys.readouterr().out
         for split in ("train", "valid", "test"):
             assert split in out
+
+    def test_unexpected_exception_is_internal_error(self, model_path, monkeypatch, capsys):
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_validate_model", fail)
+        assert run(["validate-model", "--model", model_path]) == cli.EXIT_INTERNAL
+        assert "internal error: RuntimeError('boom')" in capsys.readouterr().err
 
     def test_missing_model_is_data_error(self, tmp_path):
         assert run(["validate-model", "--model", tmp_path / "ghost.json"]) == EXIT_DATA
@@ -519,6 +533,14 @@ class TestSample:
         assert out.read_text() == expected
         assert {line.count(",") for line in expected.splitlines()} == {2}
 
+    def test_without_out_prints_the_file_text(self, model_path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        cmd = ["--seed", 5, "sample", "--model", model_path, "--n", 20]
+        assert run(cmd + ["--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert run(cmd) == EXIT_OK
+        assert capsys.readouterr().out == out.read_text()
+
     @pytest.mark.parametrize("where", ["before", "after", "both"])
     def test_out_before_or_after_the_subcommand(self, model_path, tmp_path, capsys, where):
         out, other = tmp_path / "s.csv", tmp_path / "global.csv"
@@ -615,6 +637,19 @@ class TestGrid:
         assert run(args) == EXIT_DATA
         err = capsys.readouterr().err
         assert str(out) in err and f"line {len(lines)}" in err
+
+    def test_blank_results_lines_are_skipped(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "results.tsv"
+        args = ["--data-dir", data_dir, "--out", out, "grid", "--data", "coin",
+                "--method", "learnspn", "--clusterer", "kmeans", "--p", 0.01,
+                "--alpha", 0.01, "--reps", 1]
+        assert run(args) == EXIT_OK
+        text = out.read_text()
+        out.write_text(text.replace("\n", "\n\n"))
+        capsys.readouterr()
+        # the one cell is read back as done: the table is rewritten as it was
+        assert run(args) == EXIT_OK
+        assert out.read_text() == text
 
     def test_bad_hyperparameter_is_usage_error_with_every_cell_done(self, data_dir, tmp_path,
                                                                     capsys):

@@ -132,6 +132,10 @@ class TestSoftKmeans:
                         rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
 
+    def test_no_rng_seeds_with_zero(self, rng):
+        args = (rng.normal(size=(60, 2)), np.ones(60), (0, 1), Schema.continuous(2), 2, 4.0)
+        assert np.array_equal(soft_kmeans(*args), soft_kmeans(*args, rng=np.random.default_rng(0)))
+
     @pytest.mark.parametrize("value", [-1.0, 2.0, 0.5, np.nan])
     @pytest.mark.parametrize("column", [0, 3])
     def test_categorical_value_not_a_level_raises(self, rng, value, column):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from softpc.datasets import (
     CONT_MAX_ABS,
     DataError,
+    DatasetBundle,
     DISCRETE_MANIFEST,
     MAX_ARITY,
     check_manifest,
@@ -17,6 +18,7 @@ from softpc.datasets import (
     _read_discrete_lines,
     read_schema_spec,
 )
+from softpc.schema import Schema
 
 
 def write_discrete(tmp_path, name, train, valid=None, test=None):
@@ -178,6 +180,11 @@ class TestManifest:
         assert len(problems) == 1
         assert "expected" in problems[0]
 
+    def test_check_manifest_passes_a_listed_match(self):
+        n_vars, *sizes = DISCRETE_MANIFEST["nltcs"]
+        splits = (np.zeros((n, n_vars)) for n in sizes)
+        assert check_manifest(DatasetBundle("nltcs", Schema.binary(n_vars), *splits)) == []
+
     def test_check_manifest_passes_unlisted(self, tmp_path):
         write_discrete(tmp_path, "custom", [[0, 1]])
         assert check_manifest(load_discrete("custom", tmp_path)) == []
@@ -300,6 +307,11 @@ class TestMixedCsv:
         bundle = load_mixed_csv(csv, sidecar)
         values = np.concatenate([bundle.train[:, 1], bundle.valid[:, 1], bundle.test[:, 1]])
         assert values.max() == CONT_MAX_ABS and values.min() == -CONT_MAX_ABS
+
+    def test_missing_csv_rejected(self, tmp_path):
+        _, sidecar = self.write_csv(tmp_path)
+        with pytest.raises(DataError, match="missing dataset file: .*ghost.csv"):
+            load_mixed_csv(tmp_path / "ghost.csv", sidecar)
 
     def test_missing_spec_column_rejected(self, tmp_path):
         csv, _ = self.write_csv(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softpc.clustering import em_factorized, soft_kmeans
 from softpc.estimators import (
     EPSILON_W,
     SIGMA_FLOOR,
@@ -17,6 +18,8 @@ from softpc.estimators import (
     gaussian_cdf,
     leaf_log_pdf,
 )
+from softpc.independence import discretize, partition_scope, weighted_chi2
+from softpc.schema import Schema, Variable
 
 
 def oracle_gaussian(values, weights):
@@ -28,6 +31,55 @@ def oracle_gaussian(values, weights):
     mu = (weights * values).sum() / s
     var = s / (s * s - q) * (weights * (values - mu) ** 2).sum()
     return mu, math.sqrt(var)
+
+
+_MIXED = Schema([Variable("cat", 2), Variable("cont")])
+
+# every entry that takes clustering or independence row weights, on rows
+# whose column 0 is a level and column 1 a real
+WEIGHTED_ENTRIES = {
+    "soft_kmeans": lambda m, w: soft_kmeans(m, w, (0, 1), _MIXED, 2, 4.0),
+    "em_factorized": lambda m, w: em_factorized(m, w, (0, 1), _MIXED, 2),
+    "discretize": lambda m, w: discretize(m[:, 1], w, 4),
+    "partition_scope": lambda m, w: partition_scope(m, w, (0, 1), _MIXED, 0.01),
+    "weighted_chi2": lambda m, w: weighted_chi2(m[:, 0], m[:, 0], w),
+}
+
+
+class TestCheckWeights:
+    @pytest.mark.parametrize("entry", sorted(WEIGHTED_ENTRIES))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero", "negative", "short", "long", "2-d"])
+    def test_every_entry_rejects_weights_that_are_not_finite_and_positive(self, rng, entry, bad):
+        # a NaN weight made the clusterers fail inside rng.choice, after a
+        # RuntimeWarning, and discretize binned any weight it was given
+        matrix = np.column_stack([rng.integers(0, 2, size=40), rng.normal(size=40)])
+        call = WEIGHTED_ENTRIES[entry]
+        call(matrix, np.ones(40))
+        weights = {"short": np.ones(39), "long": np.ones(41), "2-d": np.ones((40, 1))}.get(bad)
+        if weights is None:
+            weights = np.ones(40)
+            weights[7] = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}[bad]
+        with pytest.raises(ValueError, match="weights"):
+            call(matrix, weights)
+
+
+class TestLeafFitWeights:
+    @pytest.mark.parametrize("fit", [fit_gaussian, lambda v, w: fit_multinomial(v, w, 2)],
+                             ids=["gaussian", "multinomial"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0, -EPSILON_W / 10])
+    def test_non_finite_or_negative_weight_raises(self, fit, bad):
+        # an infinite weight gave Gaussian(nan, nan) or probs (nan, 0.0) with
+        # only a RuntimeWarning; a NaN or negative one was dropped silently
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fit([0.0, 1.0, 1.0, 0.0], [bad, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("values, weights, match", [
+        ([0.0, 1.0], [1.0], "equal length"), ([[0.0, 1.0]], [[1.0, 1.0]], "1-d"),
+        ([], [], "empty column")])
+    def test_malformed_columns_raise(self, values, weights, match):
+        for fit in (fit_gaussian, lambda v, w: fit_multinomial(v, w, 2)):
+            with pytest.raises(ValueError, match=match):
+                fit(values, weights)
 
 
 class TestMultinomial:
@@ -143,6 +195,7 @@ class TestGaussian:
         dist = fit_gaussian([0.0, 2.0, 100.0], [1.0, 1.0, 1e-9])
         ref = fit_gaussian([0.0, 2.0], [1.0, 1.0])
         assert dist == ref
+        assert fit_gaussian([0.0, 2.0, 100.0], [1.0, 1.0, 0.0]) == ref
 
     def test_all_weights_below_threshold_raise(self):
         with pytest.raises(ValueError):
@@ -177,6 +230,10 @@ class TestLeafLogPdf:
     def test_multinomial_rejects_codes_that_are_not_levels(self, codes):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="out of range"):
             leaf_log_pdf(Multinomial((0.5, 0.5)), codes)
+
+    def test_unknown_distribution_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unknown leaf distribution"):
+            leaf_log_pdf("uniform", np.zeros(3))
 
     def test_multinomial_empty_input(self):
         out = leaf_log_pdf(Multinomial(np.array([[0.5, 0.5], [0.1, 0.9]])), np.empty(0))

@@ -127,6 +127,10 @@ class TestWeightedChi2:
         with pytest.raises(ValueError):
             weighted_chi2([0, 1], [0, 1], [1.0, 0.0])
 
+    def test_rejects_codes_of_unequal_length(self):
+        with pytest.raises(ValueError, match="x and y must have equal length"):
+            weighted_chi2([0, 1, 1], [0, 1], [1.0, 1.0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_weights(self, rng, bad):
         # y copies x: a NaN weight used to give p_value 1 here

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from softpc import independence, toy
 from softpc.analysis import factorized_circuit, singleton_split_membership, split_circuit
 from softpc.circuit import LeafNode, ProductNode, SumNode
+from softpc.clustering import em_factorized
 from softpc.estimators import CONT_MAX_ABS, MAX_TOTAL_WEIGHT, Multinomial
 from softpc.learner import CLUSTERERS, Hyperparams, WeightedDataset, learn_spn, soft_learn
 from softpc.schema import Schema, Variable
@@ -111,6 +112,10 @@ class TestWeightedDataset:
         with pytest.raises(ValueError, match="row weights"):
             WeightedDataset(rng.normal(size=(5, 2)), np.full(5, 1e-7), Schema.continuous(2))
 
+    def test_rejects_row_weights_of_another_length(self, rng):
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
+            WeightedDataset(rng.normal(size=(5, 2)), np.ones(4), Schema.continuous(2))
+
 
 class TestLearnSpn:
     def test_single_variable_gives_one_leaf(self):
@@ -188,18 +193,26 @@ class TestSoftLearn:
         b, _ = learn_spn(data, hp, first_split=membership)
         assert a.to_json() == b.to_json()
 
-    @pytest.mark.parametrize("fn", [learn_spn, soft_learn, split_circuit])
+    @pytest.mark.parametrize("fn", [learn_spn, soft_learn, split_circuit, em_factorized])
     @pytest.mark.parametrize(
         "bad, match",
         [(np.full((59, 2), 0.5), "shape"), (np.full((1, 2), 0.5), "shape"),
          (np.full(60, 1.0), "shape"), (np.ones((60, 0)), "shape"),
          (np.tile([1.5, -0.5], (60, 1)), "nonnegative"),
-         (np.tile([np.nan, 0.5], (60, 1)), "finite"), (np.full((60, 2), 0.4), "sum to 1")],
+         (np.tile([np.nan, 0.5], (60, 1)), "finite"), (np.full((60, 2), 0.4), "sum to 1"),
+         (np.full((60, 2), 1.5), "sum to 1")],
     )
     def test_rejects_malformed_first_split(self, rng, fn, bad, match):
+        # every entry that takes a membership; EM's init_membership took any
+        # array: a (1, 2) one broadcast to every row, rows summing to 3 passed
         data = WeightedDataset(toy.generate(30, rng), None, Schema.continuous(2))
         with pytest.raises(ValueError, match=match):
-            fn(data, bad, Hyperparams()) if fn is split_circuit else fn(data, Hyperparams(), bad)
+            if fn is split_circuit:
+                fn(data, bad, Hyperparams())
+            elif fn is em_factorized:
+                fn(data.matrix, data.row_weights, (0, 1), data.schema, 2, init_membership=bad)
+            else:
+                fn(data, Hyperparams(), bad)
 
     def test_sum_weights_are_child_mass_fractions(self, rng):
         matrix = toy.generate(100, rng)
@@ -254,6 +267,10 @@ class TestToyExperiment:
     def test_true_circuit_is_valid(self):
         assert toy.true_circuit().validate() == []
 
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            toy.run_toy(10, method="bogus")
+
 
 class TestAlternativeConstructions:
     def test_factorized_circuit_matches_independent_leaf_fits(self, rng):
@@ -279,6 +296,9 @@ class TestAlternativeConstructions:
             membership = np.full((n, 2), 0.5)
             split = split_circuit(data, membership, hp).log_density(matrix).mean()
             assert split == pytest.approx(base, abs=1e-9)
+
+    def test_singleton_split_of_identical_rows_is_one_cluster(self):
+        assert singleton_split_membership(np.ones((5, 3)), 2).tolist() == [[1.0]] * 5
 
     def test_singleton_split_children_beat_factorized_on_their_rows(self, rng):
         # each child's factorized fit is the MLE on the rows it represents,
