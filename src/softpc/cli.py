@@ -44,6 +44,10 @@ RESULT_COLUMNS = (
 )
 
 
+# the commands that read the global --out; any other refuses it
+_OUT_COMMANDS = ("grid", "sample")
+
+
 class UsageError(ValueError):
     pass
 
@@ -312,9 +316,9 @@ def _learning_flags(grid=False) -> argparse.ArgumentParser:
     flags.add_argument("--clusters", dest="n_clusters", metavar="CLUSTERS", type=int,
                        default=hp.n_clusters, help="children per sum node")
     flags.add_argument("--min-instances", type=float, default=hp.min_instances,
-                       help="stop clustering below this effective sample size")
+                       help="fully factorize a subproblem whose total row weight is below this")
     flags.add_argument("--max-cluster-iters", type=int, default=hp.max_cluster_iters,
-                       help="iteration cap inside clustering (2 = early-stop mode)")
+                       help="iteration cap of each k-means or EM call")
     return flags
 
 
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--data-dir", default="datasets", help="dataset directory")
     parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("--threads", type=_positive_int, default=1)
-    parser.add_argument("--out", default=None, help="results table path")
+    parser.add_argument("--out", default=None, help="output path of grid and sample")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("learn", parents=[_learning_flags()],
@@ -391,6 +395,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None and args.command not in _OUT_COMMANDS:
+            raise UsageError(f"--out is read only by {' and '.join(_OUT_COMMANDS)}, "
+                             f"not by {args.command}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

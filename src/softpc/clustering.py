@@ -14,6 +14,11 @@ the rows at the end; its random draws still range over the original
 rows.  An all-categorical scope finds its distinct rows from one integer
 key per row, any other scope from the rows' raw bytes; both give the same
 rows in the same order.
+
+Each public entry, ``soft_kmeans``, ``em_factorized`` and ``encode_rows``,
+checks its weights and categorical levels once, at its start
+(``_checked``); the k-means core behind ``soft_kmeans``, which also starts
+EM, the distinct-row keys and EM's one-hot codes then trust what it passed.
 """
 
 from __future__ import annotations
@@ -59,6 +64,20 @@ def check_membership(membership, n_rows: int) -> np.ndarray:
     return membership
 
 
+def _checked(matrix, weights, scope, schema):
+    """The clustering entries' one check of their input: ``(matrix, weights,
+    codes)``.  ``matrix`` comes back as floats and ``weights`` through
+    ``estimators.check_weights``, one per row; ``codes`` are the int64
+    levels of the scope's categorical columns, in scope order, from one
+    ``estimators.categorical_codes`` call over them.  ``ValueError`` names
+    the rule a bad weight or value breaks."""
+    matrix = np.asarray(matrix, dtype=float)
+    weights = estimators.check_weights(weights, matrix.shape[0])
+    cats = [v for v in scope if schema.is_cat(v)]
+    codes = estimators.categorical_codes(matrix[:, cats], [schema[v].arity for v in cats])
+    return matrix, weights, codes
+
+
 def _standardizers(matrix, weights, scope, schema):
     """Per scope variable: ``None`` if categorical, else the ``(mean, std)``
     that standardize it, weighted over every row of ``matrix``."""
@@ -96,10 +115,11 @@ def encode_rows(matrix, weights, scope, schema):
 
     Categorical columns are one-hot encoded; continuous columns are
     standardized by their weighted mean/std (zero-variance columns pass
-    through unchanged).
+    through unchanged).  Raises ``ValueError`` on the rules of
+    ``soft_kmeans``: a categorical value that is not a level, or weights
+    that fail ``estimators.check_weights``.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    matrix, weights = _checked(matrix, weights, scope, schema)[:2]
     standardizers = _standardizers(matrix, weights, scope, schema)
     return _encode_t(matrix[:, list(scope)], scope, schema, standardizers).T
 
@@ -188,8 +208,8 @@ def soft_kmeans(
     Distinct rows come first: the raw scope columns are uniqued in the
     order of their bytes, and only the distinct rows are encoded, each
     carrying the sum of its rows' weights; all rows share their distinct
-    row's responsibilities.  When every scope variable is categorical and
-    every value one of its levels, each row's key is one int64: each level
+    row's responsibilities.  When every scope variable is categorical
+    (and no value is ``-0.0``), each row's key is one int64: each level
     maps to its rank in the byte order of its float64 (not the numeric
     order: 2.0 sorts before 1.0), and the ranks combine into a mixed-radix
     number, the first scope column most significant.  It sorts as the
@@ -218,14 +238,15 @@ def soft_kmeans(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    matrix = np.asarray(matrix, dtype=float)
-    weights = estimators.check_weights(weights, matrix.shape[0])
+    matrix, weights = _checked(matrix, weights, scope, schema)[:2]
+    return _kmeans(matrix, weights, scope, schema, k, beta, max_iter, rng)
+
+
+def _kmeans(matrix, weights, scope, schema, k, beta, max_iter, rng):
+    """``soft_kmeans`` on a float matrix and weights that ``_checked`` has passed."""
     raw = np.ascontiguousarray(matrix[:, list(scope)])
     first, inv = _distinct_rows(raw, scope, schema)
     distinct = raw[first]
-    # every value of a column is in some distinct row, so checking those checks all
-    cat_at = [j for j, v in enumerate(scope) if schema.is_cat(v)]
-    estimators.categorical_codes(distinct[:, cat_at], [schema[scope[j]].arity for j in cat_at])
     n = weights.size
     k = min(k, n)
     if k == 1:
@@ -280,31 +301,26 @@ def _distinct_rows(raw, scope, schema):
 def _level_keys(raw, scope, schema):
     """One int64 per row of ``raw`` that sorts as the row's bytes do, or ``None``.
 
-    Only for an all-categorical scope whose values are all levels in
-    ``[0, arity)``: a continuous column, any other value, a ``-0.0`` (its
-    bytes differ from ``0.0``'s) or a key past 2**53 gets ``None``.  Each
-    level maps to its byte rank (levels 0 and 1 keep their value), and the
-    ranks combine into one mixed-radix key through one exact float64
-    matrix-vector product.
+    ``raw`` holds checked values: each categorical one a level in
+    ``[0, arity)``, as ``_checked`` makes them.  Only an all-categorical
+    scope gets keys, and not if it holds a ``-0.0`` (its bytes differ from
+    ``0.0``'s) or needs a rank table past ``_MAX_KEYED_ARITY`` or a key past
+    2**53.  Each level maps to its byte rank (levels 0 and 1 keep their
+    value), and the ranks combine into one mixed-radix key through one exact
+    float64 matrix-vector product.
     """
     if not all(schema.is_cat(v) for v in scope):
         return None
     arities = [schema[v].arity for v in scope]
-    # a rank table or a key too large for exact float64 sums
-    if max(arities) > _MAX_KEYED_ARITY or math.prod(arities) > 2**53:
-        return None
-    # a negative value or -0.0 has its sign bit set, and a NaN fails the bound
-    if np.signbit(raw).any() or not (raw < np.array(arities, dtype=float)).all():
-        return None
-    codes = raw.astype(np.int64)
-    if (codes != raw).any():
+    # a rank table or a key too large for exact float64 sums, or a -0.0
+    if max(arities) > _MAX_KEYED_ARITY or math.prod(arities) > 2**53 or np.signbit(raw).any():
         return None
     ranks = raw
     wide = [j for j, a in enumerate(arities) if a > 2]
     if wide:
         ranks = raw.copy()
         for j in wide:
-            ranks[:, j] = _byte_ranks(arities[j])[codes[:, j]]
+            ranks[:, j] = _byte_ranks(arities[j])[raw[:, j].astype(np.intp)]
     radix = np.array([math.prod(arities[j + 1 :]) for j in range(len(arities))], dtype=float)
     return (ranks @ radix).astype(np.int64)
 
@@ -374,9 +390,8 @@ def em_factorized(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if rng is None:
         rng = np.random.default_rng(0)
-    matrix = np.asarray(matrix, dtype=float)
+    matrix, weights, icodes = _checked(matrix, weights, scope, schema)
     n = matrix.shape[0]
-    weights = estimators.check_weights(weights, n)
     if init_membership is not None:
         init_membership = check_membership(init_membership, n)
     k = min(k, n)
@@ -387,11 +402,10 @@ def em_factorized(
     cats = [v for v in scope if schema.is_cat(v)]
     conts = [v for v in scope if not schema.is_cat(v)]
     arities = np.array([schema[v].arity for v in cats], dtype=np.int64)
-    icodes = estimators.categorical_codes(matrix[:, cats], arities)
 
     resp = init_membership
     if resp is None:
-        resp = soft_kmeans(matrix, weights, scope, schema, k, beta=4.0, max_iter=10, rng=rng)
+        resp = _kmeans(matrix, weights, scope, schema, k, beta=4.0, max_iter=10, rng=rng)
     k = resp.shape[1]
 
     # component-major layout: responsibilities and weights are (K, n) and the

@@ -1280,6 +1280,12 @@ class TestSerialization:
         assert again == c
         assert again.to_json() == c.to_json()
 
+    def test_round_trip_hashes_equal(self):
+        c = fig1_circuit()
+        again = Circuit.from_json(c.to_json())
+        assert again is not c and hash(again) == hash(c)
+        assert len({c, again}) == 1
+
     def test_round_trip_preserves_full_precision(self, rng):
         for _ in range(10):
             c = random_binary_circuit(5, rng)

@@ -553,6 +553,23 @@ class TestSample:
         assert not other.exists()
 
 
+class TestGlobalOut:
+    @pytest.mark.parametrize(
+        "command", ["learn", "eval", "synthetic-quality", "toy-example", "validate-model"])
+    def test_command_that_ignores_out_refuses_it(self, data_dir, tmp_path, capsys, command):
+        # each of these used to exit 0 without writing the file
+        learning = ["--data", "twoblock", "--method", "learnspn"]
+        rest = {"learn": learning, "synthetic-quality": learning + ["--reps", 1],
+                "eval": ["--model", tmp_path / "m.json", "--data", "twoblock"],
+                "toy-example": ["--n", 10, "--out-dir", tmp_path / "toy"],
+                "validate-model": ["--model", tmp_path / "m.json"]}[command]
+        out = tmp_path / "r.tsv"
+        assert run(["--data-dir", data_dir, "--out", out, command] + rest) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--out" in err and "grid" in err and "sample" in err
+        assert not out.exists()
+
+
 class TestGrid:
     def test_single_cell_matches_learn(self, data_dir, capsys):
         args = ["--data-dir", data_dir, "--seed", 2]

@@ -89,6 +89,54 @@ class TestEncodeRows:
         enc = encode_rows(np.full((5, 1), 2.0), np.ones(5), (0,), schema)
         assert np.allclose(enc, 0.0)
 
+    @pytest.mark.parametrize("value", [2.0, -1.0, 0.5, np.nan])
+    def test_categorical_value_not_a_level_raises(self, value):
+        # 2 used to set the next variable's one-hot slot, -1 the last slot,
+        # and 0.5 to count as level 0
+        matrix = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        matrix[1, 0] = value
+        with pytest.raises(ValueError, match="out of range"):
+            encode_rows(matrix, np.ones(3), (0, 1), Schema.binary(2))
+
+    @pytest.mark.parametrize("weight", [np.nan, 0.0, -1.0])
+    def test_bad_weight_raises(self, weight):
+        weights = np.ones(3)
+        weights[1] = weight
+        matrix = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="weights"):
+            encode_rows(matrix, weights, (0, 1), Schema.binary(2))
+
+
+class TestOneEntryCheck:
+    # each clustering entry checks its weights and its categorical levels
+    # once, at its start; EM's k-means start and the row keys trust that
+    # check.  The 1-d categorical_codes calls of EM's closing leaf_log_pdf
+    # pass check the fitted leaves' inputs, not the entry's.
+    @pytest.mark.parametrize("entry", ["soft_kmeans", "em_factorized", "encode_rows"])
+    def test_one_weights_and_one_codes_check_per_call(self, rng, monkeypatch, entry):
+        calls = []
+
+        def counting(name):
+            original = getattr(estimators, name)
+
+            def wrapper(values, *args):
+                if name == "check_weights" or np.ndim(values) == 2:
+                    calls.append(name)
+                return original(values, *args)
+            monkeypatch.setattr(estimators, name, wrapper)
+
+        counting("check_weights")
+        counting("categorical_codes")
+        matrix, schema = _latent_mixed(rng)
+        args = (matrix, np.ones(matrix.shape[0]), tuple(range(6)), schema)
+        if entry == "soft_kmeans":
+            soft_kmeans(*args, 2, 4.0, rng=rng)
+        elif entry == "em_factorized":
+            em_factorized(*args, 2, rng=rng)
+        else:
+            encode_rows(*args)
+        assert sorted(calls) == ["categorical_codes", "check_weights"]
+
 
 class TestSoftKmeans:
     def test_large_beta_approaches_one_hot(self, rng):
@@ -365,8 +413,11 @@ class TestDistinctRowKeys:
         first, inv = clustering._distinct_rows(raw, (0,), Schema.categorical([3]))
         assert first.tolist() == [2, 1, 0] and inv.tolist() == [2, 1, 0]
 
+    # values that are not levels never reach the keys: the clustering entries
+    # reject them (test_categorical_value_not_a_level_raises,
+    # test_categorical_code_out_of_range_raises)
     @pytest.mark.parametrize("case", ["negative_zero", "continuous", "past_int64",
-                                      "arity_past_rank_table", "fraction", "nan", "out_of_range"])
+                                      "arity_past_rank_table"])
     def test_other_scopes_take_void_keys(self, rng, case):
         matrix, schema = _categorical_rows(rng, 300, (2, 3, 4))
         if case == "negative_zero":
@@ -376,13 +427,9 @@ class TestDistinctRowKeys:
         elif case == "past_int64":
             schema = Schema.categorical([1024] * 7)
             matrix = rng.integers(0, 1024, size=(300, 7)).astype(float)
-        elif case == "arity_past_rank_table":
+        else:
             schema = Schema([schema[0], Variable("cat", clustering._MAX_KEYED_ARITY + 1), schema[2]])
             matrix[:, 1] = rng.integers(0, clustering._MAX_KEYED_ARITY + 1, size=300)
-        elif case == "out_of_range":
-            matrix[5, 2] = 4.0
-        else:
-            matrix[5, 2] = {"fraction": 0.5, "nan": np.nan}[case]
         scope = tuple(range(matrix.shape[1]))
         raw = np.ascontiguousarray(matrix)
         assert clustering._level_keys(raw, scope, schema) is None
