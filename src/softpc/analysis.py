@@ -47,15 +47,3 @@ def split_circuit(data: WeightedDataset, membership, hp: Hyperparams) -> Circuit
     _split(root, check_membership(membership, data.matrix.shape[0]))
     return _assemble(root, data.matrix, data.schema, hp.alpha)
 
-
-def singleton_split_membership(matrix, row) -> np.ndarray:
-    """Hard membership putting all exact copies of ``matrix[row]`` in one
-    cluster and every other row in the other."""
-    matrix = np.asarray(matrix)
-    same = np.all(matrix == matrix[row], axis=1)
-    m = np.zeros((matrix.shape[0], 2))
-    m[same, 0] = 1.0
-    m[~same, 1] = 1.0
-    if m[:, 1].sum() == 0:
-        return m[:, :1]
-    return m

@@ -142,6 +142,23 @@ class LeafNode:
     dist: object
 
 
+def _interval_mass(dist, bounds):
+    """The mass of each stacked Gaussian leaf of ``dist`` on the interval
+    ``bounds``, ``cdf(hi) - cdf(lo)``, shaped as ``dist``'s columns.
+
+    A leaf whose mean lies below ``lo`` (``mu - lo`` negative, its sign
+    bit set) takes it from the upper tails instead, ``P(X > lo) - P(X >
+    hi)``: there both CDFs are near 1, and their difference would cancel.
+    Its CDF with sigma negated is its upper tail, as the standardised
+    bounds change sign exactly; the difference of the two tails comes out
+    negated, exactly, and ``abs`` turns it round.  Every other leaf gets
+    the plain difference's bits.
+    """
+    lo, hi = map(float, bounds)
+    mirror = Gaussian(dist.mu, np.copysign(dist.sigma, dist.mu - lo))
+    return np.abs(gaussian_cdf(mirror, hi) - gaussian_cdf(mirror, lo))
+
+
 def _float_params(node):
     """``node`` with its sum weights or leaf parameters as floats; JSON reads
     a number written without a point or exponent as an int."""
@@ -438,10 +455,10 @@ class Circuit:
         last chunk uses the front of it as a contiguous ``(slots, width)``
         table.  Per chunk, each variable's leaves take one ``leaf_log_pdf``
         call, which writes into their block of the table through ``out=``
-        (or two ``gaussian_cdf`` calls for an interval, or 0 when
-        marginalised).  Then each group, in step order, is one
-        vectorised step, on a 1-D view of the table when the chunk has one
-        row.  A product group zeroes its block and calls
+        (or the log of ``_interval_mass`` for an interval, or 0 when
+        marginalised).  Then each group, in step order, is one vectorised
+        step, on a 1-D view of the table when the chunk has one row.  A
+        product group zeroes its block and calls
         ``csr_matvecs``, the compiled kernel behind ``csr_matrix @ table``,
         on its CSR arrays, which adds each node's children in order into the
         block.  A sum group gathers its children by position and adds the
@@ -473,8 +490,7 @@ class Circuit:
                     if entry is None:
                         vals[lo:hi] = 0.0
                     elif isinstance(entry, tuple):
-                        np.log(gaussian_cdf(dist, entry[1]) - gaussian_cdf(dist, entry[0]),
-                               out=vals[lo:hi])
+                        np.log(_interval_mass(dist, entry), out=vals[lo:hi])
                     else:
                         leaf_log_pdf(dist, entry[rows], out=vals[lo:hi])
                 # one row: a 1-D view, so no ufunc broadcasts over columns of one
@@ -718,8 +734,24 @@ class Circuit:
         return '{"nodes":[%s],"root":%s,"schema":%s}' % (join(parts), number(self.root), schema)
 
     @classmethod
-    def from_json(cls, text: str, check: bool = True) -> "Circuit":
-        """Parse a serialized circuit; validates and rejects invalid models."""
+    def from_json(cls, text: str) -> "Circuit":
+        """Parse and validate a serialized circuit.
+
+        ``ModelParseError`` if ``text`` is not a circuit document, and
+        ``InvalidCircuitError`` if the circuit it holds fails ``validate``:
+        its ``violations`` list each rule broken.
+        """
+        circuit = cls._parse(text)
+        violations = circuit.validate()
+        if violations:
+            raise InvalidCircuitError(violations)
+        return circuit
+
+    @classmethod
+    def _parse(cls, text: str) -> "Circuit":
+        """The circuit that ``text`` holds, not validated; ``ModelParseError``
+        if it is not a circuit document, a document nested too deeply for
+        ``json`` included."""
         try:
             doc = json.loads(text)
             schema = Schema([Variable.from_dict(d) for d in doc["schema"]])
@@ -751,12 +783,8 @@ class Circuit:
             if int in _require_types(numbers, {int, float}, "a number"):
                 nodes = [_float_params(node) for node in nodes]
             circuit = cls(nodes, doc["root"], schema)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ModelParseError(f"cannot parse model: {exc}") from exc
-        if check:
-            violations = circuit.validate()
-            if violations:
-                raise InvalidCircuitError(violations)
         return circuit
 
     def __eq__(self, other):

@@ -279,13 +279,9 @@ def cmd_toy_example(args) -> int:
 
 def cmd_validate_model(args) -> int:
     try:
-        circuit = Circuit.from_json(read_text(args.model), check=False)
-    except ModelParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    violations = circuit.validate()
-    if violations:
-        for v in violations:
+        Circuit.from_json(read_text(args.model))
+    except InvalidCircuitError as exc:
+        for v in exc.violations:
             print(v)
         return EXIT_DATA
     print("valid")

@@ -18,7 +18,8 @@ rows in the same order.
 Each public entry, ``soft_kmeans``, ``em_factorized`` and ``encode_rows``,
 checks its weights and categorical levels once, at its start
 (``_checked``); the k-means core behind ``soft_kmeans``, which also starts
-EM, the distinct-row keys and EM's one-hot codes then trust what it passed.
+EM, the distinct-row keys, EM's one-hot codes and its closing leaf pass then
+trust what it passed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators
-from .estimators import Gaussian, Multinomial, leaf_log_pdf
+from .estimators import CategoricalTable, Gaussian, Multinomial, leaf_log_pdf
 
 CENTROID_TOL = 1e-6
 COLLAPSE_TOL = 1e-8
@@ -379,7 +380,8 @@ def em_factorized(
     densities, then normalises with a log-sum-exp.  The mixture's leaf
     distributions are built once, from the last M-step, and the returned
     memberships are its posterior, evaluated leaf by leaf
-    (``leaf_log_pdf``, one call per component and variable).
+    (``leaf_log_pdf``, one call per component and variable), a categorical
+    leaf as a ``CategoricalTable`` read at the codes checked on entry.
 
     Raises ``ValueError`` if a categorical scope column holds a value
     that is not an integer in ``[0, arity)`` (``estimators.categorical_codes``),
@@ -468,11 +470,16 @@ def em_factorized(
         leaves[v] = [Multinomial(tuple(row.tolist())) for row in probs[:, lo : lo + a]]
     components = [[leaves[v][i] for v in scope] for i in range(k)]
     # repeats the last E-step leaf by leaf: bench/spans.py counts EM work
-    # as leaf_log_pdf calls under an em_factorized call
-    joint = np.log(priors)[:, None] + np.array(
-        [sum(leaf_log_pdf(dist, matrix[:, v]) for v, dist in zip(scope, comp))
-         for comp in components]
-    )
+    # as leaf_log_pdf calls under an em_factorized call.  A categorical leaf
+    # goes in as a table of its log probabilities, read at the entry's codes
+    codes = dict(zip(cats, icodes.T))
+    with np.errstate(divide="ignore"):  # the log of a level without weight
+        joint = np.log(priors)[:, None] + np.array(
+            [sum(leaf_log_pdf(CategoricalTable(np.log(np.asarray(dist.probs))), codes[v])
+                 if v in codes else leaf_log_pdf(dist, matrix[:, v])
+                 for v, dist in zip(scope, comp))
+             for comp in components]
+        )
     resp, _ = _normalize(joint)
     return np.ascontiguousarray(resp.T), FactorizedMixture(priors, components, tuple(scope), ll_trace)
 

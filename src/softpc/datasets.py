@@ -201,8 +201,10 @@ def load_mixed_csv(
     sidecar file is also accepted).  Rows are shuffled with a seeded RNG
     and split by ``SPLIT_FRACTIONS`` (train/valid/test); a split left empty,
     as with fewer than 6 rows, a column name that appears twice in the
-    header, and a continuous value that is not finite or exceeds
-    ``CONT_MAX_ABS`` in magnitude are ``DataError``s.  Categorical levels are
+    header, a line that ``csv`` rejects (a field longer than
+    ``csv.field_size_limit()``, say) and a continuous value that is not
+    finite or exceeds ``CONT_MAX_ABS`` in magnitude are ``DataError``s.
+    Categorical levels are
     dictionary-encoded in first-appearance order over the training split;
     a level appearing only in valid/test, or a column with more than
     ``MAX_ARITY`` training levels, is a ``DataError``.
@@ -215,16 +217,18 @@ def load_mixed_csv(
         raise DataError(f"missing dataset file: {csv_path}")
     reader = csv.reader(io.StringIO(read_text(csv_path, newline=""), newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{csv_path}: empty file") from None
-    raw_rows = []
-    for row in reader:
-        if len(row) not in (0, len(header)):
-            raise DataError(f"{csv_path}:{reader.line_num}: ragged row "
-                            f"(got {len(row)} fields, expected {len(header)})")
-        if row:
-            raw_rows.append(row)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{csv_path}: empty file")
+        raw_rows = []
+        for row in reader:
+            if len(row) not in (0, len(header)):
+                raise DataError(f"{csv_path}:{reader.line_num}: ragged row "
+                                f"(got {len(row)} fields, expected {len(header)})")
+            if row:
+                raw_rows.append(row)
+    except csv.Error as exc:  # a field past csv.field_size_limit(), say
+        raise DataError(f"{csv_path}:{reader.line_num}: {exc}") from None
     if not raw_rows:
         raise DataError(f"{csv_path}: no data rows")
 

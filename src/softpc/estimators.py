@@ -142,8 +142,9 @@ def fit_factorized(matrix, weights, scope, schema, alpha: float = 0.0) -> list:
 
 @dataclass(frozen=True)
 class CategoricalTable:
-    """Categorical leaves stacked for repeated evaluation: ``log_probs`` is
-    their ``(k, arity)`` table of log probabilities, taken once.
+    """Categorical leaves as a table of log probabilities, taken once:
+    ``log_probs`` is one leaf's ``(arity,)`` row or stacked leaves' ``(k,
+    arity)`` table.
     ``leaf_log_pdf`` reads it with codes that the caller has checked, as
     ``categorical_codes`` does: it clips a code out of range, it does not
     reject it."""
@@ -174,7 +175,7 @@ def leaf_log_pdf(dist, x, out=None):
     """
     if isinstance(dist, CategoricalTable):
         # mode="clip" lets take write into ``out`` unbuffered; the codes are checked
-        return dist.log_probs.take(np.asarray(x).astype(np.intp), axis=1, out=out, mode="clip")
+        return dist.log_probs.take(np.asarray(x).astype(np.intp), axis=-1, out=out, mode="clip")
     if isinstance(dist, Multinomial):
         with np.errstate(divide="ignore"):
             logp = np.log(np.asarray(dist.probs))

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import erfc, logsumexp
 
 from softpc import clustering, estimators
 from softpc.circuit import Circuit, LeafNode, ProductNode, SumNode
-from softpc.estimators import Gaussian, Multinomial, gaussian_cdf, leaf_log_pdf
+from softpc.estimators import Gaussian, Multinomial, leaf_log_pdf
 from softpc.independence import discretize, weighted_chi2
 from softpc.schema import Schema, Variable
 
@@ -343,7 +343,9 @@ def reference_height_grouped(circuit: Circuit, columns, n: int) -> np.ndarray:
 
     ``columns[v]`` is ``None``, an ``(lo, hi)`` interval or an array of n
     values.  The leaf layer takes one ``leaf_log_pdf`` call per variable on
-    its stacked ``Multinomial`` or ``Gaussian``; a product group is its CSR
+    its stacked ``Multinomial`` or ``Gaussian``, and an interval takes the
+    difference of two CDFs through scipy's ``erfc``, of the upper tails
+    where a leaf's mean lies below ``lo``; a product group is its CSR
     matrix of ones times the table, a sum group adds its log weights to
     its children gathered by position, takes the max over positions
     (floored at the smallest float), sums ``exp(term - max)`` over positions
@@ -358,8 +360,16 @@ def reference_height_grouped(circuit: Circuit, columns, n: int) -> np.ndarray:
         if entry is None:
             vals[lo:hi] = 0.0
         elif isinstance(entry, tuple):
+            # a leaf whose mean lies below lo (mu - lo with its sign bit set)
+            # takes the mass from its upper tails, where the difference of
+            # two CDFs near 1 would cancel
+            x0, x1 = (np.asarray(x, dtype=float) for x in entry)
+            a, b = (x0 - dist.mu) / dist.sigma, (x1 - dist.mu) / dist.sigma
+            mass = np.where(np.signbit(dist.mu - x0),
+                            0.5 * erfc(a / math.sqrt(2.0)) - 0.5 * erfc(b / math.sqrt(2.0)),
+                            0.5 * erfc(-b / math.sqrt(2.0)) - 0.5 * erfc(-a / math.sqrt(2.0)))
             with np.errstate(divide="ignore"):
-                vals[lo:hi] = np.log(gaussian_cdf(dist, entry[1]) - gaussian_cdf(dist, entry[0]))
+                vals[lo:hi] = np.log(mass)
         else:
             vals[lo:hi] = leaf_log_pdf(dist, entry)
     for lo, hi, children, log_weights in groups:
@@ -790,6 +800,19 @@ def pinned_data(kind):
     cols = [cat, z * 2.0 + rng.normal(0, 0.5, 400), rng.normal(0, 1, 400), rng.integers(0, 2, 400)]
     schema = Schema([*Schema.categorical([3]), *Schema.continuous(2), *Schema.binary(1)])
     return np.column_stack(cols).astype(float), schema
+
+
+def singleton_split_membership(matrix, row) -> np.ndarray:
+    """Hard membership putting all exact copies of ``matrix[row]`` in one
+    cluster and every other row in the other."""
+    matrix = np.asarray(matrix)
+    same = np.all(matrix == matrix[row], axis=1)
+    m = np.zeros((matrix.shape[0], 2))
+    m[same, 0] = 1.0
+    m[~same, 1] = 1.0
+    if m[:, 1].sum() == 0:
+        return m[:, :1]
+    return m
 
 
 def step_counts(trace):

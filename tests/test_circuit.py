@@ -97,8 +97,8 @@ MALFORMED = {
          LeafNode(1, Multinomial((0.5, 0.5))),  # multinomial on continuous
          LeafNode(1, Gaussian(0, -1.0)),  # nonpositive sigma
          ProductNode((0, 1, 2))], 3, Schema([*Schema.binary(1), *Schema.continuous(1)])),
-    "invalid-weights-on-load": lambda: Circuit.from_json(
-        fig1_circuit().to_json().replace("[0.5,0.5]", "[0.6,0.6]"), check=False),
+    "invalid-weights-on-load": lambda: Circuit._parse(
+        fig1_circuit().to_json().replace("[0.5,0.5]", "[0.6,0.6]")),
     "root-out-of-range": lambda: Circuit(fig1_circuit().nodes, 7, Schema.continuous(2)),
     "no-children": lambda: _fig1_with(4, ProductNode(())),
     "child-out-of-range": lambda: _fig1_with(6, SumNode((4, 9, -1), (0.5, 0.25, 0.25))),
@@ -335,6 +335,32 @@ class TestLogMarginal:
         oracle, _ = quad(x_pdf, lo, hi)
         got = math.exp(c.log_marginal([(lo, hi), None]))
         assert got == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (1.5, 0.25), (-40.0, 3.0)])
+    def test_interval_above_the_mean_matches_the_upper_tail(self, mu, sigma):
+        # cdf(hi) - cdf(lo) cancels where both are near 1: on N(0, 1) it reads
+        # -inf for (10, 11) and -34.945 for (8, 9), not -53.2313 and -35.0136
+        from scipy.stats import norm
+
+        c = Circuit([LeafNode(0, Gaussian(mu, sigma))], 0, Schema.continuous(1))
+        for a, b in [(0.5, 1.0), (2.0, 2.5), (8.0, 9.0), (10.0, 11.0), (20.0, 20.5),
+                     (25.0, 30.0), (29.5, 30.0), (5.0, math.inf), (30.0, math.inf)]:
+            upper, lower = norm.logsf([a, b])
+            expected = upper + math.log1p(-math.exp(lower - upper))
+            got = c.log_marginal([(mu + a * sigma, mu + b * sigma)])
+            assert got == pytest.approx(expected, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_interval_and_its_mirror_image_have_one_mass(self, sigma):
+        c = Circuit([LeafNode(0, Gaussian(0.0, sigma))], 0, Schema.continuous(1))
+        for a, b in [(0.0, 1.0), (0.5, 2.0), (8.0, 9.0), (10.0, 11.0), (30.0, 31.0),
+                     (3.0, math.inf), (-1.0, 2.0)]:
+            a, b = a * sigma, b * sigma
+            assert c.log_marginal([(a, b)]) == c.log_marginal([(-b, -a)])
+        mixture = fig1_circuit()  # N(-0.5, 1) and N(0.5, 1), weighted equally
+        for a, b in [(1.0, 2.0), (9.0, 10.0), (12.0, 13.0)]:
+            assert mixture.log_marginal([(a, b), None]) == pytest.approx(
+                mixture.log_marginal([(-b, -a), None]), rel=1e-12)
 
     def test_full_evidence_equals_log_density(self, rng):
         c = random_binary_circuit(6, rng)
@@ -1297,6 +1323,11 @@ class TestSerialization:
         with pytest.raises(ModelParseError):
             Circuit.from_json(text[: len(text) // 2])
 
+    def test_deeply_nested_document_is_parse_error(self):
+        # json.loads raises RecursionError past the interpreter's recursion limit
+        with pytest.raises(ModelParseError, match="recursion"):
+            Circuit.from_json("[" * 100000 + "]" * 100000)
+
     def test_garbage_fields_are_parse_errors(self):
         with pytest.raises(ModelParseError):
             Circuit.from_json('{"schema":[],"root":0,"nodes":[{"type":"nope"}]}')
@@ -1315,14 +1346,9 @@ class TestSerialization:
             Circuit.from_json(text)
         assert any("sum weights" in v for v in exc_info.value.violations)
 
-    def test_check_can_be_skipped(self):
-        text = fig1_circuit().to_json().replace("[0.5,0.5]", "[0.6,0.6]")
-        c = Circuit.from_json(text, check=False)
-        assert c.validate() != []
-
     def test_integer_numbers_load_as_floats(self):
         c = HAND_BUILT["int-weights"]()
-        again = Circuit.from_json(c.to_json(), check=False)
+        again = Circuit.from_json(c.to_json())
         assert again == _fig1_with(6, SumNode((4, 5), (1.0, 0.0)))
         numbers = again.nodes[6].weights + (again.nodes[0].dist.mu, again.nodes[0].dist.sigma)
         assert {type(x) for x in numbers} == {float}
@@ -1500,7 +1526,7 @@ class TestValidateMatchesReference:
     @given(mutated_documents())
     def test_mutated_documents(self, case):
         try:
-            circuit = Circuit.from_json(case[0], check=False)
+            circuit = Circuit._parse(case[0])
         except ModelParseError:
             return
         assert circuit.validate() == reference_validate(circuit)

@@ -263,6 +263,27 @@ class TestValidateAndEval:
         assert run(["validate-model", "--model", bad]) == EXIT_DATA
         assert "sum weights" in capsys.readouterr().out
 
+    def test_validate_prints_every_violation(self, tmp_path, capsys):
+        text = (small_mixed_circuit().to_json().replace('"sigma":0.5', '"sigma":-0.5')
+                .replace('"weights":[0.4,0.6]', '"weights":[0.4,0.7]'))
+        bad = tmp_path / "two.json"
+        bad.write_text(text)
+        assert run(["validate-model", "--model", bad]) == EXIT_DATA
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == "node 1: nonpositive sigma"
+        assert lines[1].startswith("node 7: sum weights total")
+
+    @pytest.mark.parametrize("command", ["validate-model", "sample"])
+    def test_deeply_nested_model_is_data_error(self, tmp_path, capsys, command):
+        # json.loads raises RecursionError on a document nested this deep
+        model = tmp_path / "deep.json"
+        model.write_text("[" * 100000 + "]" * 100000)
+        argv = {"validate-model": ["validate-model", "--model", model],
+                "sample": ["sample", "--model", model, "--n", 3]}[command]
+        assert run(argv) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: cannot parse model:")
+
     def test_eval_reports_three_splits(self, data_dir, model_path, capsys):
         code = run(
             ["--data-dir", data_dir, "eval", "--model", model_path,

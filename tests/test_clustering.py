@@ -9,7 +9,7 @@ from softpc.clustering import (
     soft_kmeans,
     softmax_memberships,
 )
-from softpc.estimators import SIGMA_FLOOR, Gaussian
+from softpc.estimators import SIGMA_FLOOR, Gaussian, Multinomial
 from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
 from softpc.schema import Schema, Variable
 
@@ -109,9 +109,8 @@ class TestEncodeRows:
 
 class TestOneEntryCheck:
     # each clustering entry checks its weights and its categorical levels
-    # once, at its start; EM's k-means start and the row keys trust that
-    # check.  The 1-d categorical_codes calls of EM's closing leaf_log_pdf
-    # pass check the fitted leaves' inputs, not the entry's.
+    # once, at its start; EM's k-means start, the row keys and EM's closing
+    # leaf_log_pdf pass trust that check.  Every call counts, 1-d ones too.
     @pytest.mark.parametrize("entry", ["soft_kmeans", "em_factorized", "encode_rows"])
     def test_one_weights_and_one_codes_check_per_call(self, rng, monkeypatch, entry):
         calls = []
@@ -119,10 +118,9 @@ class TestOneEntryCheck:
         def counting(name):
             original = getattr(estimators, name)
 
-            def wrapper(values, *args):
-                if name == "check_weights" or np.ndim(values) == 2:
-                    calls.append(name)
-                return original(values, *args)
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
             monkeypatch.setattr(estimators, name, wrapper)
 
         counting("check_weights")
@@ -132,7 +130,9 @@ class TestOneEntryCheck:
         if entry == "soft_kmeans":
             soft_kmeans(*args, 2, 4.0, rng=rng)
         elif entry == "em_factorized":
-            em_factorized(*args, 2, rng=rng)
+            resp, mixture = em_factorized(*args, 2, rng=rng)
+            # K = 2 components over 3 categorical variables, each read once
+            assert resp.shape[1] == len(mixture.components) == 2
         else:
             encode_rows(*args)
         assert sorted(calls) == ["categorical_codes", "check_weights"]
@@ -686,7 +686,7 @@ class TestEmFactorizedMatchesLoopReference:
         leaf_log_pdf = clustering.leaf_log_pdf
 
         def counted(dist, x):
-            leaf_evals.append(dist)
+            leaf_evals.append((dist, x))
             return leaf_log_pdf(dist, x)
 
         monkeypatch.setattr(clustering, "leaf_log_pdf", counted)
@@ -696,9 +696,19 @@ class TestEmFactorizedMatchesLoopReference:
         )
         assert len(mixture.ll_trace) > 1
         # only the membership pass after the loop evaluates leaves one by one:
-        # K * |scope| calls, whatever the number of iterations
+        # K * |scope| calls, whatever the number of iterations, in component
+        # and scope order; a categorical leaf goes in as the table of its
+        # component's log probabilities, at the column's int64 codes
         assert len(leaf_evals) == 2 * 6
-        assert leaf_evals == [dist for comp in mixture.components for dist in comp]
+        expected = [(v, dist) for comp in mixture.components for v, dist in enumerate(comp)]
+        for (got, x), (v, dist) in zip(leaf_evals, expected):
+            assert np.array_equal(x, matrix[:, v])
+            if schema.is_cat(v):
+                assert type(dist) is Multinomial and type(got) is estimators.CategoricalTable
+                assert x.dtype == np.int64
+                assert np.array_equal(got.log_probs, np.log(np.asarray(dist.probs)))
+            else:
+                assert type(dist) is Gaussian and got == dist
         assert np.allclose(resp.sum(axis=1), 1.0)
 
     @pytest.mark.parametrize("code", ["negative", "arity", "fraction", "nan"])

@@ -275,6 +275,14 @@ class TestMixedCsv:
         with pytest.raises(DataError, match=rf"mix\.csv:42: ragged row \(got {got} fields, expected 2\)"):
             load_mixed_csv(csv, sidecar)
 
+    def test_field_past_the_csv_size_limit_names_the_line(self, tmp_path):
+        # csv.reader raises csv.Error on a field longer than csv.field_size_limit()
+        csv, sidecar = self.write_csv(tmp_path)
+        with open(csv, "a") as fh:
+            fh.write("red," + "1" * 200000 + "\n")
+        with pytest.raises(DataError, match=r"mix\.csv:42: field larger than field limit"):
+            load_mixed_csv(csv, sidecar)
+
     def test_duplicate_header_column_rejected(self, tmp_path):
         csv = tmp_path / "d.csv"
         csv.write_text("a,b,a\n" + "1,2,3\n" * 20)
