@@ -15,7 +15,7 @@ Run:  python3 demos/greedy_likelihood.py
 import numpy as np
 
 from softpc import Hyperparams, Schema, WeightedDataset, learn_spn, soft_learn
-from softpc.analysis import capped_ll_trace, factorized_circuit
+from softpc.learner import capped_ll_trace, factorized_circuit
 
 # 600 rows over 8 binary variables from a three-component mixture
 rng = np.random.default_rng(0)

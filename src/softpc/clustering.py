@@ -53,8 +53,8 @@ def check_membership(membership, n_rows: int) -> np.ndarray:
     """``membership`` as a float array; ``ValueError`` unless it is a finite,
     nonnegative ``(n_rows, K)`` array, K >= 1, whose rows sum to 1 (within
     1e-9).  The rule of every membership a caller hands in: EM's
-    ``init_membership``, the learners' ``first_split`` and
-    ``analysis.split_circuit``'s."""
+    ``init_membership`` and the first split of the learners and of
+    ``learner.capped_ll_trace``."""
     membership = np.asarray(membership, dtype=float)
     if membership.ndim != 2 or membership.shape[0] != n_rows or membership.shape[1] < 1:
         raise ValueError(f"membership must have shape ({n_rows}, K), got {membership.shape}")
@@ -456,7 +456,7 @@ def em_factorized(
         if empty.any():
             joint[empty @ onehot.T > 0] = -np.inf
         joint += np.matmul((-0.5 / sigma**2)[:, None, :], dev2)[:, 0, :]
-        joint += (np.log(priors) - (np.log(sigma) + estimators._LOG_SQRT_2PI).sum(axis=1))[:, None]
+        joint += (np.log(priors) - (np.log(sigma) + estimators.LOG_SQRT_2PI).sum(axis=1))[:, None]
         resp, row_ll = _normalize(joint)
         ll = float(np.dot(weights, row_ll))
         ll_trace.append(ll)

@@ -41,11 +41,13 @@ class DataError(ValueError):
 
 
 def read_text(path, newline=None) -> str:
-    """The text of the file at ``path``, read as ``open`` reads it with
-    ``newline``.  A file that does not decode is a ``DataError`` naming it;
-    one that cannot be opened raises the ``OSError``, which names it too."""
+    """The text of the file at ``path``, decoded as UTF-8 whatever the
+    locale, without a leading byte-order mark, and read as ``open`` reads it
+    with ``newline``.  A file that does not decode is a ``DataError`` naming
+    it; one that cannot be opened raises the ``OSError``, which names it
+    too."""
     try:
-        with open(path, newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: cannot decode: {exc}") from None

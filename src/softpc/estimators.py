@@ -36,7 +36,7 @@ SIGMA_FLOOR = 1e-3
 CONT_MAX_ABS = 1e100
 MAX_TOTAL_WEIGHT = 1e100
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -187,7 +187,7 @@ def leaf_log_pdf(dist, x, out=None):
         out /= dist.sigma
         out *= -0.5 * out
         out -= np.log(dist.sigma)
-        out -= _LOG_SQRT_2PI
+        out -= LOG_SQRT_2PI
     else:
         raise TypeError(f"unknown leaf distribution {type(dist)!r}")
     return float(out) if out.ndim == 0 else out

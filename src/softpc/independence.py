@@ -30,8 +30,8 @@ class Chi2Result:
     p_value: float
 
 
-def discretize(values, weights, bins: int):
-    """Bin a continuous column into weighted equal-frequency bins.
+def discretize(values, weights):
+    """Bin a continuous column into ``BINS`` weighted equal-frequency bins.
 
     Returns ``(codes, edges)`` where codes are bin indices in
     ``{0..len(edges)}`` and edges are cut points (midpoints between the
@@ -39,8 +39,6 @@ def discretize(values, weights, bins: int):
     the bin count is reduced accordingly.  ``weights`` must pass
     ``estimators.check_weights``, one per value.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
     values = np.asarray(values, dtype=float)
     weights = check_weights(weights, values.size)
     uniq, inv = np.unique(values, return_inverse=True)
@@ -48,7 +46,7 @@ def discretize(values, weights, bins: int):
         return np.zeros(values.shape, dtype=np.int64), np.empty(0)
     uw = np.bincount(inv, weights=weights, minlength=uniq.size)
     cum = np.cumsum(uw)
-    cut_idx = np.unique(np.searchsorted(cum, cum[-1] * np.arange(1, bins) / bins))
+    cut_idx = np.unique(np.searchsorted(cum, cum[-1] * np.arange(1, BINS) / BINS))
     # cut after uniq[i]; a cut after the last value is meaningless
     cut_idx = cut_idx[cut_idx < uniq.size - 1]
     edges = (uniq[cut_idx] + uniq[cut_idx + 1]) / 2.0
@@ -142,7 +140,7 @@ def partition_scope(matrix, weights, scope, schema, p_threshold: float):
     codes = matrix[:, scope]
     for j, v in enumerate(scope):
         if not schema.is_cat(v):
-            codes[:, j], _ = discretize(codes[:, j], weights, BINS)
+            codes[:, j], _ = discretize(codes[:, j], weights)
     codes = categorical_codes(codes, [schema[v].arity if schema.is_cat(v) else BINS
                                       for v in scope])
 

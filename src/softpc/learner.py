@@ -7,6 +7,12 @@ created.  The hard learner assigns each row to exactly one child; the
 soft learner passes every row to every child, reweighted by its cluster
 responsibility (rows whose weight falls below ``estimators.EPSILON_W``
 are dropped).
+
+The paper's first claim is that LearnSPN is a greedy likelihood
+maximizer.  Capping a learn after any step, with every open subproblem
+fitted fully factorized on its rows and weights, gives a valid circuit;
+``capped_ll_trace`` reports its train log-likelihood after every step, and
+``factorized_circuit`` is the cap before the first step.
 """
 
 from __future__ import annotations
@@ -220,17 +226,15 @@ def _cluster(matrix, weights, scope, schema, hp, rng):
     return resp
 
 
-def _steps(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
-    """The recursion, one decision at a time: after each decision, yield the
-    partial tree's root ``_Sub`` and the step's ``StepRecord``.  Open
-    subproblems of the yielded tree still hold their rows and weights."""
-    full = data.matrix
-    schema = data.schema
+def _steps(root: _Sub, data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
+    """The recursion from the open ``root``, one decision at a time: yield
+    each step's ``StepRecord`` after deciding it in place.  Open
+    subproblems under ``root`` still hold their rows and weights."""
+    full, schema = data.matrix, data.schema
     if first_split is not None:  # the first clustered subproblem holds every row
         first_split = clustering.check_membership(first_split, full.shape[0])
     rng = np.random.default_rng(np.random.SeedSequence(hp.seed))
 
-    root = _root(data)
     stack = [root]
     while stack:
         node = stack.pop()
@@ -259,13 +263,13 @@ def _steps(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
         else:
             stack.extend(reversed(node.children))  # depth-first, first child first
         node.rows = node.weights = None
-        yield root, StepRecord(kind, tuple(scope), float(mass))
+        yield StepRecord(kind, tuple(scope), float(mass))
 
 
 def _learn(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
-    steps = list(_steps(data, hp, soft, first_split))
-    trace = LearnTrace([step for _, step in steps])
-    return _assemble(steps[-1][0], data.matrix, data.schema, hp.alpha), trace
+    root = _root(data)
+    trace = LearnTrace(list(_steps(root, data, hp, soft, first_split)))
+    return _assemble(root, data.matrix, data.schema, hp.alpha), trace
 
 
 def learn_spn(data: WeightedDataset, hp: Hyperparams, first_split=None):
@@ -283,3 +287,19 @@ def soft_learn(data: WeightedDataset, hp: Hyperparams, first_split=None):
     sum node with weight responsibility * parent weight; sum-node weights
     are the child mass fractions.  ``first_split`` is as in ``learn_spn``."""
     return _learn(data, hp, soft=True, first_split=first_split)
+
+
+def capped_ll_trace(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split=None) -> list:
+    """Mean train log-likelihood of the circuit capped after each step of
+    ``learn_spn`` (``soft=False``) or ``soft_learn`` (``soft=True``), one
+    value per ``StepRecord``; the last is the learned circuit's."""
+    root = _root(data)
+    return [
+        float(np.mean(_assemble(root, data.matrix, data.schema, hp.alpha).log_density(data.matrix)))
+        for _ in _steps(root, data, hp, soft, first_split)
+    ]
+
+
+def factorized_circuit(data: WeightedDataset, hp: Hyperparams) -> Circuit:
+    """Fully factorized circuit over all variables (the cap before any step)."""
+    return _assemble(_root(data), data.matrix, data.schema, hp.alpha)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, logsumexp
 
-from softpc import clustering, estimators
+from softpc import clustering, estimators, learner
 from softpc.circuit import Circuit, LeafNode, ProductNode, SumNode
 from softpc.estimators import Gaussian, Multinomial, leaf_log_pdf
 from softpc.independence import discretize, weighted_chi2
@@ -144,7 +144,8 @@ def reference_log_value(circuit: Circuit, query) -> float:
 
     Entries are as in ``Circuit.log_marginal``: ``None``, a point, or an
     ``(lo, hi)`` interval.  Leaves use ``leaf_log_pdf`` one at a time,
-    intervals use ``math.erfc`` and sums use ``np.logaddexp``; this is the
+    intervals use ``math.erfc``, from the upper tails when the interval
+    lies above the leaf's mean, and sums use ``np.logaddexp``; this is the
     reference the batched evaluator is pinned to.
     """
 
@@ -153,8 +154,11 @@ def reference_log_value(circuit: Circuit, query) -> float:
         if entry is None:
             return 0.0
         if isinstance(entry, tuple):
-            lo, hi = ((b - node.dist.mu) / node.dist.sigma for b in entry)
-            mass = 0.5 * math.erfc(-hi / math.sqrt(2.0)) - 0.5 * math.erfc(-lo / math.sqrt(2.0))
+            lo, hi = ((b - node.dist.mu) / node.dist.sigma / math.sqrt(2.0) for b in entry)
+            if lo > 0:  # above the mean both CDFs are near 1: take the upper tails
+                mass = 0.5 * math.erfc(lo) - 0.5 * math.erfc(hi)
+            else:
+                mass = 0.5 * math.erfc(-hi) - 0.5 * math.erfc(-lo)
             return math.log(mass) if mass > 0 else -math.inf
         return leaf_log_pdf(node.dist, entry)
 
@@ -733,7 +737,7 @@ def reference_matrix_em(
         if empty.any():
             joint[empty @ onehot.T > 0] = -np.inf
         joint += np.matmul((-0.5 / sigma**2)[:, None, :], dev2)[:, 0, :]
-        joint += (np.log(priors) - (np.log(sigma) + estimators._LOG_SQRT_2PI).sum(axis=1))[:, None]
+        joint += (np.log(priors) - (np.log(sigma) + estimators.LOG_SQRT_2PI).sum(axis=1))[:, None]
         resp, row_ll = _allocating_normalize(joint)
         ll = float(np.dot(weights, row_ll))
         ll_trace.append(ll)
@@ -760,7 +764,7 @@ def reference_matrix_em(
     return resp, mixture
 
 
-def reference_partition_scope(matrix, weights, scope, schema, p_threshold, bins=4):
+def reference_partition_scope(matrix, weights, scope, schema, p_threshold):
     """``partition_scope`` with one ``weighted_chi2`` call per variable pair.
 
     Groups are the connected components of the dependency graph, each
@@ -771,7 +775,7 @@ def reference_partition_scope(matrix, weights, scope, schema, p_threshold, bins=
     codes = {
         v: matrix[:, v].astype(np.int64)
         if schema.is_cat(v)
-        else discretize(matrix[:, v], weights, bins)[0]
+        else discretize(matrix[:, v], weights)[0]
         for v in scope
     }
     group = {v: {v} for v in scope}
@@ -813,6 +817,22 @@ def singleton_split_membership(matrix, row) -> np.ndarray:
     if m[:, 1].sum() == 0:
         return m[:, :1]
     return m
+
+
+def split_circuit(data, membership, hp) -> Circuit:
+    """The cap after a single root split, taken by the learner's sum rule: a
+    sum node whose children are factorized fits under the
+    membership-reweighted data.  A split the learner would not take (fewer
+    than two clusters left after dropping, or one holding the whole mass)
+    gives ``learner.factorized_circuit``.
+
+    ``membership`` is an (n, K) matrix of nonnegative rows summing to 1
+    (``ValueError`` otherwise, from ``clustering.check_membership``);
+    one-hot rows reproduce a hard split.
+    """
+    root = learner._root(data)
+    learner._split(root, clustering.check_membership(membership, data.matrix.shape[0]))
+    return learner._assemble(root, data.matrix, data.schema, hp.alpha)
 
 
 def step_counts(trace):

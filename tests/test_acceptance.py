@@ -19,15 +19,14 @@ from scipy.stats import chi2_contingency
 
 from softpc import cli
 from softpc import toy
-from softpc.analysis import factorized_circuit, split_circuit
 from softpc.circuit import Circuit
 from softpc.datasets import DISCRETE_MANIFEST, check_manifest, load_discrete
 from softpc.estimators import fit_gaussian, fit_multinomial
 from softpc.independence import weighted_chi2
-from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
+from softpc.learner import Hyperparams, WeightedDataset, factorized_circuit, learn_spn, soft_learn
 from softpc.schema import Schema
 
-from conftest import all_binary_rows, singleton_split_membership
+from conftest import all_binary_rows, singleton_split_membership, split_circuit
 
 DATA_DIR = Path(os.environ.get("SOFTPC_DATA_DIR", "datasets"))
 

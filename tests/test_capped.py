@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from softpc import toy
-from softpc.analysis import capped_ll_trace, factorized_circuit, split_circuit
-from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
+from softpc.learner import (
+    Hyperparams,
+    WeightedDataset,
+    capped_ll_trace,
+    factorized_circuit,
+    learn_spn,
+    soft_learn,
+)
 from softpc.schema import Schema
 
-from conftest import pinned_data
+from conftest import pinned_data, split_circuit
 
 
 class TestCappedLLTrace:

@@ -458,7 +458,8 @@ def random_rows(schema, rng, n):
 
 def random_query(schema, row, rng):
     """Each entry is None, the row's value, or (continuous only) an interval
-    that may be open on one side."""
+    that may be open on one side; about a third of the intervals start far
+    above every leaf mean, in the upper tails."""
     query = []
     for v, var in enumerate(schema):
         u = rng.random()
@@ -467,7 +468,7 @@ def random_query(schema, row, rng):
         elif var.kind == "cat" or u < 0.6:
             query.append(int(row[v]) if var.kind == "cat" else float(row[v]))
         else:
-            lo = float(rng.uniform(-2.0, 0.5))
+            lo = float(rng.uniform(-2.0, 0.5) if rng.random() < 2 / 3 else rng.uniform(4.0, 12.0))
             hi = lo + float(rng.uniform(0.2, 2.0))
             query.append(((-math.inf, hi), (lo, math.inf), (lo, hi))[int(rng.integers(3))])
     return query

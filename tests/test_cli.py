@@ -476,6 +476,42 @@ def _quiet_main(argv):
     return code, out.getvalue()
 
 
+class TestByteOrderMark:
+    """Text files are read as UTF-8, and a leading byte-order mark, which
+    some editors write, is not part of the first line."""
+
+    BOM = "\ufeff".encode("utf-8")
+
+    def write_mixed(self, tmp_path, bom_in):
+        lines = ["colour,size"] + [f"{('red', 'blue')[i % 2]},{i / 10}" for i in range(50)]
+        texts = {"mix.csv": "\n".join(lines) + "\n", "mix.schema": "colour cat\nsize cont\n"}
+        for name, text in texts.items():
+            (tmp_path / name).write_bytes((self.BOM if name == bom_in else b"") + text.encode())
+
+    @pytest.mark.parametrize("name", ["mix.csv", "mix.schema"])
+    def test_csv_header_or_sidecar(self, tmp_path, name):
+        self.write_mixed(tmp_path, name)
+        model = tmp_path / "m.json"
+        code = run(["--data-dir", tmp_path, "learn", "--data", "mix", "--method", "learnspn",
+                    "--out-model", model])
+        assert code == EXIT_OK
+        assert len(Circuit.from_json(model.read_text()).schema) == 2
+
+    def test_data_split(self, data_dir, tmp_path):
+        for part in ("train", "valid", "test"):
+            text = (data_dir / f"twoblock.{part}.data").read_bytes()
+            bom = self.BOM if part == "train" else b""
+            (tmp_path / f"tb.{part}.data").write_bytes(bom + text)
+        code = run(["--data-dir", tmp_path, "learn", "--data", "tb", "--method", "learnspn"])
+        assert code == EXIT_OK
+
+    def test_model_read_by_validate_model(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_bytes(self.BOM + small_mixed_circuit().to_json().encode())
+        assert run(["validate-model", "--model", model]) == EXIT_OK
+        assert "valid" in capsys.readouterr().out
+
+
 class TestFileBoundaryFuzz:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(mutated_datasets())

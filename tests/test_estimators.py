@@ -40,7 +40,7 @@ _MIXED = Schema([Variable("cat", 2), Variable("cont")])
 WEIGHTED_ENTRIES = {
     "soft_kmeans": lambda m, w: soft_kmeans(m, w, (0, 1), _MIXED, 2, 4.0),
     "em_factorized": lambda m, w: em_factorized(m, w, (0, 1), _MIXED, 2),
-    "discretize": lambda m, w: discretize(m[:, 1], w, 4),
+    "discretize": lambda m, w: discretize(m[:, 1], w),
     "partition_scope": lambda m, w: partition_scope(m, w, (0, 1), _MIXED, 0.01),
     "weighted_chi2": lambda m, w: weighted_chi2(m[:, 0], m[:, 0], w),
 }

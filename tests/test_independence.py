@@ -25,37 +25,35 @@ def chi2_tail_oracle(stat, dof):
 class TestDiscretize:
     def test_quartile_edges_on_uniform_weights(self):
         values = np.arange(1, 101, dtype=float)
-        codes, edges = discretize(values, np.ones(100), bins=4)
+        codes, edges = discretize(values, np.ones(100))
         assert edges.tolist() == [25.5, 50.5, 75.5]
         assert np.bincount(codes).tolist() == [25, 25, 25, 25]
 
     def test_constant_column_single_bin(self):
-        codes, edges = discretize(np.full(10, 3.0), np.ones(10), bins=4)
+        codes, edges = discretize(np.full(10, 3.0), np.ones(10))
         assert edges.size == 0
         assert np.all(codes == 0)
 
     def test_weighted_cut_by_hand(self):
-        codes, edges = discretize([1.0, 2.0], [3.0, 1.0], bins=2)
+        # cumulative weights [3, 4] put all three cut points (1, 2, 3) at
+        # the first value, so the one cut is after 1.0
+        codes, edges = discretize([1.0, 2.0], [3.0, 1.0])
         assert edges.tolist() == [1.5]
         assert codes.tolist() == [0, 1]
 
     def test_fewer_distinct_values_than_bins(self):
-        codes, edges = discretize([0.0, 1.0, 0.0, 1.0], np.ones(4), bins=4)
+        codes, edges = discretize([0.0, 1.0, 0.0, 1.0], np.ones(4))
         assert edges.size == 1
         assert set(codes.tolist()) == {0, 1}
 
     def test_weighted_quantile_oracle(self, rng):
-        # each bin should carry roughly total/bins of the weight
+        # each bin should carry roughly total/BINS of the weight
         values = rng.normal(size=500)
         weights = rng.uniform(0.1, 2.0, size=500)
-        codes, _ = discretize(values, weights, bins=4)
+        codes, _ = discretize(values, weights)
         masses = np.bincount(codes, weights=weights, minlength=4)
         assert np.all(masses > 0)
         assert masses.max() / weights.sum() < 0.5
-
-    def test_rejects_one_bin(self):
-        with pytest.raises(ValueError):
-            discretize([0.0, 1.0], [1.0, 1.0], bins=1)
 
 
 class TestWeightedChi2:

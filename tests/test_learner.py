@@ -6,14 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softpc import independence, toy
-from softpc.analysis import factorized_circuit, split_circuit
 from softpc.circuit import LeafNode, ProductNode, SumNode
 from softpc.clustering import em_factorized
 from softpc.estimators import CONT_MAX_ABS, MAX_TOTAL_WEIGHT, Multinomial
-from softpc.learner import CLUSTERERS, Hyperparams, WeightedDataset, learn_spn, soft_learn
+from softpc.learner import (
+    CLUSTERERS,
+    Hyperparams,
+    WeightedDataset,
+    factorized_circuit,
+    learn_spn,
+    soft_learn,
+)
 from softpc.schema import Schema, Variable
 
-from conftest import all_binary_rows, pinned_data, singleton_split_membership, step_counts
+from conftest import (
+    all_binary_rows,
+    pinned_data,
+    singleton_split_membership,
+    split_circuit,
+    step_counts,
+)
 
 
 def two_block_binary(rng, n):
