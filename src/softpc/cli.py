@@ -57,10 +57,8 @@ def load_bundle(name: str, data_dir, seed: int) -> datasets.DatasetBundle:
     if (data_dir / f"{name}.train.data").exists():
         return datasets.load_discrete(name, data_dir)
     if (data_dir / f"{name}.csv").exists():
-        sidecar = data_dir / f"{name}.schema"
-        if not sidecar.exists():
-            raise DataError(f"mixed dataset {name!r} needs a sidecar schema file {sidecar}")
-        return datasets.load_mixed_csv(data_dir / f"{name}.csv", sidecar, seed=seed, name=name)
+        return datasets.load_mixed_csv(data_dir / f"{name}.csv", data_dir / f"{name}.schema",
+                                       seed=seed, name=name)
     raise UsageError(f"unknown dataset {name!r} (no files under {data_dir})")
 
 

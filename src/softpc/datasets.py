@@ -199,21 +199,25 @@ def load_mixed_csv(
 ) -> DatasetBundle:
     """Load a mixed categorical/continuous CSV with a header row.
 
-    ``schema_spec`` maps column names to ``"cat"``/``"cont"`` (a path to a
-    sidecar file is also accepted).  Rows are shuffled with a seeded RNG
-    and split by ``SPLIT_FRACTIONS`` (train/valid/test); a split left empty,
-    as with fewer than 6 rows, a column name that appears twice in the
-    header, a line that ``csv`` rejects (a field longer than
-    ``csv.field_size_limit()``, say) and a continuous value that is not
-    finite or exceeds ``CONT_MAX_ABS`` in magnitude are ``DataError``s.
-    Categorical levels are
+    ``schema_spec`` is the path of the CSV's sidecar schema file, read by
+    ``read_schema_spec``; a sidecar that does not exist is a ``DataError``,
+    named for the dataset ``name`` (the CSV's stem by default).  Rows are
+    shuffled with a seeded RNG and split by ``SPLIT_FRACTIONS``
+    (train/valid/test); a split left empty, as with fewer than 6 rows, a
+    column name that appears twice in the header, a line that ``csv``
+    rejects (a field longer than ``csv.field_size_limit()``, say) and a
+    continuous value that is not finite or exceeds ``CONT_MAX_ABS`` in
+    magnitude are ``DataError``s.  Categorical levels are
     dictionary-encoded in first-appearance order over the training split;
-    a level appearing only in valid/test, or a column with more than
-    ``MAX_ARITY`` training levels, is a ``DataError``.
+    a level appearing only in valid/test (the first such in file order is
+    named), or a column with more than ``MAX_ARITY`` training levels, is a
+    ``DataError``.
     """
     csv_path = Path(csv_path)
-    if isinstance(schema_spec, (str, Path)):
-        schema_spec = read_schema_spec(schema_spec)
+    name = name or csv_path.stem
+    if not Path(schema_spec).exists():
+        raise DataError(f"mixed dataset {name!r} needs a sidecar schema file {schema_spec}")
+    schema_spec = read_schema_spec(schema_spec)
 
     if not csv_path.exists():
         raise DataError(f"missing dataset file: {csv_path}")
@@ -278,21 +282,16 @@ def load_mixed_csv(
             if len(levels) > MAX_ARITY:
                 raise DataError(f"{csv_path}: column {colname!r}: {len(levels)} levels in the "
                                 f"training split, more than the {MAX_ARITY} allowed")
-            codes = np.empty(n)
-            for i in range(n):
-                code = levels.get(raw[i])
-                if code is None:
-                    raise DataError(
-                        f"{csv_path}: column {colname!r}: level {raw[i]!r} "
-                        "absent from the training split"
-                    )
-                codes[i] = code
+            codes = [levels.get(v) for v in raw]
+            if None in codes:  # the first unseen level in file order
+                raise DataError(f"{csv_path}: column {colname!r}: level "
+                                f"{raw[codes.index(None)]!r} absent from the training split")
             variables.append(Variable("cat", max(len(levels), 2), name=colname))
             encoded[:, j] = codes
 
     schema = Schema(variables)
     return DatasetBundle(
-        name or csv_path.stem,
+        name,
         schema,
         encoded[idx_train],
         encoded[idx_valid],

@@ -350,6 +350,26 @@ class TestLogMarginal:
             got = c.log_marginal([(mu + a * sigma, mu + b * sigma)])
             assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.25, 0.5), (-3.0, 2.0), (7.0, 1e3)])
+    def test_narrow_interval_matches_integration(self, mu, sigma):
+        # cdf(hi) - cdf(lo) cancels on a narrow interval: on N(0, 1) its log
+        # was off by 4.3e-2 on (-1e-15, 1e-15) and by 7.3e-8 on (2, 2 + 1e-9).
+        # quad integrates the density itself, which does not cancel.
+        c = Circuit([LeafNode(0, Gaussian(mu, sigma))], 0, Schema.continuous(1))
+        mirror = Circuit([LeafNode(0, Gaussian(-mu, sigma))], 0, Schema.continuous(1))
+        for a, w in [(-1e-12, 2e-12), (-1e-15, 2e-15), (0.3, 1e-13), (2.0, 1e-9), (-5.0, 1e-7),
+                     (30.0, 1e-6), (-36.0, 1e-5), (1.0, 1.9e-4), (1.0, 2.1e-4), (-0.5, 1e-3)]:
+            lo, hi = mu + a * sigma, mu + (a + w) * sigma
+            expected, _ = quad(normal_pdf, lo, hi, args=(mu, sigma), epsabs=0, epsrel=1e-13)
+            got = c.log_marginal([(lo, hi)])
+            assert got == pytest.approx(math.log(expected), rel=0, abs=1e-9), (a, w)
+            assert got == mirror.log_marginal([(-hi, -lo)])
+
+    def test_point_interval_has_no_mass(self):
+        c = Circuit([LeafNode(0, Gaussian(0.0, 1e-3))], 0, Schema.continuous(1))
+        for x in (0.0, 2.0, 1e300, -math.inf):
+            assert c.log_marginal([(x, x)]) == -math.inf
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
     def test_interval_and_its_mirror_image_have_one_mass(self, sigma):
         c = Circuit([LeafNode(0, Gaussian(0.0, sigma))], 0, Schema.continuous(1))

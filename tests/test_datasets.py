@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -18,7 +19,41 @@ from softpc.datasets import (
     _read_discrete_lines,
     read_schema_spec,
 )
-from softpc.schema import Schema
+from softpc.schema import Schema, Variable
+
+
+def write_sidecar(tmp_path, *lines):
+    """A sidecar schema file ``spec.schema`` holding ``lines``; its path."""
+    path = tmp_path / "spec.schema"
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def reference_mixed_load(path, spec, seed):
+    """A mixed CSV loaded cell by cell: rows shuffled by ``seed`` and split
+    70/10/20, continuous cells parsed one at a time, categorical levels
+    coded in first-appearance order over the training rows."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    n = len(rows)
+    order = np.random.default_rng(seed).permutation(n)
+    n_train, n_valid = int(round(0.7 * n)), int(round(0.1 * n))
+    encoded = np.empty((n, len(header)))
+    variables = []
+    for j, column in enumerate(header):
+        if spec[column] == "cont":
+            for i in range(n):
+                encoded[i, j] = float(rows[i][j])
+            variables.append(Variable("cont", name=column))
+            continue
+        levels = {}
+        for i in order[:n_train]:
+            levels.setdefault(rows[i][j], len(levels))
+        for i in range(n):
+            encoded[i, j] = levels[rows[i][j]]
+        variables.append(Variable("cat", max(len(levels), 2), name=column))
+    parts = np.split(order, [n_train, n_train + n_valid])
+    return DatasetBundle(path.stem, Schema(variables), *(encoded[part] for part in parts))
 
 
 def write_discrete(tmp_path, name, train, valid=None, test=None):
@@ -229,28 +264,28 @@ class TestMixedCsv:
         csv = tmp_path / "empty.csv"
         csv.write_text("")
         with pytest.raises(DataError, match="empty"):
-            load_mixed_csv(csv, {"a": "cont"})
+            load_mixed_csv(csv, write_sidecar(tmp_path, "a cont"))
 
     def test_header_only_rejected(self, tmp_path):
         csv = tmp_path / "h.csv"
         csv.write_text("a\n")
         with pytest.raises(DataError, match="no data rows"):
-            load_mixed_csv(csv, {"a": "cont"})
+            load_mixed_csv(csv, write_sidecar(tmp_path, "a cont"))
 
     def test_unseen_level_errors_by_default(self, tmp_path):
         csv = tmp_path / "u.csv"
-        # make the rare level land outside the training split for seed 0
-        rows = ["c"] + ["a", "b"] * 10
+        rows = ["x", "y"] + ["a", "b"] * 10
         csv.write_text("col\n" + "\n".join(rows) + "\n")
         n_train = int(round(0.7 * len(rows)))
-        seed = next(
-            s
-            for s in range(50)
-            if int(np.where(np.random.default_rng(s).permutation(len(rows)) == 0)[0][0])
-            >= n_train
-        )
-        with pytest.raises(DataError, match="absent from the training split"):
-            load_mixed_csv(csv, {"col": "cat"}, seed=seed)
+
+        def place(seed, i):  # row i's position in the shuffled order
+            return int(np.where(np.random.default_rng(seed).permutation(len(rows)) == i)[0][0])
+
+        # both rare levels land outside the training split, "y" ahead of "x"
+        # in the shuffle; the error names the first in file order
+        seed = next(s for s in range(200) if n_train <= place(s, 1) < place(s, 0))
+        with pytest.raises(DataError, match="level 'x' absent from the training split"):
+            load_mixed_csv(csv, write_sidecar(tmp_path, "col cat"), seed=seed)
 
     def test_schema_spec_parsing(self, tmp_path):
         spec = tmp_path / "s.schema"
@@ -287,7 +322,7 @@ class TestMixedCsv:
         csv = tmp_path / "d.csv"
         csv.write_text("a,b,a\n" + "1,2,3\n" * 20)
         with pytest.raises(DataError, match="column 'a' appears twice in the header"):
-            load_mixed_csv(csv, {"a": "cont", "b": "cont"})
+            load_mixed_csv(csv, write_sidecar(tmp_path, "a cont", "b cont"))
 
     @pytest.mark.parametrize("rows, split", [(1, "1/0/0"), (4, "3/0/1"), (5, "4/0/1")])
     def test_empty_split_rejected(self, tmp_path, rows, split):
@@ -321,8 +356,37 @@ class TestMixedCsv:
         with pytest.raises(DataError, match="missing dataset file: .*ghost.csv"):
             load_mixed_csv(tmp_path / "ghost.csv", sidecar)
 
+    def test_missing_sidecar_rejected(self, tmp_path):
+        csv, _ = self.write_csv(tmp_path)
+        ghost = tmp_path / "ghost.schema"
+        with pytest.raises(DataError, match="^mixed dataset 'mix' needs a sidecar schema file "
+                                            ".*ghost\\.schema$"):
+            load_mixed_csv(csv, ghost)
+        with pytest.raises(DataError, match="^mixed dataset 'other' needs a sidecar"):
+            load_mixed_csv(csv, ghost, name="other")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_load_matches_a_cell_by_cell_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        cols = {"c0": rng.integers(0, 5, n).astype(str), "x0": rng.normal(0, 3, n).astype(str),
+                "c1": np.array(["lo", "mid", "hi"])[rng.integers(0, 3, n)],
+                "x1": rng.integers(-9, 9, n).astype(str), "c2": np.full(n, "only")}
+        grid = tmp_path / "grid.csv"
+        grid.write_text(",".join(cols) + "\n"
+                        + "".join(",".join(row) + "\n" for row in zip(*cols.values())))
+        sidecar = write_sidecar(tmp_path, *(f"{c} {'cat' if c[0] == 'c' else 'cont'}" for c in cols))
+        small, small_sidecar = self.write_csv(tmp_path, rows=40)
+        for path, spec in ((grid, sidecar), (small, small_sidecar)):
+            bundle = load_mixed_csv(path, spec, seed=seed)
+            expected = reference_mixed_load(path, read_schema_spec(spec), seed)
+            assert bundle.schema == expected.schema
+            for got, want in zip((bundle.train, bundle.valid, bundle.test),
+                                 (expected.train, expected.valid, expected.test)):
+                assert got.tobytes() == want.tobytes()
+
     def test_missing_spec_column_rejected(self, tmp_path):
         csv, _ = self.write_csv(tmp_path)
         with pytest.raises(DataError, match="missing columns"):
-            load_mixed_csv(csv, {"color": "cat"})
+            load_mixed_csv(csv, write_sidecar(tmp_path, "color cat"))
 
