@@ -498,7 +498,9 @@ class Circuit:
         out = np.empty(n)
         # the table for every chunk; csr_matvecs needs a contiguous one
         buf = np.empty((n_slots, chunk if n > chunk else n))
-        with np.errstate(divide="ignore"):
+        # the log of a zero mass is -inf; a bound or point near the float
+        # limit standardises to +-inf, which gives the leaf its limit
+        with np.errstate(divide="ignore", over="ignore"):
             for first in range(0, n, chunk):
                 rows = slice(first, min(first + chunk, n))
                 width = rows.stop - first

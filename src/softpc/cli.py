@@ -8,7 +8,9 @@ exit codes: 0 ok, 2 usage, 3 data error, 4 internal.
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import datasets, learner, toy
 from .circuit import Circuit, InvalidCircuitError, ModelParseError
-from .datasets import DataError, read_text
+from .datasets import DataError, read_text, write_text
 from .learner import CLUSTERERS, METHODS, Hyperparams, WeightedDataset
 
 EXIT_OK = 0
@@ -120,30 +122,33 @@ def cmd_learn(args) -> int:
     hp = _make_hp(args)
     circuit, result = _run_cell(bundle, args.method, hp)
     if args.out_model:
-        Path(args.out_model).write_text(circuit.to_json())
+        write_text(args.out_model, circuit.to_json())
     print("\t".join(RESULT_COLUMNS))
     print(_fmt_row(_result_row(args, hp, [result])))
     return EXIT_OK
 
 
-def _read_existing_results(path: Path) -> list:
-    """The data rows of the results table at ``path``, each as its list of
-    text fields; none if there is no file.  ``DataError`` names a line whose
-    field count is not ``len(RESULT_COLUMNS)``."""
+def _read_existing_results(path: Path) -> tuple:
+    """The lines of the results table at ``path``, and its data rows, each
+    as its list of text fields; none of either if there is no file.  The
+    table's bytes, but for a leading byte-order mark, are taken back into the
+    form that the command line gives its arguments in (``os.fsdecode``), the
+    inverse of ``write_text``, so that its names compare equal to ``--data``
+    and print as they were given, under an ASCII locale too.  ``DataError``
+    names a line whose field count is not ``len(RESULT_COLUMNS)``."""
     rows = []
     if not path.exists():
-        return rows
-    for number, line in enumerate(read_text(path).splitlines(), start=1):
-        if line.startswith("#") or line.startswith(RESULT_COLUMNS[0] + "\t"):
-            continue
-        if not line.strip():
+        return [], rows
+    lines = os.fsdecode(path.read_bytes().removeprefix(codecs.BOM_UTF8)).splitlines()
+    for number, line in enumerate(lines, start=1):
+        if not line.strip() or line.startswith(("#", RESULT_COLUMNS[0] + "\t")):
             continue
         fields = line.split("\t")
         if len(fields) != len(RESULT_COLUMNS):
             raise DataError(f"{path} line {number}: {len(fields)} fields, "
                             f"expected {len(RESULT_COLUMNS)}")
         rows.append(fields)
-    return rows
+    return lines, rows
 
 
 def cmd_grid(args) -> int:
@@ -155,7 +160,7 @@ def cmd_grid(args) -> int:
              for a in ([args.alpha] if args.alpha is not None else ALPHA_GRID)]
 
     out_path = Path(args.out) if args.out else None
-    existing = _read_existing_results(out_path) if out_path else []
+    lines, existing = _read_existing_results(out_path) if out_path else ([], [])
 
     def key_of(hp):
         return (args.data, args.method, hp.clusterer, f"{hp.p_threshold:.6g}", f"{hp.alpha:.6g}")
@@ -174,20 +179,21 @@ def cmd_grid(args) -> int:
     rows = [_result_row(args, hp, results[i * args.reps:(i + 1) * args.reps])
             for i, hp in enumerate(todo)]
 
-    header = "\t".join(RESULT_COLUMNS)
-    body = existing + [_fmt_row(r).split("\t") for r in rows]
-    table = "\n".join([RESULTS_SCHEMA, header] + ["\t".join(fields) for fields in body]) + "\n"
+    # the new rows go after the table's lines as they stand, or a new header
+    new_rows = [_fmt_row(r) for r in rows]
+    lines = (lines or [RESULTS_SCHEMA, "\t".join(RESULT_COLUMNS)]) + new_rows
+    table = "".join(line + "\n" for line in lines)
     # every cell of this grid, in grid order, from its last row in the table,
     # whichever run learned it: the plot and the best line read these
-    last = {tuple(fields[:5]): fields for fields in body}
+    last = {tuple(fields[:5]): fields for fields in existing + [r.split("\t") for r in new_rows]}
     grid = [last[key_of(hp)] for hp in cells]
     if out_path:
-        out_path.write_text(table)
+        write_text(out_path, table)
         plot_path = out_path.with_suffix(out_path.suffix + ".plot.tsv")
         plot_lines = ["x\ty\tseries"]
         for fields in grid:
             plot_lines.append(f"p={fields[3]},alpha={fields[4]}\t{fields[6]}\t{fields[2]}")
-        plot_path.write_text("\n".join(plot_lines) + "\n")
+        write_text(plot_path, "\n".join(plot_lines) + "\n")
     print(table, end="")
 
     best = max(grid, key=lambda fields: float(fields[5]))  # selected on validation LL
@@ -231,7 +237,7 @@ def cmd_sample(args) -> int:
     ]
     text = "".join(",".join(fields) + "\n" for fields in zip(*columns))
     if args.out:
-        Path(args.out).write_text(text)
+        write_text(args.out, text)
     else:
         print(text, end="")
     return EXIT_OK
@@ -269,8 +275,8 @@ def cmd_toy_example(args) -> int:
         for (mx, _), (my, _) in zip(result.x_leaves, result.y_leaves):
             point_lines.append(f"{mx:.6g}\t{my:.6g}\t{result.method}_mean")
 
-    (out_dir / "leaf_params.tsv").write_text("\n".join(leaf_lines) + "\n")
-    (out_dir / "points.tsv").write_text("\n".join(point_lines) + "\n")
+    write_text(out_dir / "leaf_params.tsv", "\n".join(leaf_lines) + "\n")
+    write_text(out_dir / "points.tsv", "\n".join(point_lines) + "\n")
     print(f"wrote {out_dir / 'leaf_params.tsv'} and {out_dir / 'points.tsv'}")
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -51,6 +52,27 @@ def read_text(path, newline=None) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: cannot decode: {exc}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file at ``path`` as UTF-8 whatever the locale,
+    replacing the file whole: the text goes to a new file in the same
+    directory, which then takes the name (``os.replace``), so a write that
+    fails leaves the old file as it was.  A surrogate-escaped character (a
+    byte that the locale could not decode, as in a command-line argument
+    under an ASCII locale) is written as the byte it stands for.  An
+    ``OSError`` names ``path``."""
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with open(fd, "w", encoding="utf-8", errors="surrogateescape") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already, unless the write failed
 
 
 @dataclass

@@ -156,29 +156,33 @@ class _Sub:
         self.dists = self.children = self.sum_weights = None
 
 
-def _emit(sub, matrix, schema, alpha, nodes):
-    """Post-order emission of the tree under ``sub`` into ``nodes``; returns
-    the node id.  Open subproblems are capped with a fully factorized fit."""
-    if sub.children is None:
-        dists = sub.dists
-        if dists is None:
-            dists = estimators.fit_factorized(matrix[sub.rows], sub.weights, sub.scope, schema, alpha)
-        ids = []
-        for v, dist in zip(sub.scope, dists):
-            nodes.append(LeafNode(v, dist))
-            ids.append(len(nodes) - 1)
-        if len(ids) == 1:
-            return ids[0]
-        nodes.append(ProductNode(tuple(ids)))
-        return len(nodes) - 1
-    ids = tuple(_emit(c, matrix, schema, alpha, nodes) for c in sub.children)
-    nodes.append(ProductNode(ids) if sub.sum_weights is None else SumNode(ids, sub.sum_weights))
-    return len(nodes) - 1
+def _assemble(root: _Sub, data: WeightedDataset, alpha) -> Circuit:
+    """The circuit of the tree under ``root``, open subproblems capped with a
+    fully factorized fit of their rows and weights.
 
-
-def _assemble(root, matrix, schema, alpha) -> Circuit:
-    nodes = []
-    return Circuit(nodes, _emit(root, matrix, schema, alpha, nodes), schema)
+    The walk visits each node before its children, taking the last child
+    first, on an explicit stack, so a tree of any depth assembles.  Reversed,
+    that order lists the first child's subtree, then each later child's,
+    then the node: a post-order.  Emitted in it, each node takes its id after
+    its children's, and ids and the fits of open subproblems come in the
+    order that a recursive post-order walk gives them."""
+    order, stack = [], [root]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(order[-1].children or ())
+    nodes, ids = [], {}
+    for sub in reversed(order):
+        if sub.children is None:
+            dists = sub.dists if sub.dists is not None else estimators.fit_factorized(
+                data.matrix[sub.rows], sub.weights, sub.scope, data.schema, alpha)
+            nodes.extend(LeafNode(v, dist) for v, dist in zip(sub.scope, dists))
+            if len(dists) > 1:
+                nodes.append(ProductNode(tuple(range(len(nodes) - len(dists), len(nodes)))))
+        else:
+            kids = tuple(ids[id(c)] for c in sub.children)
+            nodes.append(ProductNode(kids) if sub.sum_weights is None else SumNode(kids, sub.sum_weights))
+        ids[id(sub)] = len(nodes) - 1
+    return Circuit(nodes, len(nodes) - 1, data.schema)
 
 
 def _root(data: WeightedDataset) -> _Sub:
@@ -194,8 +198,10 @@ def _split(node: _Sub, membership) -> bool:
     share falls below ``estimators.EPSILON_W`` are dropped from it, and a
     cluster left with no row or no mass is dropped.  The sum weights are the
     kept clusters' mass fractions.  Returns ``False``, leaving the node open,
-    when fewer than two clusters remain or one holds the whole mass: such a
-    child would not shrink the subproblem, so the learner factorizes instead.
+    when fewer than two clusters remain or one keeps all but a sliver, less
+    than 1e-5, of the mass: such a child would barely shrink the subproblem,
+    so the learner factorizes instead.  (On weighted rows, ``soft_learn``
+    could otherwise split off slivers of ~1e-6 for thousands of steps.)
     """
     child_w = membership * node.weights[:, None]
     masses = child_w.sum(axis=0)
@@ -205,7 +211,7 @@ def _split(node: _Sub, membership) -> bool:
         if masses[i] > 0 and np.any(keep):
             children.append(_Sub(node.rows[keep], child_w[keep, i], node.scope))
             kept.append(masses[i])
-    if len(children) < 2 or max(kept) >= node.weights.sum() * (1.0 - 1e-9):
+    if len(children) < 2 or max(kept) >= node.weights.sum() * (1.0 - 1e-5):
         return False
     sum_w = np.asarray(kept) / masses.sum()
     node.children = children
@@ -269,7 +275,7 @@ def _steps(root: _Sub, data: WeightedDataset, hp: Hyperparams, soft: bool, first
 def _learn(data: WeightedDataset, hp: Hyperparams, soft: bool, first_split):
     root = _root(data)
     trace = LearnTrace(list(_steps(root, data, hp, soft, first_split)))
-    return _assemble(root, data.matrix, data.schema, hp.alpha), trace
+    return _assemble(root, data, hp.alpha), trace
 
 
 def learn_spn(data: WeightedDataset, hp: Hyperparams, first_split=None):
@@ -295,11 +301,11 @@ def capped_ll_trace(data: WeightedDataset, hp: Hyperparams, soft: bool, first_sp
     value per ``StepRecord``; the last is the learned circuit's."""
     root = _root(data)
     return [
-        float(np.mean(_assemble(root, data.matrix, data.schema, hp.alpha).log_density(data.matrix)))
+        float(np.mean(_assemble(root, data, hp.alpha).log_density(data.matrix)))
         for _ in _steps(root, data, hp, soft, first_split)
     ]
 
 
 def factorized_circuit(data: WeightedDataset, hp: Hyperparams) -> Circuit:
     """Fully factorized circuit over all variables (the cap before any step)."""
-    return _assemble(_root(data), data.matrix, data.schema, hp.alpha)
+    return _assemble(_root(data), data, hp.alpha)

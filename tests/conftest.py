@@ -823,8 +823,8 @@ def split_circuit(data, membership, hp) -> Circuit:
     """The cap after a single root split, taken by the learner's sum rule: a
     sum node whose children are factorized fits under the
     membership-reweighted data.  A split the learner would not take (fewer
-    than two clusters left after dropping, or one holding the whole mass)
-    gives ``learner.factorized_circuit``.
+    than two clusters left after dropping, or one keeping all but less than
+    1e-5 of the mass) gives ``learner.factorized_circuit``.
 
     ``membership`` is an (n, K) matrix of nonnegative rows summing to 1
     (``ValueError`` otherwise, from ``clustering.check_membership``);
@@ -832,7 +832,33 @@ def split_circuit(data, membership, hp) -> Circuit:
     """
     root = learner._root(data)
     learner._split(root, clustering.check_membership(membership, data.matrix.shape[0]))
-    return learner._assemble(root, data.matrix, data.schema, hp.alpha)
+    return learner._assemble(root, data, hp.alpha)
+
+
+def reference_assemble(root, data, alpha) -> Circuit:
+    """``learner._assemble`` as a recursive post-order walk: a node's
+    children are emitted, first to last, before it takes the next id."""
+    nodes = []
+
+    def emit(sub):
+        if sub.children is None:
+            dists = sub.dists
+            if dists is None:
+                dists = estimators.fit_factorized(data.matrix[sub.rows], sub.weights, sub.scope,
+                                                  data.schema, alpha)
+            ids = []
+            for v, dist in zip(sub.scope, dists):
+                nodes.append(LeafNode(v, dist))
+                ids.append(len(nodes) - 1)
+            if len(ids) == 1:
+                return ids[0]
+            nodes.append(ProductNode(tuple(ids)))
+            return len(nodes) - 1
+        ids = tuple(emit(c) for c in sub.children)
+        nodes.append(ProductNode(ids) if sub.sum_weights is None else SumNode(ids, sub.sum_weights))
+        return len(nodes) - 1
+
+    return Circuit(nodes, emit(root), data.schema)
 
 
 def step_counts(trace):

@@ -71,3 +71,68 @@ def test_guard_sees_each_form_of_private_read(tmp_path):
         "probe.py:7: clustering._checked",
         "probe.py:7: datasets._open",
     ]
+
+
+def self_calls(path: Path) -> list:
+    """``"file:line: name"`` for every function of the module at ``path``
+    that calls itself by name: a function through its plain name, a method
+    through ``self``, ``cls`` or its class."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners = ("self", "cls", node.name) if isinstance(node, ast.ClassDef) else None
+                for call in (n for n in ast.walk(child) if isinstance(n, ast.Call)):
+                    func = call.func
+                    if owners is None:
+                        hit = isinstance(func, ast.Name) and func.id == child.name
+                    else:
+                        hit = (isinstance(func, ast.Attribute) and func.attr == child.name
+                               and isinstance(func.value, ast.Name) and func.value.id in owners)
+                    if hit:
+                        found.append(f"{path.name}:{call.lineno}: {prefix}{child.name}")
+                        break
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+    return found
+
+
+def test_no_function_calls_itself():
+    # a learned tree can be thousands of levels deep, and a recursive walk
+    # stops at Python's recursion limit, so every walk keeps its own stack
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in self_calls(path)]
+    assert calls == [], "functions that call themselves:\n" + "\n".join(calls)
+
+
+def test_guard_sees_each_form_of_self_call(tmp_path):
+    source = (
+        "import numpy as np\n"
+        "def walk(node):\n"
+        "    return [walk(c) for c in node]\n"
+        "def sum(x):\n"
+        "    return np.sum(x)\n"
+        "class Tree:\n"
+        "    def depth(self):\n"
+        "        def inner(n):\n"
+        "            return inner(n - 1) if n else 0\n"
+        "        return 1 + max(c.depth() for c in self.kids) + inner(2)\n"
+        "    def size(self):\n"
+        "        return 1 + sum(self.size() for _ in self.kids)\n"
+        "    @classmethod\n"
+        "    def build(cls, n):\n"
+        "        return [Tree.build(n - 1)] if n else []\n"
+    )
+    path = tmp_path / "probe.py"
+    path.write_text(source, encoding="utf-8")
+    assert self_calls(path) == [
+        "probe.py:3: probe.walk",
+        "probe.py:9: probe.Tree.depth.inner",
+        "probe.py:12: probe.Tree.size",
+        "probe.py:15: probe.Tree.build",
+    ]

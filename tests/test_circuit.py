@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -369,6 +370,17 @@ class TestLogMarginal:
         c = Circuit([LeafNode(0, Gaussian(0.0, 1e-3))], 0, Schema.continuous(1))
         for x in (0.0, 2.0, 1e300, -math.inf):
             assert c.log_marginal([(x, x)]) == -math.inf
+
+    def test_far_bounds_and_points_give_their_limit_without_a_warning(self):
+        # standardising a bound or point near the float limit overflows to inf
+        c = Circuit([LeafNode(0, Gaussian(0.0, 1e-3))], 0, Schema.continuous(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert c.log_marginal([(1e308, 1e308)]) == -math.inf
+            assert c.log_marginal([(-1e308, 1e308)]) == pytest.approx(0.0, rel=0, abs=1e-12)
+            assert c.log_marginal([(0.0, 1e308)]) == pytest.approx(-math.log(2), rel=0, abs=1e-12)
+            assert c.log_marginal([(-1e308, -1e300)]) == -math.inf
+            assert (c.log_density(np.array([[1e160], [-1e160], [1e308]])) == -math.inf).all()
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
     def test_interval_and_its_mirror_image_have_one_mass(self, sigma):

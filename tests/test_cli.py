@@ -4,6 +4,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import softpc
 from softpc.circuit import Circuit
 from softpc import cli
 from softpc.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RESULT_COLUMNS, main
@@ -718,10 +722,11 @@ class TestGrid:
                 "--method", "learnspn", "--clusterer", "kmeans", "--p", 0.01,
                 "--alpha", 0.01, "--reps", 1]
         assert run(args) == EXIT_OK
-        text = out.read_text()
-        out.write_text(text.replace("\n", "\n\n"))
+        text = out.read_text().replace("\n", "\n\n")
+        out.write_text(text)
         capsys.readouterr()
-        # the one cell is read back as done: the table is rewritten as it was
+        # the one cell is read back as done: the table keeps its text, blank
+        # lines too, and gains no row
         assert run(args) == EXIT_OK
         assert out.read_text() == text
 
@@ -735,6 +740,38 @@ class TestGrid:
         capsys.readouterr()
         assert run(args + ["--clusters", 0]) == EXIT_USAGE
         assert "n_clusters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, first", [("café", "utf-8"), ("café", "ascii"),
+                                             (os.fsdecode(b"caf\xe9"), "utf-8")])
+    def test_resumed_grid_under_an_ascii_locale_keeps_its_rows(self, tmp_path, name, first):
+        """A grid over a non-ASCII dataset name, resumed where the locale is
+        ASCII: it used to exit 4 and leave the table empty.  A name that is
+        not UTF-8 (here Latin-1) is written as its bytes and read back too."""
+        rng = np.random.default_rng(3)
+        write_split(tmp_path, name, rng.integers(0, 2, (60, 3)), rng.integers(0, 2, (20, 3)),
+                    rng.integers(0, 2, (20, 3)))
+        out, row_start = tmp_path / "out.tsv", os.fsencode(name) + b"\t"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(softpc.__file__).parent.parent)}
+
+        def grid(mode, alpha):
+            cmd = [sys.executable, "-X", f"utf8={int(mode == 'utf-8')}", "-m", "softpc.cli",
+                   "--data-dir", tmp_path, "--out", out, "grid", "--data", name,
+                   "--method", "learnspn", "--clusterer", "kmeans", "--p", 0.01,
+                   "--alpha", alpha, "--reps", 1]
+            return subprocess.run([str(a) for a in cmd], env=env, capture_output=True)
+
+        assert grid(first, 0.01).returncode == EXIT_OK
+        table = out.read_bytes()
+        assert table.count(row_start) == 1
+        resumed = grid("ascii", 0.1)
+        assert resumed.returncode == EXIT_OK, resumed.stderr
+        assert out.read_bytes().startswith(table)
+        assert out.read_bytes().count(row_start) == 2
+        assert resumed.stdout.startswith(table)
+        assert grid("ascii", 0.1).returncode == EXIT_OK  # both cells are done
+        assert out.read_bytes().count(row_start) == 2
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]  # no temporary file
 
     def test_thread_count_does_not_change_results(self, data_dir, tmp_path, capsys):
         outs = []

@@ -1,14 +1,19 @@
+import contextlib
+import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from softpc import independence, toy
-from softpc.circuit import LeafNode, ProductNode, SumNode
+from softpc import independence, learner, toy
+from softpc.circuit import Circuit, LeafNode, ProductNode, SumNode
 from softpc.clustering import em_factorized
-from softpc.estimators import CONT_MAX_ABS, MAX_TOTAL_WEIGHT, Multinomial
+from softpc.estimators import CONT_MAX_ABS, EPSILON_W, MAX_TOTAL_WEIGHT, Multinomial
 from softpc.learner import (
     CLUSTERERS,
     Hyperparams,
@@ -22,6 +27,7 @@ from softpc.schema import Schema, Variable
 from conftest import (
     all_binary_rows,
     pinned_data,
+    reference_assemble,
     singleton_split_membership,
     split_circuit,
     step_counts,
@@ -362,6 +368,37 @@ class TestAlternativeConstructions:
         assert trace.steps[0].effective_mass == pytest.approx(300.0)
 
 
+class TestAssembly:
+    """``_assemble`` walks the learned tree on its own stack and emits it in
+    the order of a recursive post-order walk."""
+
+    @pytest.mark.parametrize("kind", ["binary", "mixed"])
+    @pytest.mark.parametrize("clusterer", CLUSTERERS)
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_matches_a_recursive_walk_after_every_step(self, soft, clusterer, kind):
+        matrix, schema = pinned_data(kind)
+        data = WeightedDataset(matrix, None, schema)
+        hp = Hyperparams(clusterer=clusterer)
+        root = learner._root(data)
+        for _ in learner._steps(root, data, hp, soft, None):  # open subproblems are capped
+            expected = reference_assemble(root, data, hp.alpha).to_json()
+            assert learner._assemble(root, data, hp.alpha).to_json() == expected
+
+    def test_a_5000_deep_tree_assembles(self):
+        rng = np.random.default_rng(0)
+        data = WeightedDataset(np.column_stack([rng.normal(size=20), rng.integers(0, 2, 20)]), None,
+                               Schema([Variable("cont"), Variable("cat", 2)]))
+        root = sub = learner._root(data)
+        for _ in range(5000):  # a sum over the next level and an open subproblem
+            deeper = learner._root(data)
+            sub.children, sub.sum_weights = [deeper, learner._root(data)], (0.5, 0.5)
+            sub = deeper
+        circuit = learner._assemble(root, data, 0.01)
+        assert circuit.n_nodes == 5000 + 5001 * 3  # each open subproblem: two leaves, a product
+        assert circuit.validate() == []
+        assert np.isfinite(circuit.log_density(data.matrix)).all()
+
+
 class TestPinnedOutput:
     """Learner output on fixed data, recorded from the reference recursion:
     node count, (sum, product, factorize, leaf) step counts, train mean LL."""
@@ -456,6 +493,95 @@ class TestEveryLearnedCircuitIsValid:
                 circuit, _ = learn(WeightedDataset(matrix, None, schema), hp)
                 assert circuit.validate() == []
                 assert np.isfinite(circuit.log_density(matrix).mean())
+
+
+@st.composite
+def fuzz_case(draw):
+    """A small learn: 2-30 rows of 2-5 columns, each categorical or
+    continuous and random, constant, tied, zero-inflated or extreme; weights
+    unit or ``exp(N(0, 3))``; either learner and clusterer, 1-3 clusters."""
+    n_rows = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, variables = [], []
+    for _ in range(draw(st.integers(2, 5))):
+        arity = draw(st.sampled_from([None, 2, 3, 4]))
+        shape = draw(st.sampled_from(["random", "constant", "tied", "zero-inflated", "extreme"]))
+        if arity is None:
+            scale = 10.0 ** draw(st.integers(-12, 89))
+            values = {
+                "random": rng.standard_normal(n_rows) * scale,
+                "constant": np.full(n_rows, rng.standard_normal() * scale),
+                "tied": rng.choice(rng.standard_normal(2) * scale, n_rows),
+                "zero-inflated": rng.standard_normal(n_rows) * scale * (rng.random(n_rows) < 0.2),
+                "extreme": rng.choice([-CONT_MAX_ABS, 0.0, scale, CONT_MAX_ABS], n_rows),
+            }[shape]
+            variables.append(Variable("cont"))
+        else:
+            values = {
+                "random": rng.integers(0, arity, n_rows),
+                "constant": np.full(n_rows, rng.integers(0, arity)),
+                "tied": rng.choice(rng.integers(0, arity, 2), n_rows),
+                "zero-inflated": rng.integers(0, arity, n_rows) * (rng.random(n_rows) < 0.2),
+                "extreme": np.where(rng.random(n_rows) < 0.9, arity - 1, 0),
+            }[shape]
+            variables.append(Variable("cat", arity))
+        columns.append(values)
+    hp = Hyperparams(n_clusters=draw(st.integers(1, 3)),
+                     min_instances=draw(st.sampled_from([2.0, 5.0, 20.0])),
+                     clusterer=draw(st.sampled_from(CLUSTERERS)), seed=draw(st.integers(0, 1000)))
+    weights = None
+    if draw(st.booleans()):
+        # min_instances is in row-weight units, so a soft_learn grows with
+        # the total weight, a known limit of the rule (README,
+        # --min-instances); the cap keeps each learn small
+        weights = np.maximum(np.exp(rng.normal(0.0, 3.0, n_rows)), EPSILON_W)
+        weights = np.maximum(weights * min(1.0, 100 * hp.min_instances / weights.sum()), EPSILON_W)
+    return np.column_stack(columns).astype(float), Schema(variables), weights, draw(st.booleans()), hp
+
+
+def sliver_case():
+    """Ten weighted rows on which ``soft_learn`` with EM, were it not for
+    ``_split``'s sliver guard, splits off slivers of about 2e-6 of the mass
+    for 1712 sum steps: a tree too deep for a recursive walk to assemble."""
+    rng = np.random.default_rng(80)
+    kinds = rng.integers(0, 2, rng.integers(2, 5))
+    columns = [rng.standard_normal(10) if kind else rng.integers(0, 3, 10).astype(float)
+               for kind in kinds]
+    schema = Schema(Variable("cont") if kind else Variable("cat", 3) for kind in kinds)
+    weights = np.maximum(np.exp(rng.normal(0.0, 3.0, 10)), EPSILON_W)
+    hp = Hyperparams(n_clusters=3, min_instances=5.0, clusterer="em", seed=80)
+    return np.column_stack(columns), schema, weights, True, hp
+
+
+@contextlib.contextmanager
+def default_recursion_limit():
+    """Python's default recursion limit for the block.  Hypothesis raises
+    the limit while it runs a test; a learn called from a script has 1000."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestLearnerFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(fuzz_case())
+    @example(sliver_case())
+    def test_every_learn_gives_a_valid_normalized_circuit(self, case):
+        matrix, schema, weights, soft, hp = case
+        with warnings.catch_warnings(), default_recursion_limit():
+            warnings.simplefilter("error", RuntimeWarning)
+            data = WeightedDataset(matrix, weights, schema)
+            circuit, _ = (soft_learn if soft else learn_spn)(data, hp)
+            assert circuit.validate() == []
+            assert abs(circuit.log_marginal([None] * len(schema))) <= 1e-9
+            assert np.isfinite(circuit.log_density(matrix)).all()
+            assert Circuit.from_json(circuit.to_json()) == circuit
+            if all(var.kind == "cat" for var in schema):
+                states = np.array(list(itertools.product(*(range(var.arity) for var in schema))))
+                assert abs(logsumexp(circuit.log_density(states.astype(float)))) <= 1e-9
 
 
 def bound_data(n=400):
