@@ -39,12 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
-    LOG_SQRT_2PI,
     CategoricalTable,
     Gaussian,
     Multinomial,
     categorical_codes,
-    gaussian_cdf,
+    leaf_log_mass,
     leaf_log_pdf,
 )
 from .schema import Schema, Variable
@@ -61,14 +60,6 @@ _CHUNK_CELLS = 1 << 19
 _SAMPLE_CELLS = 1 << 14
 # stands in for a sum's max when all its terms are -inf, so terms minus it stay -inf
 _LOG_FLOOR = np.finfo(float).min
-# An interval narrower than this many standard deviations of a Gaussian leaf
-# takes its mass from the midpoint rule (``_interval_mass``).  Swept against
-# 50-digit mpmath on N(0, 1), midpoints in [-37, 37] and widths 1e-15 to 10
-# sigma, the CDF difference's log error grows as 1/width (0.6 at 7e-15
-# sigma, 4.5e-11 at 1e-4) and the rule's as width**4 (8.9e-10 just under
-# 1e-3); at 2e-4 the worst of either side is 1.8e-11, within 1.2x of the
-# best threshold on that sweep
-_NARROW_SIGMAS = 2e-4
 
 
 class ModelParseError(ValueError):
@@ -149,34 +140,6 @@ class ProductNode:
 class LeafNode:
     var: int
     dist: object
-
-
-def _interval_mass(dist, bounds):
-    """The mass of each stacked Gaussian leaf of ``dist`` on the interval
-    ``bounds``, ``cdf(hi) - cdf(lo)``, shaped as ``dist``'s columns.
-
-    A leaf whose mean lies below ``lo`` (``mu - lo`` negative, its sign
-    bit set) takes it from the upper tails instead, ``P(X > lo) - P(X >
-    hi)``: there both CDFs are near 1, and their difference would cancel.
-    Its CDF with sigma negated is its upper tail, as the standardised
-    bounds change sign exactly; the difference of the two tails comes out
-    negated, exactly, and ``abs`` turns it round.
-
-    A leaf for which the interval is narrower than ``_NARROW_SIGMAS``
-    standard deviations, where any two CDFs or tails would cancel, takes
-    the density at the standardised midpoint ``z`` times the standardised
-    width ``w``, with the second-order term: ``phi(z) * w * (1 + (z**2 -
-    1) * w**2 / 24)``.  Every other leaf gets the difference's bits.
-    """
-    lo, hi = map(float, bounds)
-    mirror = Gaussian(dist.mu, np.copysign(dist.sigma, dist.mu - lo))
-    mass = np.abs(gaussian_cdf(mirror, hi) - gaussian_cdf(mirror, lo))
-    narrow = hi - lo < _NARROW_SIGMAS * dist.sigma
-    if lo < hi and narrow.any():  # a point interval keeps its mass of 0
-        z = ((lo + hi) / 2 - dist.mu[narrow]) / dist.sigma[narrow]
-        w = (hi - lo) / dist.sigma[narrow]
-        mass[narrow] = np.exp(-0.5 * z * z - LOG_SQRT_2PI) * w * (1 + (z * z - 1) * w * w / 24)
-    return mass
 
 
 def _float_params(node):
@@ -474,14 +437,13 @@ class Circuit:
         floats whatever ``n`` is.  It is allocated once per call; a shorter
         last chunk uses the front of it as a contiguous ``(slots, width)``
         table.  Per chunk, each variable's leaves take one ``leaf_log_pdf``
-        call, which writes into their block of the table through ``out=``
-        (or the log of ``_interval_mass`` for an interval, or 0 when
-        marginalised).  Then each group, in step order, is one vectorised
-        step, on a 1-D view of the table when the chunk has one row.  A
-        product group zeroes its block and calls
-        ``csr_matvecs``, the compiled kernel behind ``csr_matrix @ table``,
-        on its CSR arrays, which adds each node's children in order into the
-        block.  A sum group gathers its children by position and adds the
+        call, or ``leaf_log_mass`` for an interval, which writes into their
+        block of the table through ``out=`` (or 0 when marginalised).  Then
+        each group, in step order, is one vectorised step, on a 1-D view of
+        the table when the chunk has one row.  A product group zeroes its
+        block and calls ``csr_matvecs``, the compiled kernel behind
+        ``csr_matrix @ table``, on its CSR arrays, which adds each node's
+        children in order into the block.  A sum group gathers its children by position and adds the
         log weights; then it takes the max over positions, adds
         ``exp(term - max)`` over positions in order and adds the max back to
         the log (a sum whose terms are all -inf gives -inf, as ``logsumexp``
@@ -500,7 +462,8 @@ class Circuit:
         buf = np.empty((n_slots, chunk if n > chunk else n))
         # the log of a zero mass is -inf; a bound or point near the float
         # limit standardises to +-inf, which gives the leaf its limit
-        with np.errstate(divide="ignore", over="ignore"):
+        # (inf - inf or 0 * inf on the way, in leaf_log_mass)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for first in range(0, n, chunk):
                 rows = slice(first, min(first + chunk, n))
                 width = rows.stop - first
@@ -512,7 +475,7 @@ class Circuit:
                     if entry is None:
                         vals[lo:hi] = 0.0
                     elif isinstance(entry, tuple):
-                        np.log(_interval_mass(dist, entry), out=vals[lo:hi])
+                        leaf_log_mass(dist, *entry, out=vals[lo:hi])
                     else:
                         leaf_log_pdf(dist, entry[rows], out=vals[lo:hi])
                 # one row: a 1-D view, so no ufunc broadcasts over columns of one

@@ -58,17 +58,22 @@ def write_text(path, text: str) -> None:
     """Write ``text`` to the file at ``path`` as UTF-8 whatever the locale,
     replacing the file whole: the text goes to a new file in the same
     directory, which then takes the name (``os.replace``), so a write that
-    fails leaves the old file as it was.  A surrogate-escaped character (a
-    byte that the locale could not decode, as in a command-line argument
-    under an ASCII locale) is written as the byte it stands for.  An
-    ``OSError`` names ``path``."""
+    fails leaves the old file as it was.  Through a symbolic link, the
+    file it names is the one replaced, and the link stays.  A file that
+    existed keeps its permission bits; a new one gets 0o666 less the
+    umask.  A surrogate-escaped character (a byte that the locale could
+    not decode, as in a command-line argument under an ASCII locale) is
+    written as the byte it stands for.  An ``OSError`` names ``path``."""
     path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    target = Path(os.path.realpath(path))
+    tmp = target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with open(fd, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        if target.exists():
+            os.chmod(tmp, target.stat().st_mode & 0o7777)
+        os.replace(tmp, target)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:

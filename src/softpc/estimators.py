@@ -37,7 +37,15 @@ CONT_MAX_ABS = 1e100
 MAX_TOTAL_WEIGHT = 1e100
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_SQRT2 = math.sqrt(2.0)
+# An interval on a Gaussian leaf of standardised width w and midpoint z
+# takes the midpoint rule in ``leaf_log_mass`` where w * max(1, |z|) is
+# below this.  Swept against 50-digit mpmath on N(0, 1) and N(0.25, 1e-3),
+# midpoints in [-1000, 1000] and widths 1e-15 to 100 sigma, the worst log
+# error of the log_ndtr difference falls as the threshold rises (1.8e-9 at
+# 1e-4, 2.9e-10 at 1e-3) and the rule's grows (1.6e-10 at 2e-2); at 1e-2
+# the worst within 37 sigma is 1.6e-11, the least of the thresholds tried,
+# and beyond 37 sigma 6.9e-14 of the log mass
+_NARROW_TAU = 1e-2
 
 
 @dataclass(frozen=True)
@@ -193,19 +201,49 @@ def leaf_log_pdf(dist, x, out=None):
     return float(out) if out.ndim == 0 else out
 
 
-def gaussian_cdf(dist: Gaussian, x):
-    """Gaussian CDF via the complementary error function; broadcasts like ``leaf_log_pdf``."""
-    z = (np.asarray(x, dtype=float) - dist.mu) / dist.sigma
-    return 0.5 * _erfc(-z / _SQRT2)
+def leaf_log_mass(dist, lo, hi, out=None):
+    """Log mass on the interval ``[lo, hi]`` of a Gaussian leaf; broadcasts
+    over stacked parameters and takes ``out`` as ``leaf_log_pdf`` does.
+
+    ``lo <= hi`` are scalars, either of them infinite.  Both are
+    standardised, and an interval whose midpoint lies above the mean is
+    mirrored below it, ``(a, b) = (-z_hi, -z_lo)``: negation is exact, so
+    an interval and its mirror image have one mass to the bit.  Below the
+    mean the mass is ``log Phi(b) + log(1 - Phi(a) / Phi(b))`` through
+    ``log_ndtr``, which does not underflow in the tail.  Where the two
+    ``log_ndtr`` would cancel, on an interval of standardised width ``w``
+    and midpoint ``z`` with ``w * max(1, |z|) < _NARROW_TAU``, the
+    midpoint rule takes over: ``log phi(z) + log w + log1p((z**2 - 1) *
+    w**2 / 24)``.  A point interval has no mass, at +-inf too.  A bound
+    that standardises to +-inf gives the limit, and the warnings of that
+    arithmetic are left to the caller's ``np.errstate``, as the
+    evaluator's leaf layer sets it.
+    """
+    lo, hi = float(lo), float(hi)
+    za, zb = (lo - dist.mu) / dist.sigma, (hi - dist.mu) / dist.sigma
+    # below the mean (za <= -zb) these are za and zb, above it -zb and -za
+    a, b = np.minimum(za, -zb), np.minimum(zb, -za)
+    log_b = _log_ndtr(b)
+    mass = log_b + np.log(-np.expm1(_log_ndtr(a) - log_b))
+    w = (hi - lo) / dist.sigma
+    z = -0.5 * (a + b)  # |z_m|, the same bits for an interval and its mirror
+    narrow = w * np.maximum(z, 1.0) < _NARROW_TAU
+    if narrow.any():
+        mid = -0.5 * z * z - LOG_SQRT_2PI + np.log(w) + np.log1p(((z * w) ** 2 - w * w) / 24)
+        mass = np.where(narrow, mid, mass)
+    # a NaN comes of -inf - -inf, where both bounds lie past the
+    # float range of one tail (a point at +-inf among them): no mass
+    out = np.fmax(mass, -np.inf, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
-def _erfc(x):
-    """``scipy.special.erfc``, imported on the first call: scipy.special
+def _log_ndtr(x):
+    """``scipy.special.log_ndtr``, imported on the first call: scipy.special
     adds about 0.3 s to importing softpc, and only interval queries need
     it.  The first call rebinds this name to the ufunc itself, so later
     calls go straight to it."""
-    global _erfc
-    from scipy.special import erfc
+    global _log_ndtr
+    from scipy.special import log_ndtr
 
-    _erfc = erfc
-    return erfc(x)
+    _log_ndtr = log_ndtr
+    return log_ndtr(x)

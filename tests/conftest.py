@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc, logsumexp
+from scipy.special import log_ndtr, logsumexp
 
 from softpc import clustering, estimators, learner
 from softpc.circuit import Circuit, LeafNode, ProductNode, SumNode
-from softpc.estimators import Gaussian, Multinomial, leaf_log_pdf
+from softpc.estimators import Gaussian, Multinomial, leaf_log_mass, leaf_log_pdf
 from softpc.independence import discretize, weighted_chi2
 from softpc.schema import Schema, Variable
 
@@ -143,10 +143,12 @@ def reference_log_value(circuit: Circuit, query) -> float:
     """Log value of one query, evaluated node by node by recursion.
 
     Entries are as in ``Circuit.log_marginal``: ``None``, a point, or an
-    ``(lo, hi)`` interval.  Leaves use ``leaf_log_pdf`` one at a time,
-    intervals use ``math.erfc``, from the upper tails when the interval
-    lies above the leaf's mean, and sums use ``np.logaddexp``; this is the
-    reference the batched evaluator is pinned to.
+    ``(lo, hi)`` interval.  Leaves use ``leaf_log_pdf`` one at a time; an
+    interval takes the tail on its own side of the leaf's mean, through
+    ``log_ndtr``: ``log P(X > lo) + log1p(-P(X > hi) / P(X > lo))`` when
+    its midpoint lies above the mean, the CDFs ``log P(X < hi) +
+    log1p(-P(X < lo) / P(X < hi))`` otherwise.  Sums use ``np.logaddexp``;
+    this is the reference the batched evaluator is pinned to.
     """
 
     def leaf_value(node):
@@ -154,12 +156,14 @@ def reference_log_value(circuit: Circuit, query) -> float:
         if entry is None:
             return 0.0
         if isinstance(entry, tuple):
-            lo, hi = ((b - node.dist.mu) / node.dist.sigma / math.sqrt(2.0) for b in entry)
-            if lo > 0:  # above the mean both CDFs are near 1: take the upper tails
-                mass = 0.5 * math.erfc(lo) - 0.5 * math.erfc(hi)
+            lo, hi = ((b - node.dist.mu) / node.dist.sigma for b in entry)
+            if lo + hi > 0:  # above the mean both CDFs are near 1: take the upper tails
+                outer, inner = float(log_ndtr(-lo)), float(log_ndtr(-hi))
             else:
-                mass = 0.5 * math.erfc(-hi) - 0.5 * math.erfc(-lo)
-            return math.log(mass) if mass > 0 else -math.inf
+                outer, inner = float(log_ndtr(hi)), float(log_ndtr(lo))
+            if inner >= outer:
+                return -math.inf
+            return outer + math.log1p(-math.exp(inner - outer))
         return leaf_log_pdf(node.dist, entry)
 
     @functools.lru_cache(maxsize=None)
@@ -347,9 +351,8 @@ def reference_height_grouped(circuit: Circuit, columns, n: int) -> np.ndarray:
 
     ``columns[v]`` is ``None``, an ``(lo, hi)`` interval or an array of n
     values.  The leaf layer takes one ``leaf_log_pdf`` call per variable on
-    its stacked ``Multinomial`` or ``Gaussian``, and an interval takes the
-    difference of two CDFs through scipy's ``erfc``, of the upper tails
-    where a leaf's mean lies below ``lo``; a product group is its CSR
+    its stacked ``Multinomial`` or ``Gaussian``, or one ``leaf_log_mass``
+    call for an interval; a product group is its CSR
     matrix of ones times the table, a sum group adds its log weights to
     its children gathered by position, takes the max over positions
     (floored at the smallest float), sums ``exp(term - max)`` over positions
@@ -364,16 +367,7 @@ def reference_height_grouped(circuit: Circuit, columns, n: int) -> np.ndarray:
         if entry is None:
             vals[lo:hi] = 0.0
         elif isinstance(entry, tuple):
-            # a leaf whose mean lies below lo (mu - lo with its sign bit set)
-            # takes the mass from its upper tails, where the difference of
-            # two CDFs near 1 would cancel
-            x0, x1 = (np.asarray(x, dtype=float) for x in entry)
-            a, b = (x0 - dist.mu) / dist.sigma, (x1 - dist.mu) / dist.sigma
-            mass = np.where(np.signbit(dist.mu - x0),
-                            0.5 * erfc(a / math.sqrt(2.0)) - 0.5 * erfc(b / math.sqrt(2.0)),
-                            0.5 * erfc(-b / math.sqrt(2.0)) - 0.5 * erfc(-a / math.sqrt(2.0)))
-            with np.errstate(divide="ignore"):
-                vals[lo:hi] = np.log(mass)
+            vals[lo:hi] = leaf_log_mass(dist, *entry)
         else:
             vals[lo:hi] = leaf_log_pdf(dist, entry)
     for lo, hi, children, log_weights in groups:

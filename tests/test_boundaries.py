@@ -1,4 +1,6 @@
-"""Module boundaries: a softpc module reads only public names of another."""
+"""Module boundaries: a softpc module reads only public names of another,
+no function calls itself, and every public function or class has a caller
+outside the tests."""
 
 import ast
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import softpc
 
 PACKAGE = Path(softpc.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _is_private(name):
@@ -136,3 +139,77 @@ def test_guard_sees_each_form_of_self_call(tmp_path):
         "probe.py:12: probe.Tree.size",
         "probe.py:15: probe.Tree.build",
     ]
+
+
+def unreferenced(package: Path, others) -> list:
+    """``"module.name"`` for every public module-level function or class of
+    the modules in ``package`` that no code reads by name outside its own
+    definition, in those modules or in the files ``others``: as a plain
+    name, an attribute, or a string that is the name whole, which
+    ``getattr`` or a tracer's patch takes.  An import alone is not a
+    reference, nor is a mention in a docstring."""
+    defs, uses = [], {}  # uses: name -> [(path, line)]
+    for path in sorted(package.glob("*.py")) + sorted(others):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == package:
+            defs += [(path, node) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    else None)
+            if name is not None:
+                uses.setdefault(name, []).append((path, node.lineno))
+    return [f"{path.stem}.{node.name}" for path, node in defs
+            if not any(not (at == path and node.lineno <= line <= node.end_lineno)
+                       for at, line in uses.get(node.name, ()))]
+
+
+# acceptance criteria call it, against the manifest bundled with the package
+TEST_ONLY = {"datasets.check_manifest"}
+
+
+def test_every_public_function_and_class_has_a_caller_outside_the_tests():
+    # bench/tests and tests/ are tests; the rest of bench/ and demos/ use the API
+    others = [*(REPO / "bench").glob("*.py"), *(REPO / "demos").glob("*.py")]
+    found = [name for name in unreferenced(PACKAGE, others) if name not in TEST_ONLY]
+    assert found == [], "public names that only tests use:\n" + "\n".join(found)
+
+
+def test_guard_sees_each_unreferenced_name(tmp_path):
+    package, demos = tmp_path / "pkg", tmp_path / "demos"
+    package.mkdir()
+    demos.mkdir()
+    (package / "a.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "def by_attribute():\n"
+        "    return 2\n"
+        "def by_demo():\n"
+        "    return 3\n"
+        "def only_itself(n):\n"
+        "    return only_itself(n - 1) if n else 0\n"
+        "def imported_only():\n"
+        "    return 4\n"
+        "def by_string():\n"
+        "    return 5\n"
+        "def in_docstring():\n"
+        "    return 6\n"
+        "def _private():\n"
+        "    return 7\n"
+        "class Lonely:\n"
+        "    def copy(self):\n"
+        "        return Lonely()\n",
+        encoding="utf-8")
+    (package / "b.py").write_text(
+        "from . import a\n"
+        "from .a import imported_only, used\n"
+        "x = used() + a.by_attribute() + getattr(a, 'by_string')()\n"
+        "def _note():\n"
+        "    \"\"\"Not ``in_docstring``.\"\"\"\n",
+        encoding="utf-8")
+    (demos / "demo.py").write_text("import pkg.a\nprint(pkg.a.by_demo())\n", encoding="utf-8")
+    assert unreferenced(package, [demos / "demo.py"]) == [
+        "a.only_itself", "a.imported_only", "a.in_docstring", "a.Lonely"]

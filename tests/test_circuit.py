@@ -246,15 +246,15 @@ class TestScipySpecialOnFirstUse:
     def test_stand_ins_return_scipys_bits(self):
         code = ("import numpy as np\n"
                 "from softpc import estimators, independence\n"
-                "x = np.concatenate([np.linspace(-40, 40, 801), [0.0, -0.0, np.inf, -np.inf]])\n"
+                "x = np.concatenate([np.linspace(-1000, 40, 1041), [0.0, -0.0, np.inf, -np.inf]])\n"
                 "dof = np.repeat(np.arange(1, 10), 50).astype(float)\n"
                 "stat = np.tile(np.geomspace(1e-3, 300, 50), 9)\n"
-                "calls = [(estimators, '_erfc', (x,)), (independence, '_chdtrc', (dof, stat))]\n"
+                "calls = [(estimators, '_log_ndtr', (x,)), (independence, '_chdtrc', (dof, stat))]\n"
                 "runs = [[getattr(m, f)(*a).tobytes() for m, f, a in calls] for _ in range(2)]\n"
-                "from scipy.special import chdtrc, erfc\n"
-                "want = [erfc(x).tobytes(), chdtrc(dof, stat).tobytes()]\n"
+                "from scipy.special import chdtrc, log_ndtr\n"
+                "want = [log_ndtr(x).tobytes(), chdtrc(dof, stat).tobytes()]\n"
                 "print(runs[0] == want, runs[1] == want)\n"
-                "print(estimators._erfc is erfc, independence._chdtrc is chdtrc)\n")
+                "print(estimators._log_ndtr is log_ndtr, independence._chdtrc is chdtrc)\n")
         assert run_fresh(code) == ["True"] * 4
 
 

@@ -87,6 +87,29 @@ class TestLearn:
         circuit = Circuit.from_json(model.read_text())
         assert circuit.validate() == []
 
+    @pytest.mark.skipif(not hasattr(os, "symlink") or os.name == "nt",
+                        reason="POSIX symbolic links and permission bits")
+    def test_model_written_through_a_symlink_replaces_its_target(self, data_dir, tmp_path):
+        """``--out-model`` naming a link to a 0600 file: the link stays a
+        link, and the file it names takes the model and keeps mode 0600.
+        A new file gets 0666 less the umask."""
+        target, link = tmp_path / "private" / "model.json", tmp_path / "link.json"
+        target.parent.mkdir()
+        target.write_text("old")
+        target.chmod(0o600)
+        link.symlink_to(target)
+        args = ["--data-dir", data_dir, "learn", "--data", "twoblock", "--method", "learnspn"]
+        assert run(args + ["--out-model", link]) == EXIT_OK
+        assert link.is_symlink() and link.resolve() == target
+        assert Circuit.from_json(target.read_text()).validate() == []
+        assert target.stat().st_mode & 0o7777 == 0o600
+        assert sorted(p.name for p in target.parent.iterdir()) == ["model.json"]
+        umask = os.umask(0o022)
+        os.umask(umask)
+        fresh = tmp_path / "fresh.json"
+        assert run(args + ["--out-model", fresh]) == EXIT_OK
+        assert fresh.stat().st_mode & 0o7777 == 0o666 & ~umask
+
     def test_reported_ll_is_mean_log_density(self, data_dir, tmp_path, capsys):
         from softpc.datasets import load_discrete
 

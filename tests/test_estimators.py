@@ -15,7 +15,7 @@ from softpc.estimators import (
     Multinomial,
     fit_gaussian,
     fit_multinomial,
-    gaussian_cdf,
+    leaf_log_mass,
     leaf_log_pdf,
 )
 from softpc.independence import discretize, partition_scope, weighted_chi2
@@ -295,12 +295,23 @@ class TestLeafLogPdf:
             assert np.isneginf(block).sum() == np.isneginf(expected).sum() > 0
 
 
-class TestGaussianCdf:
+# what the evaluator's leaf layer sets: leaf_log_mass leaves the warnings of
+# its discarded branch and of infinite bounds (0 * inf, inf - inf, log 0)
+# to its caller, as leaf_log_pdf leaves its overflow
+_LEAF_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
+
+
+class TestLeafLogMass:
+    """``leaf_log_mass`` from ``-inf`` is the log CDF; the mpmath sweep
+    holds the whole rule, the tails and the narrow intervals, to its
+    worst error."""
+
+    @np.errstate(**_LEAF_ERRSTATE)
     def test_midpoint_and_limits(self):
         dist = Gaussian(2.0, 3.0)
-        assert gaussian_cdf(dist, 2.0) == pytest.approx(0.5, abs=1e-15)
-        assert gaussian_cdf(dist, math.inf) == 1.0
-        assert gaussian_cdf(dist, -math.inf) == 0.0
+        assert leaf_log_mass(dist, -math.inf, 2.0) == pytest.approx(-math.log(2), abs=1e-15)
+        assert leaf_log_mass(dist, -math.inf, math.inf) == 0.0
+        assert leaf_log_mass(dist, -math.inf, -math.inf) == -math.inf
 
     def test_matches_quadrature(self):
         from scipy.integrate import quad
@@ -308,10 +319,51 @@ class TestGaussianCdf:
         dist = Gaussian(-1.0, 0.5)
         for x in (-2.0, -1.0, 0.0, 1.0):
             expected, _ = quad(lambda t: math.exp(leaf_log_pdf(dist, t)), -15, x)
-            assert gaussian_cdf(dist, x) == pytest.approx(expected, abs=1e-10)
+            assert math.exp(leaf_log_mass(dist, -math.inf, x)) == pytest.approx(expected, abs=1e-10)
 
     def test_monotone(self):
         dist = Gaussian(0.0, 1.0)
-        xs = np.linspace(-5, 5, 50)
-        cdf = gaussian_cdf(dist, xs)
-        assert np.all(np.diff(cdf) > 0)
+        logcdf = [leaf_log_mass(dist, -math.inf, x) for x in np.linspace(-5, 5, 50)]
+        assert np.all(np.diff(logcdf) > 0)
+
+    @pytest.mark.parametrize("n", [8, 1])
+    def test_out_writes_its_block_bit_for_bit(self, n):
+        """Stacked leaves fill a (k, n) row block with the allocating call's
+        (k, 1) column in every row, narrow leaves among them."""
+        dist = Gaussian(np.array([[0.0], [3.0], [-2.0], [0.5]]), np.array([[1.0], [1e-3], [1e3], [0.2]]))
+        expected = leaf_log_mass(dist, 2.99, 3.0)
+        assert expected.shape == (4, 1) and np.isfinite(expected).all()
+        table = np.full((7, n), 7.0)
+        block = table[2:6]
+        assert leaf_log_mass(dist, 2.99, 3.0, out=block) is block
+        assert (block.view(np.int64) == expected.view(np.int64)).all()
+        assert (table[:2] == 7.0).all() and (table[6:] == 7.0).all()
+
+    @np.errstate(**_LEAF_ERRSTATE)
+    def test_matches_mpmath_on_a_sweep(self):
+        """Midpoints in [-1000, 1000] and widths 1e-15 to 100 standard
+        deviations of N(0, 1) and of a leaf at ``SIGMA_FLOOR``, against
+        50-digit mpmath: within 2e-11 of the log mass up to 37 standard
+        deviations out, and within 1e-12 of it relatively beyond, where no
+        interval reads -inf."""
+        mpmath = pytest.importorskip("mpmath")
+        ctx = mpmath.mp.clone()
+        ctx.dps = 50
+        root2 = ctx.sqrt(2)
+        mids = [0.0, 0.3, -1.0, 2.5, -7.0, 12.0, 20.0, -30.0, -36.9, 37.0, 37.5, -60.0,
+                150.0, -300.0, 1000.0, -1000.0]
+        widths = np.geomspace(1e-15, 100, 18).tolist()
+        for mu, sigma in [(0.0, 1.0), (0.25, SIGMA_FLOOR)]:
+            for m in mids:
+                for w in widths:
+                    lo, hi = mu + (m - w / 2) * sigma, mu + (m + w / 2) * sigma
+                    if lo == hi:  # narrower than a float step there
+                        continue
+                    za, zb = ((ctx.mpf(x) - mu) / sigma / root2 for x in (lo, hi))
+                    # each tail from its own side of the mean, where it does not cancel
+                    mass = (ctx.erfc(za) - ctx.erfc(zb) if za + zb > 0
+                            else ctx.erfc(-zb) - ctx.erfc(-za)) / 2
+                    exact = float(ctx.log(mass))
+                    got = leaf_log_mass(Gaussian(mu, sigma), lo, hi)
+                    bound = 2e-11 if abs(m) <= 37 else 1e-12 * abs(exact)
+                    assert abs(got - exact) <= bound, (mu, sigma, m, w, got, exact)
