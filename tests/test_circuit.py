@@ -506,6 +506,22 @@ def random_query(schema, row, rng):
     return query
 
 
+def categorical_mixture(arities, n_parts, rng) -> Circuit:
+    """A uniform mixture of ``n_parts`` products of one leaf per variable.
+    Each leaf breaks a stick at ``uniform(0.1, 0.9)`` draws, one per level
+    but the last; a binary leaf is ``(p, 1 - p)``."""
+    nodes, products = [], []
+    for _ in range(n_parts):
+        for v, arity in enumerate(arities):
+            q = rng.uniform(0.1, 0.9, size=arity - 1)
+            probs = np.append(q, 1.0) * np.cumprod(np.append(1.0, 1.0 - q))
+            nodes.append(LeafNode(v, Multinomial(tuple(probs.tolist()))))
+        nodes.append(ProductNode(tuple(range(len(nodes) - len(arities), len(nodes)))))
+        products.append(len(nodes) - 1)
+    nodes.append(SumNode(tuple(products), (1.0 / n_parts,) * n_parts))
+    return Circuit(nodes, len(nodes) - 1, Schema.categorical(list(arities)))
+
+
 def mixed_height_dag() -> Circuit:
     """Leaves 0 and 1 feed parents at heights 1, 2 and 3, and sums 4 and 7
     have children at different heights."""
@@ -637,28 +653,31 @@ class TestEvaluatorMatchesReference:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("n_rows", [20_000, 100_000])
-    def test_peak_memory_is_bounded_by_the_chunk(self, n_rows):
+    @pytest.mark.parametrize("n_rows, n_vars, n_parts", [
+        pytest.param(20_000, 16, 40, id="20000"),
+        pytest.param(100_000, 16, 40, id="100000"),
+        pytest.param(100_000, 24, 27, id="100000-all-distinct"),
+    ])
+    def test_peak_memory_is_bounded_by_the_chunk(self, n_rows, n_vars, n_parts):
         """The node-by-row table covers one chunk of rows, never all of them,
         and is allocated once per call: a 20k-row batch on a 681-node circuit
         peaks under two chunk tables, where a full table would take
         n_nodes * n_rows * 8 bytes (109 MB), and a table per chunk plus each
         leaf call's own array reached about 2.1 chunk tables.  The input
         checks go a chunk at a time too: checking the whole batch at once
-        took 6.3 chunk tables at 100k rows."""
+        took 6.3 chunk tables at 100k rows.  The row keys, their sort and
+        the distinct rows' gather stay within the same bound, for a batch
+        with 51k distinct rows of 100k and for one whose rows all differ:
+        concatenating every chunk's codes and copying the distinct rows
+        took 7.5 chunk tables."""
         rng = np.random.default_rng(5)
-        n_vars, n_parts = 16, 40
-        nodes, products = [], []
-        for _ in range(n_parts):
-            for v in range(n_vars):
-                p = float(rng.uniform(0.1, 0.9))
-                nodes.append(LeafNode(v, Multinomial((p, 1.0 - p))))
-            nodes.append(ProductNode(tuple(range(len(nodes) - n_vars, len(nodes)))))
-            products.append(len(nodes) - 1)
-        nodes.append(SumNode(tuple(products), (1.0 / n_parts,) * n_parts))
-        c = Circuit(nodes, len(nodes) - 1, Schema.binary(n_vars))
+        c = categorical_mixture([2] * n_vars, n_parts, rng)
         assert c.n_nodes >= 500
-        rows = rng.integers(0, 2, size=(n_rows, n_vars)).astype(float)
+        if n_vars == 16:
+            rows = rng.integers(0, 2, size=(n_rows, n_vars)).astype(float)
+        else:
+            codes = rng.choice(1 << n_vars, size=n_rows, replace=False)
+            rows = ((codes[:, None] >> np.arange(n_vars)) & 1).astype(float)
         tracemalloc.start()
         try:
             out = c.log_density(rows)
@@ -677,6 +696,146 @@ class TestEvaluatorMatchesReference:
         rows[0, 9] = rows[-1, 2] = np.nan
         with pytest.raises(ValueError, match="NaN value for variable 2$"):
             c.log_density(rows)
+
+
+@pytest.fixture
+def repeats(monkeypatch):
+    """Each ``_repeats`` call's distinct-row count, or None where it kept
+    the rows as given; empty where the batch was never keyed."""
+    seen = []
+    inner = circuit_module._repeats
+
+    def spy(*args):
+        result = inner(*args)
+        seen.append(None if result is None else len(result[0]))
+        return result
+
+    monkeypatch.setattr(circuit_module, "_repeats", spy)
+    return seen
+
+
+def repeated_rows(pool, n, rng):
+    """``n`` rows drawn from ``pool``, each pool row at least once."""
+    picks = np.concatenate([np.arange(len(pool)), rng.integers(0, len(pool), n - len(pool))])
+    return pool[rng.permutation(picks)]
+
+
+def assert_direct(c, rows):
+    """``log_density`` gives the bits of evaluating every row as given."""
+    assert np.array_equal(c.log_density(rows), c._evaluate(rows.T, len(rows)))
+
+
+class TestDistinctRows:
+    """A categorical batch is evaluated once per distinct row; every row
+    gets the bits that evaluating the batch as given gives it."""
+
+    def test_distinct_rows_spanning_several_chunks(self, repeats, monkeypatch):
+        rng = np.random.default_rng(0)
+        c = random_binary_circuit(8, rng)
+        assert c.n_nodes > circuit_module._COLLAPSE_COST
+        monkeypatch.setattr(circuit_module, "_CHUNK_CELLS", 8 * c.n_nodes)
+        assert c._compiled()[1] == 8
+        pool = all_binary_rows(8)[rng.permutation(256)[:3 * 8 + 5]]
+        rows = repeated_rows(pool, 20 * len(pool), rng)
+        assert_direct(c, rows)
+        assert repeats == [len(pool)]
+
+    def test_all_rows_equal(self, repeats):
+        c = categorical_mixture([2, 3, 2, 4], 6, np.random.default_rng(1))
+        rows = np.tile([1.0, 2.0, 0.0, 3.0], (50, 1))
+        assert_direct(c, rows)
+        assert repeats == [1]  # one row, so the 1-D one-row table
+
+    def test_all_rows_distinct(self, repeats):
+        c = random_binary_circuit(7, np.random.default_rng(2))
+        assert c.n_nodes > circuit_module._COLLAPSE_COST
+        assert_direct(c, all_binary_rows(7)[::-1])
+        assert repeats == [None]
+
+    def test_negative_zero_is_level_zero(self, repeats):
+        c = categorical_mixture([2, 3, 2], 8, np.random.default_rng(3))
+        rows = repeated_rows(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), 60,
+                             np.random.default_rng(4))
+        rows[::3][rows[::3] == 0.0] = -0.0
+        assert np.signbit(rows).any()
+        assert_direct(c, rows)
+        assert repeats == [2]
+
+    def test_one_row_and_no_rows(self, repeats):
+        c = categorical_mixture([2, 3, 2], 8, np.random.default_rng(5))
+        row = np.array([1.0, 2.0, 0.0])
+        assert c.log_density(row) == c._evaluate(row[:, None], 1)[0]
+        empty = np.empty((0, 3))
+        got = c.log_density(empty)
+        assert got.shape == (0,) and np.array_equal(got, c._evaluate(empty.T, 0))
+        assert repeats == []
+
+    def test_seventy_binary_variables_renumber_their_keys(self, repeats):
+        """The first 62 variables fill a key; the rest extend it after a
+        renumbering.  Rows that differ in one variable only, on either side
+        of that point or in the last variable of the first key, whose place
+        a fold without the renumbering would shift out, stay apart."""
+        rng = np.random.default_rng(6)
+        c = categorical_mixture([2] * 70, 3, rng)
+        assert len(circuit_module._key_places([2] * 70, 400)[1]) == 2
+        pool = rng.integers(0, 2, size=(12, 70)).astype(float)
+        for k, v in enumerate((3, 61, 66), start=1):
+            pool[k] = pool[0]
+            pool[k, v] = 1.0 - pool[0, v]
+        rows = repeated_rows(pool, 400, rng)
+        assert_direct(c, rows)
+        assert repeats == [len(np.unique(pool, axis=0))] == [12]
+
+    def test_mixed_schema_evaluated_as_given(self, repeats):
+        rng = np.random.default_rng(7)
+        c = random_mixed_circuit(rng, n_vars=6)
+        rows = repeated_rows(random_rows(c.schema, rng, 5), 100, rng)
+        assert_direct(c, rows)
+        assert repeats == []
+
+    def test_circuit_of_at_most_the_collapse_cost_is_not_keyed(self, repeats):
+        c = categorical_mixture([2] * 16, 1, np.random.default_rng(8))
+        assert c.n_nodes <= circuit_module._COLLAPSE_COST
+        rows = repeated_rows(all_binary_rows(16)[:4], 200, np.random.default_rng(9))
+        assert_direct(c, rows)
+        assert repeats == []
+
+    def test_leaves_see_each_distinct_row_once(self, monkeypatch):
+        """On a batch of 5m rows with m distinct ones, each variable's leaf
+        call sees m rows in all."""
+        rng = np.random.default_rng(10)
+        c = categorical_mixture([2] * 12, 10, rng)
+        variable = {id(dist): v for v, _, _, dist in c._compiled()[2]}
+        m = 300
+        pool = all_binary_rows(12)[rng.permutation(1 << 12)[:m]]
+        rows = repeated_rows(pool, 5 * m, rng)
+        seen = np.zeros(12, dtype=int)
+        inner = circuit_module.leaf_log_pdf
+
+        def spy(dist, x, out=None):
+            seen[variable[id(dist)]] += len(x)
+            return inner(dist, x, out=out)
+
+        monkeypatch.setattr(circuit_module, "leaf_log_pdf", spy)
+        out = c.log_density(rows)
+        assert (seen == m).all()
+        monkeypatch.setattr(circuit_module, "leaf_log_pdf", inner)
+        assert np.array_equal(out, c._evaluate(rows.T, len(rows)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_permuted_batch_gives_the_permuted_output(self, data):
+        c = _PERMUTED_CIRCUIT
+        picks = data.draw(st.lists(st.integers(0, len(_PERMUTED_POOL) - 1), min_size=2, max_size=120))
+        perm = np.array(data.draw(st.permutations(range(len(picks)))))
+        rows = _PERMUTED_POOL[picks]
+        out = c.log_density(rows)
+        assert np.array_equal(c.log_density(rows[perm]), out[perm])
+        assert np.array_equal(out, c._evaluate(rows.T, len(rows)))
+
+
+_PERMUTED_CIRCUIT = categorical_mixture([3, 2, 4, 2, 5], 5, np.random.default_rng(11))
+_PERMUTED_POOL = random_rows(_PERMUTED_CIRCUIT.schema, np.random.default_rng(12), 10)
 
 
 def product_chain(n_vars: int, rng) -> Circuit:

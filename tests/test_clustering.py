@@ -280,6 +280,19 @@ def _soft_binary_rows(rng, n, n_vars=16, n_components=4):
     return (rng.random((n, n_vars)) < probs[z]).astype(float), Schema.binary(n_vars)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: at the default beta=4, soft k-means collapses on "
+    "soft-binary rows; its two centroids converge onto each other and every "
+    "membership is within 1e-6 of 1/2 (at beta=20 the largest deviation is 0.496)",
+)
+def test_soft_kmeans_separates_soft_binary_rows_at_the_default_beta():
+    matrix, schema = _soft_binary_rows(np.random.default_rng(0), 2000)
+    resp = soft_kmeans(matrix, np.ones(len(matrix)), tuple(range(matrix.shape[1])), schema,
+                       2, Hyperparams().beta, rng=np.random.default_rng(0))
+    assert np.abs(resp - 0.5).max() > 0.1
+
+
 class TestLearnersMatchReferenceKmeans:
     @pytest.mark.parametrize("learn", [learn_spn, soft_learn])
     @pytest.mark.parametrize("rows", ["soft_binary", "mixed"])

@@ -367,3 +367,25 @@ class TestLeafLogMass:
                     got = leaf_log_mass(Gaussian(mu, sigma), lo, hi)
                     bound = 2e-11 if abs(m) <= 37 else 1e-12 * abs(exact)
                     assert abs(got - exact) <= bound, (mu, sigma, m, w, got, exact)
+
+    @np.errstate(**_LEAF_ERRSTATE)
+    def test_intervals_a_few_float_steps_wide_far_out_stay_finite(self):
+        """1 to 1e5 float steps wide, 1e6 to 1e12 standard deviations out on
+        N(0, 1), where the two log_ndtr round to within a float step of each
+        other: within 1e-12 of the log mass relatively, against 50-digit
+        mpmath, on both sides of the mean.  One float step at 3e7 read -inf
+        when their difference rounded to 0."""
+        mpmath = pytest.importorskip("mpmath")
+        ctx = mpmath.mp.clone()
+        ctx.dps = 50
+        root2 = ctx.sqrt(2)
+        dist = Gaussian(0.0, 1.0)
+        for centre in (1e6, 1e7, 3e7, 1e8, 1e9, 1e10, 1e11, 1e12):
+            step = np.nextafter(centre, math.inf) - centre
+            for steps in (1, 2, 3, 10, 30, 100, 1e3, 1e4, 1e5):
+                lo, hi = centre, centre + steps * step
+                mass = (ctx.erfc(ctx.mpf(lo) / root2) - ctx.erfc(ctx.mpf(hi) / root2)) / 2
+                exact = float(ctx.log(mass))
+                got = leaf_log_mass(dist, lo, hi)
+                assert abs(got - exact) <= 1e-12 * abs(exact), (centre, steps, got, exact)
+                assert leaf_log_mass(dist, -hi, -lo) == got
