@@ -23,12 +23,12 @@ chunk of one row, as in every ``log_marginal`` query, runs those steps on
 a 1-D view of its table, so that the fixed cost of each call stays small.
 ``log_density`` on a batch whose variables are all categorical evaluates
 each distinct row once: each row's codes fold into an int64 key in mixed
-radix (renumbered through ``np.unique`` where the next arity would take it
-past ``2**62``), a plain ``argsort`` groups equal keys, each chunk gathers
-one row per group, and the values are scattered back to every row.  That
-runs only where it saves more than ``_COLLAPSE_COST`` node evaluations per
-row, the measured cost of gathering and scattering one; a batch with a
-continuous variable, whose rows rarely repeat, is evaluated as given.
+radix, a plain ``argsort`` groups equal keys, each chunk gathers one row
+per group, and the values are scattered back to every row.  That runs
+only where it saves more than ``_COLLAPSE_COST`` node evaluations per row,
+the measured cost of gathering and scattering one.  A batch with a
+continuous variable, whose rows rarely repeat, or whose arities multiply
+past ``2**62``, is evaluated as given.
 Sampling is one pass the other way over the sum groups only, last step
 first: each draws a child per row and sends the row on, in one push, to
 the sums and leaves that child reaches through product edges.  Then each
@@ -73,7 +73,7 @@ _LOG_FLOOR = np.finfo(float).min
 # node-row of evaluation, on 2 cores (100k rows of 24 binary variables in
 # 775-row chunks, and a 921-node circuit on 19417 rows of 16)
 _COLLAPSE_COST = 20
-# a row key folds codes in mixed radix up to this bound, then is renumbered
+# rows are keyed only where their codes fold into an int64 below this bound
 _KEY_LIMIT = 1 << 62
 
 
@@ -129,45 +129,27 @@ def _cumulative(weights):
     return cumulative
 
 
-def _key_places(arities, n):
-    """Mixed-radix place values that fold ``n`` rows of codes into int64
-    keys: a ``(vars, segments)`` matrix, so ``codes @ places`` gives each
-    row one key per segment, and each segment's span, the product of its
-    arities.  The first segment spans at most ``_KEY_LIMIT``; a later one
-    extends keys renumbered below ``n``, so it spans at most ``_KEY_LIMIT
-    // n``.  ``(None, None)`` if one arity alone is past that."""
-    limit = _KEY_LIMIT // n
-    spans, at = [1], []
-    for a in arities:
-        if a > limit:
-            return None, None
-        if spans[-1] * a > (_KEY_LIMIT if len(spans) == 1 else limit):
-            spans.append(1)
-        at.append((len(spans) - 1, spans[-1]))
-        spans[-1] *= a
-    places = np.zeros((len(arities), len(spans)), dtype=np.int64)
-    for v, (s, place) in enumerate(at):
-        places[v, s] = place
-    return places, spans
+def _key_places(arities):
+    """Mixed-radix place values that fold a row of codes into one int64
+    key, ``codes @ places``; None if the product of the arities, the
+    number of keys, is past ``_KEY_LIMIT``."""
+    if math.prod(arities) > _KEY_LIMIT:
+        return None
+    return np.cumprod([1] + arities, dtype=np.int64)[:-1]
 
 
-def _repeats(keys, spans, cost):
+def _repeats(key, cost):
     """One row index per distinct key, and each row's group (the position
     of its key among the distinct ones), if evaluating the distinct rows
     saves more than ``_COLLAPSE_COST`` node evaluations per row; else None.
     ``cost`` is the node evaluations of one row.
 
-    ``keys`` holds one column per ``_key_places`` segment; each segment
-    after the first extends the keys before it renumbered through
-    ``np.unique``.  A sorted copy of the keys counts the distinct ones; only
-    if they are few enough does a plain ``argsort``, which takes about 2.5
-    times as long, order the rows into groups.  It need not be stable: the
-    rows of a group have equal codes, so any of them gives its value.
+    A sorted copy of the keys counts the distinct ones; only if they are
+    few enough does a plain ``argsort``, which takes about 2.5 times as
+    long, order the rows into groups.  It need not be stable: the rows of a
+    group have equal codes, so any of them gives its value.
     """
-    n = len(keys)
-    key = keys[:, 0]
-    for s in range(1, len(spans)):
-        key = np.unique(key, return_inverse=True)[1] * spans[s] + keys[:, s]
+    n = len(key)
     ranked = np.sort(key)
     starts = np.empty(n, dtype=bool)
     starts[0] = True
@@ -585,17 +567,17 @@ class Circuit:
 
         When every variable is categorical, a batch goes through the
         circuit once per distinct row.  Each row's codes fold into one int64
-        key in mixed radix; where the next arity would take a key past
-        ``2**62``, the keys so far are renumbered through ``np.unique`` and
-        the fold goes on.  The keys are sorted, the distinct rows evaluated
-        and their values scattered back to every row, bit for bit what
-        evaluating each row gives, since a row's value does not depend on
-        its batch.  That is done only where it saves work.  ``_COLLAPSE_COST``
-        is what gathering a row and scattering its value back costs, in node
-        evaluations (20, measured); a circuit of no more nodes is not keyed,
-        and after the sort the distinct rows are evaluated only if the
-        repeated ones save more node evaluations than that cost over all
-        rows, ``(n - m) * nodes > _COLLAPSE_COST * n`` for ``m`` distinct of
+        key in mixed radix; a schema whose arities multiply past ``2**62``
+        (more than 62 binary variables) is not keyed.  The keys are sorted,
+        the distinct rows evaluated and their values scattered back to
+        every row, bit for bit what evaluating each row gives, since a
+        row's value does not depend on its batch.  That is done only where
+        it saves work.  ``_COLLAPSE_COST`` is what gathering a row and
+        scattering its value back costs, in node evaluations (20,
+        measured); a circuit of no more nodes is not keyed, and after the
+        sort the distinct rows are evaluated only if the repeated ones save
+        more node evaluations than that cost over all rows,
+        ``(n - m) * nodes > _COLLAPSE_COST * n`` for ``m`` distinct of
         ``n``.  A batch with a continuous variable is evaluated as given.
         """
         arr = np.asarray(x, dtype=float)
@@ -618,14 +600,15 @@ class Circuit:
         cats = [v for v, var in enumerate(self.schema) if var.kind == "cat"]
         arities = [self.schema[v].arity for v in cats]
         # a categorical batch is keyed, so that repeated rows share one evaluation
-        keyed = len(cats) == rows.shape[1] and n > 1 and self.n_nodes > _COLLAPSE_COST
-        places, spans = _key_places(arities, n) if keyed else (None, None)
-        keys = None if places is None else np.empty((n, len(spans)), dtype=np.int64)
+        places = None
+        if len(cats) == rows.shape[1] and n > 1 and self.n_nodes > _COLLAPSE_COST:
+            places = _key_places(arities)
+        keys = None if places is None else np.empty(n, dtype=np.int64)
         for first, block in zip(range(0, n, step), blocks):
             codes = categorical_codes(block[:, cats], arities)
             if keys is not None:
                 np.matmul(codes, places, out=keys[first:first + len(block)])
-        repeats = None if keys is None else _repeats(keys, spans, self.n_nodes)
+        repeats = None if keys is None else _repeats(keys, self.n_nodes)
         keys = None  # now the group array, or freed before the evaluation
         if repeats is None:
             out = self._evaluate(rows.T, n)
