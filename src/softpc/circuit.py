@@ -23,8 +23,9 @@ chunk of one row, as in every ``log_marginal`` query, runs those steps on
 a 1-D view of its table, so that the fixed cost of each call stays small.
 ``log_density`` on a batch whose variables are all categorical evaluates
 each distinct row once: each row's codes fold into an int64 key in mixed
-radix, a plain ``argsort`` groups equal keys, each chunk gathers one row
-per group, and the values are scattered back to every row.  That runs
+radix (``estimators.key_places``, the fold soft k-means keys its distinct
+rows with), a plain ``argsort`` groups equal keys, each chunk gathers one
+row per group, and the values are scattered back to every row.  That runs
 only where it saves more than ``_COLLAPSE_COST`` node evaluations per row,
 the measured cost of gathering and scattering one.  A batch with a
 continuous variable, whose rows rarely repeat, or whose arities multiply
@@ -51,6 +52,7 @@ from .estimators import (
     Gaussian,
     Multinomial,
     categorical_codes,
+    key_places,
     leaf_log_mass,
     leaf_log_pdf,
 )
@@ -73,8 +75,6 @@ _LOG_FLOOR = np.finfo(float).min
 # node-row of evaluation, on 2 cores (100k rows of 24 binary variables in
 # 775-row chunks, and a 921-node circuit on 19417 rows of 16)
 _COLLAPSE_COST = 20
-# rows are keyed only where their codes fold into an int64 below this bound
-_KEY_LIMIT = 1 << 62
 
 
 class ModelParseError(ValueError):
@@ -127,15 +127,6 @@ def _cumulative(weights):
     last = len(weights) - 1 - np.argmax(weights[::-1] > 0, axis=0)
     cumulative[np.arange(len(cumulative))[:, None] >= last] = np.inf
     return cumulative
-
-
-def _key_places(arities):
-    """Mixed-radix place values that fold a row of codes into one int64
-    key, ``codes @ places``; None if the product of the arities, the
-    number of keys, is past ``_KEY_LIMIT``."""
-    if math.prod(arities) > _KEY_LIMIT:
-        return None
-    return np.cumprod([1] + arities, dtype=np.int64)[:-1]
 
 
 def _repeats(key, cost):
@@ -567,20 +558,26 @@ class Circuit:
 
         When every variable is categorical, a batch goes through the
         circuit once per distinct row.  Each row's codes fold into one int64
-        key in mixed radix; a schema whose arities multiply past ``2**62``
-        (more than 62 binary variables) is not keyed.  The keys are sorted,
-        the distinct rows evaluated and their values scattered back to
-        every row, bit for bit what evaluating each row gives, since a
-        row's value does not depend on its batch.  That is done only where
-        it saves work.  ``_COLLAPSE_COST`` is what gathering a row and
-        scattering its value back costs, in node evaluations (20,
-        measured); a circuit of no more nodes is not keyed, and after the
-        sort the distinct rows are evaluated only if the repeated ones save
-        more node evaluations than that cost over all rows,
+        key in mixed radix, ``codes @ estimators.key_places(arities)``; a
+        schema whose arities multiply past ``2**62`` (more than 62 binary
+        variables) is not keyed.  The keys are sorted, the distinct rows
+        evaluated and their values scattered back to every row, bit for
+        bit what evaluating each row gives, since a row's value does not
+        depend on its batch.  That is done only where it saves work.
+        ``_COLLAPSE_COST`` is what gathering a row and scattering its value
+        back costs, in node evaluations (20, measured); a circuit of no
+        more nodes is not keyed, and after the sort the distinct rows are
+        evaluated only if the repeated ones save more node evaluations
+        than that cost over all rows,
         ``(n - m) * nodes > _COLLAPSE_COST * n`` for ``m`` distinct of
         ``n``.  A batch with a continuous variable is evaluated as given.
+        A NaN, a categorical value that is not a level of its variable or
+        an int past the float range is a ``ValueError``.
         """
-        arr = np.asarray(x, dtype=float)
+        try:
+            arr = np.asarray(x, dtype=float)
+        except OverflowError:  # an int past the float range
+            raise ValueError("value out of range of a float") from None
         if arr.ndim not in (1, 2):
             raise ValueError(f"expected one row (1-d) or a batch of rows (2-d), got {arr.ndim}-d")
         rows = np.atleast_2d(arr)
@@ -599,13 +596,14 @@ class Circuit:
             raise ValueError(f"NaN value for variable {int(nan.argmax())}")
         cats = [v for v, var in enumerate(self.schema) if var.kind == "cat"]
         arities = [self.schema[v].arity for v in cats]
+        all_cat = len(cats) == rows.shape[1]
         # a categorical batch is keyed, so that repeated rows share one evaluation
         places = None
-        if len(cats) == rows.shape[1] and n > 1 and self.n_nodes > _COLLAPSE_COST:
-            places = _key_places(arities)
+        if all_cat and n > 1 and self.n_nodes > _COLLAPSE_COST:
+            places = key_places(arities)
         keys = None if places is None else np.empty(n, dtype=np.int64)
         for first, block in zip(range(0, n, step), blocks):
-            codes = categorical_codes(block[:, cats], arities)
+            codes = categorical_codes(block if all_cat else block[:, cats], arities)
             if keys is not None:
                 np.matmul(codes, places, out=keys[first:first + len(block)])
         repeats = None if keys is None else _repeats(keys, self.n_nodes)
@@ -624,33 +622,38 @@ class Circuit:
         marginalized-out variable, an int (categorical) or float
         (continuous) for an observed value, or an ``(lo, hi)`` pair for a
         closed interval over a continuous variable.  Values and bounds must
-        be real numbers; a bool or a string is a ``ValueError``.
+        be real numbers within the float range; a bool, a string or an int
+        past that range is a ``ValueError`` that names its variable.
         """
         if len(query) != len(self.schema):
             raise ValueError("query length does not match schema")
         columns = []
-        for v, (entry, var) in enumerate(zip(query, self.schema)):
-            if isinstance(entry, tuple):
-                if var.kind != "cont":
-                    raise ValueError(f"interval query on categorical variable {v}")
-                lo, hi = entry
-                if not (_is_number(lo) and _is_number(hi)):
-                    raise ValueError(f"non-numeric interval bound on variable {v}: {entry!r}")
-                if math.isnan(lo) or math.isnan(hi):
-                    raise ValueError(f"NaN value for variable {v}")
-                if lo > hi:
-                    raise ValueError(f"interval with lo > hi on variable {v}")
-            elif entry is not None:
-                if not _is_number(entry):
-                    raise ValueError(f"non-numeric value for variable {v}: {entry!r}")
-                if math.isnan(entry):
-                    raise ValueError(f"NaN value for variable {v}")
-                # categorical_codes' rule on a scalar: a numpy call per query
-                # would cost more than the checks of all its entries
-                if var.kind == "cat" and not (0 <= entry < var.arity and entry == int(entry)):
-                    raise ValueError(f"categorical value out of range for variable {v}: {entry!r}")
-                entry = np.array([entry], dtype=float)
-            columns.append(entry)
+        try:
+            for v, (entry, var) in enumerate(zip(query, self.schema)):
+                if isinstance(entry, tuple):
+                    if var.kind != "cont":
+                        raise ValueError(f"interval query on categorical variable {v}")
+                    lo, hi = entry
+                    if not (_is_number(lo) and _is_number(hi)):
+                        raise ValueError(f"non-numeric interval bound on variable {v}: {entry!r}")
+                    if math.isnan(lo) or math.isnan(hi):
+                        raise ValueError(f"NaN value for variable {v}")
+                    if lo > hi:
+                        raise ValueError(f"interval with lo > hi on variable {v}")
+                elif entry is not None:
+                    if not _is_number(entry):
+                        raise ValueError(f"non-numeric value for variable {v}: {entry!r}")
+                    if math.isnan(entry):
+                        raise ValueError(f"NaN value for variable {v}")
+                    # categorical_codes' rule on a scalar: a numpy call per query
+                    # would cost more than the checks of all its entries
+                    if var.kind == "cat" and not (0 <= entry < var.arity and entry == int(entry)):
+                        raise ValueError(
+                            f"categorical value out of range for variable {v}: {entry!r}")
+                    entry = np.array([entry], dtype=float)
+                columns.append(entry)
+        except OverflowError:  # an int past the float range, from math.isnan or np.array
+            raise ValueError(f"value out of range of a float for variable {v}") from None
         return float(self._evaluate(columns, 1)[0])
 
     # ------------------------------------------------------------------

@@ -12,8 +12,10 @@ collapses the rows that are identical on the scope into distinct rows,
 encodes only those, as a ``(d, m)`` array, and spreads the result back to
 the rows at the end; its random draws still range over the original
 rows.  An all-categorical scope finds its distinct rows from one integer
-key per row, any other scope from the rows' raw bytes; both give the same
-rows in the same order.
+key per row, folded from the codes that the entry check made by
+``estimators.key_places``, the fold ``Circuit.log_density`` also keys its
+rows with; any other scope keys them by the rows' raw bytes.  Both give
+the same rows in the same order.
 
 Each public entry, ``soft_kmeans``, ``em_factorized`` and ``encode_rows``,
 checks its weights and categorical levels once, at its start
@@ -24,7 +26,6 @@ trust what it passed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,18 +211,20 @@ def soft_kmeans(
     order of their bytes, and only the distinct rows are encoded, each
     carrying the sum of its rows' weights; all rows share their distinct
     row's responsibilities.  When every scope variable is categorical
-    (and no value is ``-0.0``), each row's key is one int64: each level
-    maps to its rank in the byte order of its float64 (not the numeric
-    order: 2.0 sorts before 1.0), and the ranks combine into a mixed-radix
-    number, the first scope column most significant.  It sorts as the
-    bytes do, so the distinct rows come out in the same order as with the
-    rows' raw bytes as keys, which every other scope uses.  The continuous
-    columns are still standardized by statistics over every row, so each
-    distinct row encodes to the same floats as its rows would.  The encoded
-    rows are kept component-major, ``(d, m)``.  The memberships ``(k, m)``,
-    the ``(k, d, m)`` distance scratch and the centroid-shift buffer are
-    allocated once per call: each iteration is one ``softmax_memberships``
-    call into them and one ``(k, m) @ (m, d)`` centroid update.
+    (and no value is ``-0.0``), each row's key is one int64: each checked
+    level code maps to its rank in the byte order of its float64 (not the
+    numeric order: 2.0 sorts before 1.0), and ``estimators.key_places``
+    folds the ranks into a mixed-radix number, the first scope column most
+    significant; a scope whose arities multiply past ``2**62`` is not
+    keyed this way.  The key sorts as the bytes do, so the distinct rows
+    come out in the same order as with the rows' raw bytes as keys, which
+    every other scope uses.  The continuous columns are still standardized
+    by statistics over every row, so each distinct row encodes to the same
+    floats as its rows would.  The encoded rows are kept component-major,
+    ``(d, m)``.  The memberships ``(k, m)``, the ``(k, d, m)`` distance
+    scratch and the centroid-shift buffer are allocated once per call:
+    each iteration is one ``softmax_memberships`` call into them and one
+    ``(k, m) @ (m, d)`` centroid update.
 
     The random stream is the same as with every row clustered on its own.
     Each k-means++ draw still picks one of the ``n`` original rows, with
@@ -239,14 +242,14 @@ def soft_kmeans(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    matrix, weights = _checked(matrix, weights, scope, schema)[:2]
-    return _kmeans(matrix, weights, scope, schema, k, beta, max_iter, rng)
+    matrix, weights, codes = _checked(matrix, weights, scope, schema)
+    return _kmeans(matrix, weights, codes, scope, schema, k, beta, max_iter, rng)
 
 
-def _kmeans(matrix, weights, scope, schema, k, beta, max_iter, rng):
-    """``soft_kmeans`` on a float matrix and weights that ``_checked`` has passed."""
+def _kmeans(matrix, weights, codes, scope, schema, k, beta, max_iter, rng):
+    """``soft_kmeans`` on the float matrix, weights and codes that ``_checked`` made."""
     raw = np.ascontiguousarray(matrix[:, list(scope)])
-    first, inv = _distinct_rows(raw, scope, schema)
+    first, inv = _distinct_rows(raw, codes, scope, schema)
     distinct = raw[first]
     n = weights.size
     k = min(k, n)
@@ -283,47 +286,44 @@ def _kmeans(matrix, weights, scope, schema, k, beta, max_iter, rng):
 
 
 def _byte_ranks(arity):
-    """Rank of each level ``0..arity-1``, as a float64, in the order of its raw
+    """Rank of each level ``0..arity-1``, as an int64, in the order of its raw
     bytes: the order ``np.unique`` sorts void row keys in (2.0 before 1.0)."""
-    ranks = np.empty(arity)
+    ranks = np.empty(arity, dtype=np.int64)
     ranks[np.argsort(np.arange(arity, dtype=float).view(">u8"))] = np.arange(arity)
     return ranks
 
 
-def _distinct_rows(raw, scope, schema):
+def _distinct_rows(raw, codes, scope, schema):
     """``first`` and ``inv`` of ``np.unique`` over the rows of ``raw``, keyed by their bytes."""
-    keys = _level_keys(raw, scope, schema)
+    keys = _level_keys(raw, codes, scope, schema)
     if keys is None:
         keys = raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1]))).ravel()
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     return first, inv
 
 
-def _level_keys(raw, scope, schema):
+def _level_keys(raw, codes, scope, schema):
     """One int64 per row of ``raw`` that sorts as the row's bytes do, or ``None``.
 
-    ``raw`` holds checked values: each categorical one a level in
-    ``[0, arity)``, as ``_checked`` makes them.  Only an all-categorical
-    scope gets keys, and not if it holds a ``-0.0`` (its bytes differ from
-    ``0.0``'s) or needs a rank table past ``_MAX_KEYED_ARITY`` or a key past
-    2**53.  Each level maps to its byte rank (levels 0 and 1 keep their
-    value), and the ranks combine into one mixed-radix key through one exact
-    float64 matrix-vector product.
+    ``codes`` are the int64 levels of the scope's categorical columns, in
+    scope order, as ``_checked`` makes them.  Only an all-categorical scope
+    gets keys, and not if ``raw`` holds a ``-0.0`` (its bytes differ from
+    ``0.0``'s) or needs a rank table past ``_MAX_KEYED_ARITY`` or more keys
+    than ``estimators.key_places`` folds.  Each level maps to its byte rank
+    (levels 0 and 1 keep their value), and the ranks fold into one key.
     """
     if not all(schema.is_cat(v) for v in scope):
         return None
     arities = [schema[v].arity for v in scope]
-    # a rank table or a key too large for exact float64 sums, or a -0.0
-    if max(arities) > _MAX_KEYED_ARITY or math.prod(arities) > 2**53 or np.signbit(raw).any():
+    places = estimators.key_places(arities)
+    if places is None or max(arities) > _MAX_KEYED_ARITY or np.signbit(raw).any():
         return None
-    ranks = raw
     wide = [j for j, a in enumerate(arities) if a > 2]
     if wide:
-        ranks = raw.copy()
+        codes = codes.copy()
         for j in wide:
-            ranks[:, j] = _byte_ranks(arities[j])[raw[:, j].astype(np.intp)]
-    radix = np.array([math.prod(arities[j + 1 :]) for j in range(len(arities))], dtype=float)
-    return (ranks @ radix).astype(np.int64)
+            codes[:, j] = _byte_ranks(arities[j])[codes[:, j]]
+    return codes @ places
 
 
 def _normalize(joint):
@@ -407,7 +407,7 @@ def em_factorized(
 
     resp = init_membership
     if resp is None:
-        resp = _kmeans(matrix, weights, scope, schema, k, beta=4.0, max_iter=10, rng=rng)
+        resp = _kmeans(matrix, weights, icodes, scope, schema, k, beta=4.0, max_iter=10, rng=rng)
     k = resp.shape[1]
 
     # component-major layout: responsibilities and weights are (K, n) and the

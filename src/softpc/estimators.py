@@ -6,7 +6,10 @@ weighted mean and the weighted Bessel-corrected standard deviation.
 
 Two input rules live here, one function each: ``check_weights`` for the
 per-row weights of the clusterers and the independence tests, and
-``categorical_codes`` for categorical levels.
+``categorical_codes`` for categorical levels.  Beside the second,
+``key_places`` folds a row of those codes into one int64 key, the one
+fold that soft k-means' distinct rows and ``Circuit.log_density``'s
+repeated rows both use.
 """
 
 from __future__ import annotations
@@ -182,6 +185,18 @@ def categorical_codes(values, arity):
     if (codes != values).any() or (codes.view(np.uint64) >= np.asarray(arity, np.uint64)).any():
         raise ValueError("categorical value out of range: each must be an integer in [0, arity)")
     return codes
+
+
+def key_places(arities):
+    """Mixed-radix place values that fold a row of codes into one int64
+    key, ``codes @ key_places(arities)``, the first column most
+    significant, so that keys sort as the rows do column by column; None
+    if the product of the arities, the number of keys, is past ``2**62``."""
+    if math.prod(arities) > 2**62:
+        return None
+    places = np.ones(len(arities), dtype=np.int64)
+    places[:-1] = np.cumprod(arities[:0:-1], dtype=np.int64)[::-1]
+    return places
 
 
 def leaf_log_pdf(dist, x, out=None):

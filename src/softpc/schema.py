@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Variable:
+    """One schema variable; ``ValueError`` unless ``kind`` is "cat" with an
+    integer ``arity`` of at least 2 (a numpy integer is stored as an
+    ``int``, a bool is refused) or "cont" without one, and ``name`` is a
+    string or None.  The one rule of a variable, built or loaded."""
+
     kind: str  # "cat" | "cont"
     arity: int | None = None
     name: str | None = None
@@ -14,10 +20,15 @@ class Variable:
     def __post_init__(self):
         if self.kind not in ("cat", "cont"):
             raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.kind == "cat" and (self.arity is None or self.arity < 2):
-            raise ValueError("categorical variables need arity >= 2")
-        if self.kind == "cont" and self.arity is not None:
+        if self.kind == "cat":
+            arity = self.arity
+            if not isinstance(arity, numbers.Integral) or isinstance(arity, bool) or arity < 2:
+                raise ValueError(f"categorical variables need an integer arity >= 2, got {arity!r}")
+            object.__setattr__(self, "arity", int(arity))
+        elif self.arity is not None:
             raise ValueError("continuous variables have no arity")
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError(f"variable name must be a string, got {self.name!r}")
 
     def to_dict(self):
         d = {"kind": self.kind}
@@ -29,14 +40,8 @@ class Variable:
 
     @classmethod
     def from_dict(cls, d):
-        """Read the ``to_dict`` form; a mistyped arity or name is a TypeError."""
-        arity = d["arity"] if d["kind"] == "cat" else None
-        if arity is not None and type(arity) is not int:
-            raise TypeError(f"arity must be an integer, got {arity!r}")
-        name = d.get("name")
-        if name is not None and not isinstance(name, str):
-            raise TypeError(f"variable name must be a string, got {name!r}")
-        return cls(d["kind"], arity, name)
+        """Read the ``to_dict`` form; the constructor checks it."""
+        return cls(d["kind"], d["arity"] if d["kind"] == "cat" else None, d.get("name"))
 
 
 class Schema(tuple):
@@ -54,7 +59,7 @@ class Schema(tuple):
 
     @classmethod
     def categorical(cls, arities) -> "Schema":
-        return cls(Variable("cat", int(k)) for k in arities)
+        return cls(Variable("cat", k) for k in arities)
 
     @classmethod
     def continuous(cls, n_vars: int) -> "Schema":

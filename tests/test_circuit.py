@@ -30,7 +30,7 @@ from softpc.circuit import (
     ProductNode,
     SumNode,
 )
-from softpc.estimators import Gaussian, Multinomial
+from softpc.estimators import Gaussian, Multinomial, key_places
 from softpc.learner import Hyperparams, WeightedDataset, learn_spn, soft_learn
 from softpc.schema import Schema, Variable
 
@@ -125,12 +125,29 @@ MALFORMED = {
 
 
 class TestVariable:
-    @pytest.mark.parametrize("kind, arity, match", [
-        ("ordinal", None, "unknown variable kind"), ("cat", None, "arity >= 2"),
-        ("cat", 1, "arity >= 2"), ("cont", 2, "continuous variables have no arity")])
-    def test_malformed_variable_rejected(self, kind, arity, match):
+    @pytest.mark.parametrize("kind, arity, name, match", [
+        ("ordinal", None, None, "unknown variable kind"), ("cat", None, None, "arity >= 2"),
+        ("cat", 1, None, "arity >= 2"), ("cont", 2, None, "continuous variables have no arity"),
+        ("cat", 2.5, None, "integer"), ("cat", 3.0, None, "integer"),
+        ("cat", True, None, "integer"), ("cat", np.float64(3.0), None, "integer"),
+        ("cont", None, 5, "string"), ("cat", 2, b"x", "string")])
+    def test_malformed_variable_rejected(self, kind, arity, name, match):
         with pytest.raises(ValueError, match=match):
-            Variable(kind, arity)
+            Variable(kind, arity, name)
+
+    def test_categorical_schema_keeps_the_arity_rule(self):
+        # it cast each arity with int(), so 2.7 became a binary variable
+        assert Schema.categorical(np.array([2, 3])) == Schema.categorical([2, 3])
+        with pytest.raises(ValueError, match="integer"):
+            Schema.categorical([2.7])
+
+    def test_numpy_integer_arity_is_stored_as_an_int_and_round_trips(self):
+        # an np.int64 arity learned, then failed json's encoder on save
+        variable = Variable("cat", np.int64(3), "x")
+        assert type(variable.arity) is int and variable == Variable("cat", 3, "x")
+        c = Circuit([LeafNode(0, Multinomial((0.2, 0.3, 0.5)))], 0, Schema([variable]))
+        back = Circuit.from_json(c.to_json())
+        assert back == c and back.to_json() == c.to_json()
 
 
 class TestValidate:
@@ -569,14 +586,18 @@ class TestEvaluatorMatchesReference:
         expected = [reference_log_value(zero, list(r)) for r in rows]
         assert_allclose(zero.log_density(rows), expected, rtol=0, atol=1e-12)
 
-    def test_nan_input_rejected(self):
+    @pytest.mark.parametrize("bad, match", [(math.nan, "NaN"), (10**400, "out of range")],
+                             ids=["nan", "int-past-float"])
+    def test_nan_input_rejected(self, bad, match):
         c = fig1_circuit()
-        with pytest.raises(ValueError, match="NaN"):
-            c.log_density([0.0, math.nan])
-        with pytest.raises(ValueError, match="NaN"):
-            c.log_marginal([math.nan, None])
-        with pytest.raises(ValueError, match="NaN"):
-            c.log_marginal([None, (math.nan, 1.0)])
+        with pytest.raises(ValueError, match=match):
+            c.log_density([0.0, bad])
+        with pytest.raises(ValueError, match=match + ".*variable 0"):
+            c.log_marginal([bad, None])
+        with pytest.raises(ValueError, match=match + ".*variable 1"):
+            c.log_marginal([None, (bad, 1.0)])
+        with pytest.raises(ValueError, match=match + ".*variable 1"):
+            c.log_marginal([None, (0.0, bad)])
 
     def test_log_density_result_owns_its_data(self, rng):
         c = random_binary_circuit(4, rng)
@@ -773,8 +794,8 @@ class TestDistinctRows:
     def test_seventy_binary_variables_are_not_keyed(self, repeats):
         """Keys fold into one int64 up to ``2**62`` keys, 62 binary
         variables; a wider schema is evaluated as given."""
-        assert circuit_module._key_places([2] * 62) is not None
-        assert circuit_module._key_places([2] * 63) is None
+        assert key_places([2] * 62) is not None
+        assert key_places([2] * 63) is None
         rng = np.random.default_rng(6)
         c = categorical_mixture([2] * 70, 3, rng)
         assert c.n_nodes > circuit_module._COLLAPSE_COST
@@ -1009,10 +1030,11 @@ class TestStepScheduleMatchesHeightGroups:
 class TestCategoricalCodesChecked:
     """A categorical value must be an integer level of its variable."""
 
-    @pytest.mark.parametrize("bad", [-1.0, 3.0, 0.5, 2.5, math.inf])
+    @pytest.mark.parametrize("bad", [-1.0, 3.0, 0.5, 2.5, math.inf,
+                                     pytest.param(10**400, id="int-past-float")])
     def test_one_row_rejected(self, bad):
         c = random_mixed_circuit(np.random.default_rng(2), n_vars=6)
-        row = random_rows(c.schema, np.random.default_rng(3), 1)[0]
+        row = random_rows(c.schema, np.random.default_rng(3), 1)[0].tolist()
         row[0] = bad
         with pytest.raises(ValueError, match="out of range"):
             c.log_density(row)

@@ -407,6 +407,11 @@ class TestLearnersMatchAllocatingClusterers:
         assert got.to_json() == ref.to_json()
 
 
+def _entry_codes(matrix, scope, schema):
+    # the codes that the clustering entries' check makes for the scope
+    return clustering._checked(matrix, np.ones(len(matrix)), scope, schema)[2]
+
+
 class TestDistinctRowKeys:
     @pytest.mark.parametrize("n_cols", [1, 2, 7, 16])
     def test_categorical_keys_give_void_key_order(self, rng, n_cols):
@@ -414,16 +419,18 @@ class TestDistinctRowKeys:
         matrix, schema = _categorical_rows(rng, 500, arities)
         scope = tuple(rng.permutation(n_cols))
         raw = np.ascontiguousarray(matrix[:, list(scope)])
-        keys = clustering._level_keys(raw, scope, schema)
+        codes = _entry_codes(matrix, scope, schema)
+        keys = clustering._level_keys(raw, codes, scope, schema)
         assert keys is not None and keys.dtype == np.int64
-        got = clustering._distinct_rows(raw, scope, schema)
+        got = clustering._distinct_rows(raw, codes, scope, schema)
         for a, b in zip(got, reference_distinct_rows(raw)):
             assert np.array_equal(a, b)
 
     def test_level_ranks_follow_float_bytes(self):
         # 2.0's bytes sort before 1.0's: the key order is not the numeric order
         raw = np.array([[1.0], [2.0], [0.0]])
-        first, inv = clustering._distinct_rows(raw, (0,), Schema.categorical([3]))
+        schema = Schema.categorical([3])
+        first, inv = clustering._distinct_rows(raw, _entry_codes(raw, (0,), schema), (0,), schema)
         assert first.tolist() == [2, 1, 0] and inv.tolist() == [2, 1, 0]
 
     # values that are not levels never reach the keys: the clustering entries
@@ -445,10 +452,27 @@ class TestDistinctRowKeys:
             matrix[:, 1] = rng.integers(0, clustering._MAX_KEYED_ARITY + 1, size=300)
         scope = tuple(range(matrix.shape[1]))
         raw = np.ascontiguousarray(matrix)
-        assert clustering._level_keys(raw, scope, schema) is None
-        got = clustering._distinct_rows(raw, scope, schema)
+        codes = _entry_codes(matrix, scope, schema)
+        assert clustering._level_keys(raw, codes, scope, schema) is None
+        got = clustering._distinct_rows(raw, codes, scope, schema)
         for a, b in zip(got, reference_distinct_rows(raw)):
             assert np.array_equal(a, b)
+
+    def test_keys_past_float64_exactness_give_void_key_order(self, rng):
+        # 7**20, about 8.0e16 keys: past 2**53, which float64 sums hold
+        # exactly, and below 2**62, where estimators.key_places stops
+        matrix, schema = _categorical_rows(rng, 400, [7] * 20)
+        scope = tuple(range(20))
+        raw = np.ascontiguousarray(matrix)
+        codes = _entry_codes(matrix, scope, schema)
+        keys = clustering._level_keys(raw, codes, scope, schema)
+        assert keys is not None and keys.dtype == np.int64
+        got = clustering._distinct_rows(raw, codes, scope, schema)
+        for a, b in zip(got, reference_distinct_rows(raw)):
+            assert np.array_equal(a, b)
+        weights = rng.uniform(0.01, 3.0, size=400)
+        TestSoftKmeansMatchesAllocatingReference._assert_same_bits(matrix, weights, scope, schema,
+                                                                   3, 4.0)
 
 
 class TestTracedCalls:

@@ -15,6 +15,7 @@ from softpc.estimators import (
     Multinomial,
     fit_gaussian,
     fit_multinomial,
+    key_places,
     leaf_log_mass,
     leaf_log_pdf,
 )
@@ -61,6 +62,35 @@ class TestCheckWeights:
             weights[7] = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}[bad]
         with pytest.raises(ValueError, match="weights"):
             call(matrix, weights)
+
+
+class TestKeyPlaces:
+    # the one fold of categorical codes into int64 keys: soft k-means'
+    # distinct rows and Circuit.log_density's repeated rows both key by it
+    @pytest.mark.parametrize("arities, keyed", [
+        ([2] * 62, True), ([2] * 63, False),
+        ([7] * 22, True), ([7] * 22 + [2], False),  # 7**22 ~ 3.9e18; twice that is past 2**62
+        ([1024] * 6 + [4], True), ([1024] * 6 + [5], False),  # exactly 2**62, then past it
+        ([5, 3, 2], True), ([], True)])
+    def test_keys_up_to_two_to_the_62(self, arities, keyed):
+        places = key_places(arities)
+        assert (places is not None) == keyed
+        if keyed:
+            assert places.dtype == np.int64 and places.shape == (len(arities),)
+            # each place is the product of the arities after it
+            assert places.tolist() == [math.prod(arities[j + 1:]) for j in range(len(arities))]
+            top = np.array([a - 1 for a in arities], dtype=np.int64)
+            assert int(top @ places) == math.prod(arities) - 1
+
+    def test_keys_sort_as_rows_do_first_column_first(self, rng):
+        arities = [3, 2, 7, 5, 2, 4]
+        codes = np.column_stack([rng.integers(0, a, size=500) for a in arities])
+        keys = codes @ key_places(arities)
+        assert keys.dtype == np.int64
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(codes.T[::-1]))
+        # equal keys, equal rows
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        assert np.array_equal(codes[first][inv], codes)
 
 
 class TestLeafFitWeights:
