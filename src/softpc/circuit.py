@@ -24,12 +24,13 @@ a 1-D view of its table, so that the fixed cost of each call stays small.
 ``log_density`` on a batch whose variables are all categorical evaluates
 each distinct row once: each row's codes fold into an int64 key in mixed
 radix (``estimators.key_places``, the fold soft k-means keys its distinct
-rows with), a plain ``argsort`` groups equal keys, each chunk gathers one
-row per group, and the values are scattered back to every row.  That runs
-only where it saves more than ``_COLLAPSE_COST`` node evaluations per row,
-the measured cost of gathering and scattering one.  A batch with a
-continuous variable, whose rows rarely repeat, or whose arities multiply
-past ``2**62``, is evaluated as given.
+rows with), ``estimators.distinct`` groups equal keys, each chunk gathers
+one row per group, and the values are scattered back to every row.  The
+distinct rows are evaluated only where they save more than
+``_COLLAPSE_COST`` node evaluations per row, the measured cost of
+gathering and scattering one.  A batch with a continuous variable, whose
+rows rarely repeat, or whose arities multiply past ``2**62``, is
+evaluated as given.
 Sampling is one pass the other way over the sum groups only, last step
 first: each draws a child per row and sends the row on, in one push, to
 the sums and leaves that child reaches through product edges.  Then each
@@ -52,6 +53,7 @@ from .estimators import (
     Gaussian,
     Multinomial,
     categorical_codes,
+    distinct,
     key_places,
     leaf_log_mass,
     leaf_log_pdf,
@@ -127,32 +129,6 @@ def _cumulative(weights):
     last = len(weights) - 1 - np.argmax(weights[::-1] > 0, axis=0)
     cumulative[np.arange(len(cumulative))[:, None] >= last] = np.inf
     return cumulative
-
-
-def _repeats(key, cost):
-    """One row index per distinct key, and each row's group (the position
-    of its key among the distinct ones), if evaluating the distinct rows
-    saves more than ``_COLLAPSE_COST`` node evaluations per row; else None.
-    ``cost`` is the node evaluations of one row.
-
-    A sorted copy of the keys counts the distinct ones; only if they are
-    few enough does a plain ``argsort``, which takes about 2.5 times as
-    long, order the rows into groups.  It need not be stable: the rows of a
-    group have equal codes, so any of them gives its value.
-    """
-    n = len(key)
-    ranked = np.sort(key)
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    m = int(np.count_nonzero(starts))
-    if (n - m) * cost <= _COLLAPSE_COST * n:
-        return None
-    order = key.argsort()
-    np.cumsum(starts, out=ranked)
-    ranked -= 1
-    key[order] = ranked  # the keys are spent: each row's group in their place
-    return order[starts], key
 
 
 def _inverse_cdf(cumulative, index, u):
@@ -560,15 +536,16 @@ class Circuit:
         circuit once per distinct row.  Each row's codes fold into one int64
         key in mixed radix, ``codes @ estimators.key_places(arities)``; a
         schema whose arities multiply past ``2**62`` (more than 62 binary
-        variables) is not keyed.  The keys are sorted, the distinct rows
-        evaluated and their values scattered back to every row, bit for
-        bit what evaluating each row gives, since a row's value does not
-        depend on its batch.  That is done only where it saves work.
-        ``_COLLAPSE_COST`` is what gathering a row and scattering its value
-        back costs, in node evaluations (20, measured); a circuit of no
-        more nodes is not keyed, and after the sort the distinct rows are
-        evaluated only if the repeated ones save more node evaluations
-        than that cost over all rows,
+        variables) is not keyed.  ``estimators.distinct`` groups the keys,
+        the distinct rows are evaluated and their values scattered back to
+        every row, bit for bit what evaluating each row gives, since a
+        row's value does not depend on its batch.  That is done only where
+        it saves work.  ``_COLLAPSE_COST`` is what gathering a row and
+        scattering its value back costs, in node evaluations (20,
+        measured); a circuit of no more nodes is not keyed, and once the
+        keys are grouped the distinct rows are evaluated only if the
+        repeated ones save more node evaluations than that cost over all
+        rows,
         ``(n - m) * nodes > _COLLAPSE_COST * n`` for ``m`` distinct of
         ``n``.  A batch with a continuous variable is evaluated as given.
         A NaN, a categorical value that is not a level of its variable or
@@ -606,12 +583,15 @@ class Circuit:
             codes = categorical_codes(block if all_cat else block[:, cats], arities)
             if keys is not None:
                 np.matmul(codes, places, out=keys[first:first + len(block)])
-        repeats = None if keys is None else _repeats(keys, self.n_nodes)
-        keys = None  # now the group array, or freed before the evaluation
-        if repeats is None:
+        index = None
+        if keys is not None:
+            index, group = distinct(keys)
+            keys = None  # freed before the evaluation
+            if (n - len(index)) * self.n_nodes <= _COLLAPSE_COST * n:
+                index = group = None
+        if index is None:
             out = self._evaluate(rows.T, n)
         else:
-            index, group = repeats
             out = self._evaluate(rows.T, len(index), index).take(group)
         return float(out[0]) if arr.ndim == 1 else out
 

@@ -15,13 +15,14 @@ rows.  An all-categorical scope finds its distinct rows from one integer
 key per row, folded from the codes that the entry check made by
 ``estimators.key_places``, the fold ``Circuit.log_density`` also keys its
 rows with; any other scope keys them by the rows' raw bytes.  Both give
-the same rows in the same order.
+the same rows in the same order, grouped by ``estimators.distinct``, as
+``log_density``'s keys are.
 
 Each public entry, ``soft_kmeans``, ``em_factorized`` and ``encode_rows``,
-checks its weights and categorical levels once, at its start
-(``_checked``); the k-means core behind ``soft_kmeans``, which also starts
-EM, the distinct-row keys, EM's one-hot codes and its closing leaf pass then
-trust what it passed.
+checks its weights, continuous values and categorical levels once, at its
+start (``_checked``); the k-means core behind ``soft_kmeans``, which also
+starts EM, the distinct-row keys, EM's one-hot codes and its closing leaf
+pass then trust what it passed.
 """
 
 from __future__ import annotations
@@ -68,13 +69,15 @@ def check_membership(membership, n_rows: int) -> np.ndarray:
 
 def _checked(matrix, weights, scope, schema):
     """The clustering entries' one check of their input: ``(matrix, weights,
-    codes)``.  ``matrix`` comes back as floats and ``weights`` through
-    ``estimators.check_weights``, one per row; ``codes`` are the int64
+    codes)``.  ``matrix`` comes back as floats, its continuous scope
+    columns checked by ``estimators.continuous_values``, and ``weights``
+    through ``estimators.check_weights``, one per row; ``codes`` are the int64
     levels of the scope's categorical columns, in scope order, from one
     ``estimators.categorical_codes`` call over them.  ``ValueError`` names
     the rule a bad weight or value breaks."""
     matrix = np.asarray(matrix, dtype=float)
     weights = estimators.check_weights(weights, matrix.shape[0])
+    estimators.continuous_values(matrix[:, [v for v in scope if not schema.is_cat(v)]])
     cats = [v for v in scope if schema.is_cat(v)]
     codes = estimators.categorical_codes(matrix[:, cats], [schema[v].arity for v in cats])
     return matrix, weights, codes
@@ -118,7 +121,8 @@ def encode_rows(matrix, weights, scope, schema):
     Categorical columns are one-hot encoded; continuous columns are
     standardized by their weighted mean/std (zero-variance columns pass
     through unchanged).  Raises ``ValueError`` on the rules of
-    ``soft_kmeans``: a categorical value that is not a level, or weights
+    ``soft_kmeans``: a categorical value that is not a level, a
+    continuous one that fails ``estimators.continuous_values``, or weights
     that fail ``estimators.check_weights``.
     """
     matrix, weights = _checked(matrix, weights, scope, schema)[:2]
@@ -238,6 +242,8 @@ def soft_kmeans(
 
     Raises ``ValueError`` if a categorical scope column holds a value
     that is not an integer in ``[0, arity)`` (``estimators.categorical_codes``),
+    if a continuous one holds a value that is not finite or exceeds
+    ``estimators.CONT_MAX_ABS`` in magnitude (``estimators.continuous_values``),
     or if ``weights`` fails ``estimators.check_weights``, one per row.
     """
     if rng is None:
@@ -287,19 +293,20 @@ def _kmeans(matrix, weights, codes, scope, schema, k, beta, max_iter, rng):
 
 def _byte_ranks(arity):
     """Rank of each level ``0..arity-1``, as an int64, in the order of its raw
-    bytes: the order ``np.unique`` sorts void row keys in (2.0 before 1.0)."""
+    bytes: the order ``estimators.distinct`` sorts void row keys in (2.0
+    before 1.0)."""
     ranks = np.empty(arity, dtype=np.int64)
     ranks[np.argsort(np.arange(arity, dtype=float).view(">u8"))] = np.arange(arity)
     return ranks
 
 
 def _distinct_rows(raw, codes, scope, schema):
-    """``first`` and ``inv`` of ``np.unique`` over the rows of ``raw``, keyed by their bytes."""
+    """``first`` and ``inv`` of the rows of ``raw``, keyed by their bytes,
+    from ``estimators.distinct``: what ``np.unique`` gives over those keys."""
     keys = _level_keys(raw, codes, scope, schema)
     if keys is None:
         keys = raw.view(np.dtype((np.void, raw.itemsize * raw.shape[1]))).ravel()
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inv
+    return estimators.distinct(keys)
 
 
 def _level_keys(raw, codes, scope, schema):
@@ -385,7 +392,8 @@ def em_factorized(
 
     Raises ``ValueError`` if a categorical scope column holds a value
     that is not an integer in ``[0, arity)`` (``estimators.categorical_codes``),
-    if ``weights`` fails ``estimators.check_weights``, one per row, or if
+    if a continuous one fails ``estimators.continuous_values``, if
+    ``weights`` fails ``estimators.check_weights``, one per row, or if
     ``init_membership`` fails ``check_membership``.
     """
     if max_iter < 1:

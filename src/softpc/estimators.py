@@ -4,12 +4,14 @@ Row weights are treated as frequencies.  Multinomial counts are weighted
 sums per class (optionally Laplace-smoothed); Gaussian parameters use the
 weighted mean and the weighted Bessel-corrected standard deviation.
 
-Two input rules live here, one function each: ``check_weights`` for the
-per-row weights of the clusterers and the independence tests, and
-``categorical_codes`` for categorical levels.  Beside the second,
-``key_places`` folds a row of those codes into one int64 key, the one
-fold that soft k-means' distinct rows and ``Circuit.log_density``'s
-repeated rows both use.
+Three input rules live here, one function each: ``check_weights`` for
+the per-row weights of the clusterers and the independence tests,
+``continuous_values`` for continuous values and ``categorical_codes`` for
+categorical levels.  Beside the last, ``key_places`` folds a row of those
+codes into one int64 key, the one fold that soft k-means' distinct rows
+and ``Circuit.log_density``'s repeated rows both use, and ``distinct``
+groups equal keys, for those two and for ``independence.discretize``'s
+distinct values.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ EPSILON_W = 1e-6
 SIGMA_FLOOR = 1e-3
 
 # Bounds on what the learners accept, checked where the input enters: a
-# continuous value in a CSV file or a ``WeightedDataset``, and a dataset's
-# total row weight and the pseudo-count ``alpha``.  A Gaussian fit sums the
-# weights' squares and the weighted squared deviations, each term at most
-# ``(2 * CONT_MAX_ABS) ** 2``, and its leaf divides deviations by a sigma
-# as small as ``SIGMA_FLOOR``; a multinomial fit divides by the total
-# weight plus ``arity * alpha``.  Within both bounds all of these stay
+# continuous value in a CSV file or at a learner's entry, from
+# ``WeightedDataset`` to ``fit_gaussian`` (``continuous_values``), and a
+# dataset's total row weight and the pseudo-count ``alpha``.  A Gaussian
+# fit sums the weights' squares and the weighted squared deviations, each
+# term at most ``(2 * CONT_MAX_ABS) ** 2``, and its leaf divides deviations
+# by a sigma as small as ``SIGMA_FLOOR``; a multinomial fit divides by the
+# total weight plus ``arity * alpha``.  Within both bounds all of these stay
 # finite.  Beyond them, values near 1e154, weights totalling about 1e308 or
 # an ``alpha`` near 1e308 overflowed into non-finite sigmas or
 # probabilities that no longer sum to 1.
@@ -132,10 +135,10 @@ def fit_gaussian(values, weights) -> Gaussian:
 
     sigma^2 = S / (S^2 - Q) * sum_i v_i (d_i - mu)^2 with S = sum v_i and
     Q = sum v_i^2.  Degenerate inputs (one point, S^2 == Q, or zero spread)
-    fall back to ``SIGMA_FLOOR``.  Weights follow ``_clean``'s rule, as in
-    ``fit_multinomial``.
+    fall back to ``SIGMA_FLOOR``.  Values follow ``continuous_values``'
+    rule and weights ``_clean``'s, as in ``fit_multinomial``.
     """
-    values, weights = _clean(values, weights)
+    values, weights = _clean(continuous_values(values), weights)
     s = weights.sum()
     mu = float(np.dot(weights, values) / s)
     q = float(np.dot(weights, weights))
@@ -187,6 +190,20 @@ def categorical_codes(values, arity):
     return codes
 
 
+def continuous_values(values, what="continuous values"):
+    """``values`` as floats; ``ValueError`` unless each is finite and at
+    most ``CONT_MAX_ABS`` in magnitude, the message calling them ``what``.
+    The one check of continuous values, for every entry of the learners
+    that takes them; it also keeps out of ``distinct`` a NaN, which equals
+    no value and so would join no group."""
+    values = np.asarray(values, dtype=float)
+    if not (np.abs(values) <= CONT_MAX_ABS).all():  # a NaN fails the bound too
+        if not np.isfinite(values).all():
+            raise ValueError(f"{what} must be finite")
+        raise ValueError(f"{what} must be at most {CONT_MAX_ABS:g} in magnitude")
+    return values
+
+
 def key_places(arities):
     """Mixed-radix place values that fold a row of codes into one int64
     key, ``codes @ key_places(arities)``, the first column most
@@ -197,6 +214,27 @@ def key_places(arities):
     places = np.ones(len(arities), dtype=np.int64)
     places[:-1] = np.cumprod(arities[:0:-1], dtype=np.int64)[::-1]
     return places
+
+
+def distinct(keys):
+    """``(first, inverse)`` as ``np.unique(keys, return_index=True,
+    return_inverse=True)`` gives them: each distinct key's first row, in
+    key order, and each row's group, the position of its key among the
+    distinct ones.  ``keys`` is 1-d: int64 codes, raw-byte (void) row keys
+    or floats without a NaN, which equals no key and so joins no group.
+
+    One unstable ``argsort`` orders the rows, one ``!=`` pass over the
+    sorted keys marks where each group starts, and the smallest row index
+    of each group is its first; so equal keys, ``0.0`` and ``-0.0``
+    among them, share a group whatever order the sort leaves them in."""
+    order = keys.argsort()
+    ranked = keys[order]
+    # [:len(keys)] keeps no keys as no groups
+    starts = np.concatenate(([True], ranked[1:] != ranked[:-1]))[:len(keys)]
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return first, inverse
 
 
 def leaf_log_pdf(dist, x, out=None):
@@ -240,7 +278,8 @@ def leaf_log_mass(dist, lo, hi, out=None):
     ``log_ndtr`` would cancel, on an interval of standardised width ``w``
     and midpoint ``z`` with ``w * max(1, |z|) < _NARROW_TAU``, the
     midpoint rule takes over: ``log phi(z) + log w + log1p((z**2 - 1) *
-    w**2 / 24)``.  Deep in the tail, for ``b < -_DEEP_TAIL``, the
+    w**2 / 24)``; an interval at least ``_NARROW_TAU`` of the widest
+    sigma wide skips that test, as no leaf of the block can pass it.  Deep in the tail, for ``b < -_DEEP_TAIL``, the
     difference ``log Phi(a) - log Phi(b)`` is taken in its asymptotic form,
     ``-(a - b)(a + b) / 2 - log1p((a - b) / b)``: the two terms lie near
     ``-b**2 / 2``, where their difference can round to 0.  A point interval
@@ -258,12 +297,15 @@ def leaf_log_mass(dist, lo, hi, out=None):
     if deep.any():
         gap = np.where(deep, (b - a) * (a + b) / 2 - np.log1p((a - b) / b), gap)
     mass = log_b + np.log(-np.expm1(gap))
-    w = (hi - lo) / dist.sigma
-    z = -0.5 * (a + b)  # |z_m|, the same bits for an interval and its mirror
-    narrow = w * np.maximum(z, 1.0) < _NARROW_TAU
-    if narrow.any():
-        mid = -0.5 * z * z - LOG_SQRT_2PI + np.log(w) + np.log1p(((z * w) ** 2 - w * w) / 24)
-        mass = np.where(narrow, mid, mass)
+    # a width of _NARROW_TAU in the widest sigma is at least that in every
+    # sigma (a division by less rounds to no less), and max(z, 1) >= 1
+    if (hi - lo) / np.max(dist.sigma) < _NARROW_TAU:
+        w = (hi - lo) / dist.sigma
+        z = -0.5 * (a + b)  # |z_m|, the same bits for an interval and its mirror
+        narrow = w * np.maximum(z, 1.0) < _NARROW_TAU
+        if narrow.any():
+            mid = -0.5 * z * z - LOG_SQRT_2PI + np.log(w) + np.log1p(((z * w) ** 2 - w * w) / 24)
+            mass = np.where(narrow, mid, mass)
     # a NaN comes of -inf - -inf, where both bounds lie past the
     # float range of one tail (a point at +-inf among them): no mass
     out = np.fmax(mass, -np.inf, out=out)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import categorical_codes, check_weights
+from .estimators import categorical_codes, check_weights, continuous_values, distinct
 
 BINS = 4  # equal-frequency bins per continuous column in partition_scope
 # one-hot cells per row block of the Gram matrix in partition_scope (64 KiB)
@@ -36,12 +36,16 @@ def discretize(values, weights):
     Returns ``(codes, edges)`` where codes are bin indices in
     ``{0..len(edges)}`` and edges are cut points (midpoints between the
     adjacent distinct values).  If fewer distinct values than bins exist,
-    the bin count is reduced accordingly.  ``weights`` must pass
-    ``estimators.check_weights``, one per value.
+    the bin count is reduced accordingly.  ``values`` must pass
+    ``estimators.continuous_values`` (finite, at most ``CONT_MAX_ABS`` in
+    magnitude) and ``weights`` ``estimators.check_weights``, one per value.
+    The distinct values and each value's bin come from one
+    ``estimators.distinct`` call.
     """
-    values = np.asarray(values, dtype=float)
+    values = continuous_values(values)
     weights = check_weights(weights, values.size)
-    uniq, inv = np.unique(values, return_inverse=True)
+    first, inv = distinct(values)
+    uniq = values[first]
     if uniq.size == 1:
         return np.zeros(values.shape, dtype=np.int64), np.empty(0)
     uw = np.bincount(inv, weights=weights, minlength=uniq.size)
@@ -126,8 +130,9 @@ def partition_scope(matrix, weights, scope, schema, p_threshold: float):
     their smallest variable.  All pair tables come from one weighted Gram
     matrix of the one-hot scope codes.  Raises ``ValueError`` if a
     categorical scope column holds a value that is not an integer in
-    ``[0, arity)`` (``estimators.categorical_codes``), or if ``weights``
-    fails ``estimators.check_weights``, one per row of ``matrix``.
+    ``[0, arity)`` (``estimators.categorical_codes``), if a continuous one
+    fails ``discretize``'s rule (``estimators.continuous_values``), or if
+    ``weights`` fails ``estimators.check_weights``, one per row of ``matrix``.
     """
     matrix = np.asarray(matrix)
     weights = check_weights(weights, matrix.shape[0])

@@ -85,7 +85,8 @@ class WeightedDataset:
     """Dense data matrix with per-row positive weights.
 
     All input checks of the learners happen here: values must be finite
-    and at most ``estimators.CONT_MAX_ABS`` in magnitude, categorical
+    and at most ``estimators.CONT_MAX_ABS`` in magnitude
+    (``estimators.continuous_values``, over every column), categorical
     values integers in ``[0, arity)`` (``estimators.categorical_codes``),
     and row weights as ``estimators.check_weights`` requires, at least
     ``estimators.EPSILON_W`` and at most ``estimators.MAX_TOTAL_WEIGHT``
@@ -103,11 +104,7 @@ class WeightedDataset:
             raise ValueError("matrix must be a nonempty 2-d array")
         if self.matrix.shape[1] != len(self.schema):
             raise ValueError("matrix width does not match schema")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("matrix values must be finite")
-        if np.abs(self.matrix).max() > estimators.CONT_MAX_ABS:
-            raise ValueError(f"matrix values must be at most {estimators.CONT_MAX_ABS:g} "
-                             "in magnitude")
+        estimators.continuous_values(self.matrix, "matrix values")
         cats = [v for v in range(len(self.schema)) if self.schema.is_cat(v)]
         estimators.categorical_codes(self.matrix[:, cats], [self.schema[v].arity for v in cats])
         if np.signbit(self.matrix[self.matrix == 0.0]).any():

@@ -787,6 +787,31 @@ def all_binary_rows(n_vars: int) -> np.ndarray:
     return rows.astype(float)
 
 
+def binary_mixture(seed, sizes=(2000, 1000)):
+    """``(train, test, truth)``: rows of a uniform mixture of 4 products of
+    16 Bernoulli leaves, split into blocks of ``sizes`` rows, and the
+    mixture itself as a 69-node circuit (64 leaves, 4 products, 1 sum).
+
+    The rows are drawn as the soft-binary benchmark draws them, from the
+    same streams: the leaf probabilities come from a fixed population
+    stream, Beta(0.5, 0.5) clipped to [0.02, 0.98], and ``seed`` draws each
+    row's component, then the row."""
+    n_components, n_vars = 4, 16
+    population = np.random.default_rng([20240321, 1, 0])
+    probs = np.clip(population.beta(0.5, 0.5, size=(n_components, n_vars)), 0.02, 0.98)
+    rng = np.random.default_rng([seed, 11])
+    z = rng.integers(0, n_components, size=sum(sizes))
+    rows = (rng.random((sum(sizes), n_vars)) < probs[z]).astype(float)
+    nodes, products = [], []
+    for p in probs.tolist():
+        nodes += [LeafNode(v, Multinomial((1.0 - q, q))) for v, q in enumerate(p)]
+        nodes.append(ProductNode(tuple(range(len(nodes) - n_vars, len(nodes)))))
+        products.append(len(nodes) - 1)
+    nodes.append(SumNode(tuple(products), (1.0 / n_components,) * n_components))
+    truth = Circuit(nodes, len(nodes) - 1, Schema.binary(n_vars))
+    return rows[:sizes[0]], rows[sizes[0]:], truth
+
+
 def pinned_data(kind):
     """Fixed 400-row sets: 6 binary columns, or cat(3), 2 continuous, binary."""
     rng = np.random.default_rng(7)

@@ -26,7 +26,7 @@ from softpc.independence import weighted_chi2
 from softpc.learner import Hyperparams, WeightedDataset, factorized_circuit, learn_spn, soft_learn
 from softpc.schema import Schema
 
-from conftest import all_binary_rows, singleton_split_membership, split_circuit
+from conftest import all_binary_rows, binary_mixture, singleton_split_membership, split_circuit
 
 DATA_DIR = Path(os.environ.get("SOFTPC_DATA_DIR", "datasets"))
 
@@ -380,3 +380,72 @@ def test_criterion_10_analogue_thread_determinism_synthetic(tmp_path, capsys):
             ]
 
         assert strip_seconds(tables[0]) == strip_seconds(tables[1])
+
+
+# The generating mixture is a ground truth: on its rows, forward KL is a
+# learner's test NLL minus the truth's, and reverse KL (sample quality) the
+# mean of log q - log p over samples of the learned q.  Seeds 0, 1 and 3 of
+# the soft-binary benchmark's rows, k-means as that benchmark learns, and
+# 20000 samples per learned circuit.
+TRUTH_SEEDS = (0, 1, 3)
+TRUTH_SAMPLES = 20000
+
+
+@pytest.fixture(scope="module")
+def truth_gaps():
+    """Per seed: the truth's test NLL and, per learner, its test NLL and its
+    forward and reverse gaps to the truth."""
+    gaps = {}
+    for seed in TRUTH_SEEDS:
+        train, test, truth = binary_mixture(seed)
+        truth_nll = -float(np.mean(truth.log_density(test)))
+        hp = Hyperparams(p_threshold=0.01, alpha=0.01, clusterer="kmeans", seed=seed)
+        gaps[seed] = {"truth": truth_nll}
+        for learn in (learn_spn, soft_learn):
+            q, _ = learn(WeightedDataset(train, None, Schema.binary(16)), hp)
+            nll = -float(np.mean(q.log_density(test)))
+            samples = q.sample(np.random.default_rng(seed), TRUTH_SAMPLES)
+            reverse = float(np.mean(q.log_density(samples) - truth.log_density(samples)))
+            gaps[seed][learn.__name__] = (nll, nll - truth_nll, reverse)
+    return gaps
+
+
+def test_generating_mixture_is_a_valid_normalised_circuit():
+    _, _, truth = binary_mixture(0)
+    assert truth.n_nodes == 69 and truth.validate() == []
+    assert abs(np.exp(truth.log_density(all_binary_rows(16))).sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("learner_name", ["learn_spn", "soft_learn"])
+def test_generating_mixture_has_the_lowest_test_nll(truth_gaps, learner_name):
+    for seed, gap in truth_gaps.items():
+        assert gap["truth"] < gap[learner_name][0], seed
+
+
+def test_learn_spn_gaps_to_the_truth_lie_in_their_bands(truth_gaps):
+    """Measured at seeds 0, 1 and 3: forward 0.133, 0.109 and 0.164,
+    reverse 0.156, 0.130 and 0.149 nats/row."""
+    for seed, gap in truth_gaps.items():
+        _, forward, reverse = gap["learn_spn"]
+        assert 0.08 <= forward <= 0.20, (seed, forward)
+        assert 0.10 <= reverse <= 0.19, (seed, reverse)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: at the default beta=4 soft k-means collapses and "
+    "soft_learn's forward gap to the truth is 2.9-3.0 nats/row, learn_spn's 0.11-0.16",
+)
+def test_paper_claim_soft_learn_likelihoods_at_least_as_close_to_the_truth(truth_gaps):
+    for seed, gap in truth_gaps.items():
+        assert gap["soft_learn"][1] <= gap["learn_spn"][1], seed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: at the default beta=4 soft_learn's reverse gap (its "
+    "samples scored by the truth) is 3.3 nats/row, learn_spn's 0.13-0.16",
+)
+def test_paper_claim_soft_learn_samples_at_least_as_close_to_the_truth(truth_gaps):
+    for seed, gap in truth_gaps.items():
+        assert gap["soft_learn"][2] <= gap["learn_spn"][2], seed

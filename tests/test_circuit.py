@@ -721,17 +721,27 @@ class TestEvaluatorMatchesReference:
 
 @pytest.fixture
 def repeats(monkeypatch):
-    """Each ``_repeats`` call's distinct-row count, or None where it kept
-    the rows as given; empty where the batch was never keyed."""
-    seen = []
-    inner = circuit_module._repeats
+    """Each ``distinct`` call's distinct-row count in ``log_density``, or
+    None where the evaluation that followed it kept the rows as given;
+    empty where the batch was never keyed."""
+    seen, pending = [], []
+    inner, evaluate = circuit_module.distinct, Circuit._evaluate
 
-    def spy(*args):
-        result = inner(*args)
-        seen.append(None if result is None else len(result[0]))
+    def spy(keys):
+        result = inner(keys)
+        seen.append(len(result[0]))
+        pending.append(True)
         return result
 
-    monkeypatch.setattr(circuit_module, "_repeats", spy)
+    def evaluate_spy(self, columns, n, index=None):
+        # the first evaluation after a call of distinct is log_density's own
+        if pending and index is None:
+            seen[-1] = None
+        pending.clear()
+        return evaluate(self, columns, n, index)
+
+    monkeypatch.setattr(circuit_module, "distinct", spy)
+    monkeypatch.setattr(Circuit, "_evaluate", evaluate_spy)
     return seen
 
 

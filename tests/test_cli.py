@@ -941,3 +941,79 @@ class TestToyExample:
         assert exc.value.code == EXIT_USAGE
         assert "count >= 1" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+class TestEntryPoint:
+    """The command-line checks that CI used to make only through the
+    installed console script.  Where the process's own exit code is the
+    point, the command runs as ``python -m softpc.cli``, the module the
+    console script calls; elsewhere through ``main``."""
+
+    @pytest.fixture()
+    def tiny_dir(self, tmp_path):
+        for part in ("train", "valid", "test"):
+            (tmp_path / f"tiny.{part}.data").write_text("0,1\n1,0\n1,1\n")
+        return tmp_path
+
+    @staticmethod
+    def process(args):
+        env = {**os.environ, "PYTHONPATH": str(Path(softpc.__file__).parent.parent)}
+        return subprocess.run([sys.executable, "-m", "softpc.cli", *map(str, args)], env=env,
+                              capture_output=True, text=True)
+
+    @pytest.mark.parametrize("case", ["threads-0", "alpha-1e308", "toy-example"])
+    def test_process_exit_code(self, tiny_dir, tmp_path, case):
+        args, code = {
+            "threads-0": (["--threads", 0, "grid", "--data", "x", "--method", "learnspn"],
+                          EXIT_USAGE),
+            "alpha-1e308": (["--data-dir", tiny_dir, "learn", "--data", "tiny",
+                             "--method", "learnspn", "--alpha", "1e308"], EXIT_USAGE),
+            "toy-example": (["toy-example", "--n", 50, "--out-dir", tmp_path / "toy"], EXIT_OK),
+        }[case]
+        done = self.process(args)
+        assert done.returncode == code, done.stderr
+        if case == "alpha-1e308":
+            assert "alpha must be in" in done.stderr
+
+    def test_csv_field_past_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        lines = ["a,b"] + [f"{i % 2},{i}" for i in range(8)] + ["0," + "1" * 200000]
+        (tmp_path / "big.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "big.schema").write_text("a cat\nb cont\n")
+        code = run(["--data-dir", tmp_path, "learn", "--data", "big", "--method", "learnspn"])
+        assert code == EXIT_DATA
+        assert "field larger than field limit" in capsys.readouterr().err
+
+    def test_learn_sample_validate_eval_and_synthetic_quality(self, tiny_dir, tmp_path, capsys):
+        model = tmp_path / "tiny.json"
+        learn = ["--data-dir", tiny_dir, "learn", "--data", "tiny", "--method", "learnspn"]
+        assert run(learn + ["--out-model", model]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["sample", "--model", model, "--n", 5]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert run(["validate-model", "--model", model]) == EXIT_OK
+        capsys.readouterr()
+        # eval prints a header and one line per split, synthetic-quality a
+        # header and one line
+        assert run(["--data-dir", tiny_dir, "eval", "--model", model, "--data", "tiny"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert run(["--data-dir", tiny_dir, "synthetic-quality", "--data", "tiny",
+                    "--method", "learnspn", "--reps", 1]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        # a dataset wider than the model is a data error
+        wide = tmp_path / "wide3"
+        wide.mkdir()
+        for part in ("train", "valid", "test"):
+            (wide / f"tiny.{part}.data").write_text("0,1,0\n1,0,1\n1,1,0\n")
+        assert run(["--data-dir", wide, "eval", "--model", model, "--data", "tiny"]) == EXIT_DATA
+
+    def test_learned_model_of_a_csv_with_a_byte_order_mark_validates_with_one(self, tmp_path):
+        lines = ["\ufeffa,b"] + [f"{i % 2},{i / 10}" for i in range(20)]
+        (tmp_path / "mix.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (tmp_path / "mix.schema").write_text("a cat\nb cont\n")
+        model = tmp_path / "model.json"
+        assert run(["--data-dir", tmp_path, "learn", "--data", "mix", "--method", "learnspn",
+                    "--out-model", model]) == EXIT_OK
+        assert model.stat().st_size > 0
+        bom_model = tmp_path / "bom-model.json"
+        bom_model.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+        assert run(["validate-model", "--model", bom_model]) == EXIT_OK

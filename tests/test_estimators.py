@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softpc.clustering import em_factorized, soft_kmeans
+from softpc.clustering import em_factorized, encode_rows, soft_kmeans
 from softpc.estimators import (
+    CONT_MAX_ABS,
     EPSILON_W,
     SIGMA_FLOOR,
     CategoricalTable,
     Gaussian,
     Multinomial,
+    distinct,
     fit_gaussian,
     fit_multinomial,
     key_places,
@@ -20,6 +22,7 @@ from softpc.estimators import (
     leaf_log_pdf,
 )
 from softpc.independence import discretize, partition_scope, weighted_chi2
+from softpc.learner import WeightedDataset
 from softpc.schema import Schema, Variable
 
 
@@ -64,6 +67,42 @@ class TestCheckWeights:
             call(matrix, weights)
 
 
+# every entry of the learners that takes continuous values, on rows whose
+# column 0 is a level and column 1 a real
+CONTINUOUS_ENTRIES = {
+    **{name: WEIGHTED_ENTRIES[name]
+       for name in ("soft_kmeans", "em_factorized", "discretize", "partition_scope")},
+    "encode_rows": lambda m, w: encode_rows(m, w, (0, 1), _MIXED),
+    "fit_gaussian": lambda m, w: fit_gaussian(m[:, 1], w),
+    "WeightedDataset": lambda m, w: WeightedDataset(m, w, _MIXED),
+}
+
+
+class TestContinuousValues:
+    @pytest.mark.parametrize("entry", sorted(CONTINUOUS_ENTRIES))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "past-bound", "1e200"])
+    def test_every_entry_rejects_values_that_are_not_finite_or_past_the_bound(
+            self, rng, entry, bad):
+        # one NaN or inf in a continuous column gave NaN memberships from the
+        # clusterers, a NaN bin edge from discretize and Gaussian(nan, nan)
+        # from fit_gaussian, with at most a RuntimeWarning
+        matrix = np.column_stack([rng.integers(0, 2, size=40), rng.normal(size=40)])
+        matrix[:2, 1] = CONT_MAX_ABS, -CONT_MAX_ABS  # the bound itself is allowed
+        call = CONTINUOUS_ENTRIES[entry]
+        call(matrix, np.ones(40))
+        matrix[7, 1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "1e200": -1e200,
+                        "past-bound": np.nextafter(CONT_MAX_ABS, np.inf)}[bad]
+        match = "must be finite" if bad in ("nan", "inf", "-inf") else "at most 1e\\+100 in magnitude"
+        with pytest.raises(ValueError, match=match):
+            call(matrix, np.ones(40))
+
+    def test_categorical_columns_are_not_held_to_it(self):
+        # the clusterers check only the scope's continuous columns; a level
+        # column has its own rule, and a column outside the scope none
+        matrix = np.array([[0.0, 1.0, np.nan], [1.0, 2.0, np.inf], [1.0, 0.5, 0.0]])
+        assert soft_kmeans(matrix, np.ones(3), (0, 1), _MIXED, 2, 4.0).shape == (3, 2)
+
+
 class TestKeyPlaces:
     # the one fold of categorical codes into int64 keys: soft k-means'
     # distinct rows and Circuit.log_density's repeated rows both key by it
@@ -91,6 +130,54 @@ class TestKeyPlaces:
         # equal keys, equal rows
         _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
         assert np.array_equal(codes[first][inv], codes)
+
+
+def void_rows(rows):
+    """Each row of a float matrix as one raw-byte key, as soft k-means keys them."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+class TestDistinct:
+    # the one grouping of equal keys: log_density's folded row keys, soft
+    # k-means' distinct rows and discretize's distinct values
+
+    @staticmethod
+    def keys(kind, rng):
+        if kind == "int64-ties":
+            return rng.integers(0, 40, size=500).astype(np.int64)
+        if kind == "int64-all-distinct":
+            return rng.permutation(1 << 12).astype(np.int64) * 7919
+        if kind == "int64-one-row":
+            return np.array([5], dtype=np.int64)
+        if kind == "void-rows":
+            # levels 0, 1, 2 and -0.0: the bytes of -0.0 differ from 0.0's
+            rows = rng.integers(0, 3, size=(800, 4)).astype(float)
+            rows[rng.random(rows.shape) < 0.1] = -0.0
+            return void_rows(rows)
+        if kind == "void-one-row":
+            return void_rows(np.array([[1.0, -0.0, 2.0]]))
+        if kind == "float-signed-zeros":
+            values = rng.choice([-0.0, 0.0, 1.5, -2.0, np.inf, -np.inf, 1e-300], size=300)
+            return np.concatenate([values, rng.normal(size=50)])
+        assert kind == "float-one-row"
+        return np.array([-0.0])
+
+    @pytest.mark.parametrize("kind", [
+        "int64-ties", "int64-all-distinct", "int64-one-row", "void-rows", "void-one-row",
+        "float-signed-zeros", "float-one-row"])
+    def test_matches_np_unique(self, kind, rng):
+        keys = self.keys(kind, rng)
+        uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        got_first, got_inv = distinct(keys)
+        assert got_first.dtype == np.intp and got_inv.dtype == np.intp
+        assert np.array_equal(got_first, first) and np.array_equal(got_inv, inv.ravel())
+        # the same distinct keys, to the byte: the first of 0.0 and -0.0 in a group
+        assert keys[got_first].tobytes() == uniq.tobytes()
+
+    def test_signed_zeros_share_one_group_of_floats(self):
+        first, inv = distinct(np.array([0.0, 1.0, -0.0, 0.0, -0.0]))
+        assert first.tolist() == [0, 1] and inv.tolist() == [0, 1, 0, 0, 0]
 
 
 class TestLeafFitWeights:
@@ -368,6 +455,28 @@ class TestLeafLogMass:
         assert leaf_log_mass(dist, 2.99, 3.0, out=block) is block
         assert (block.view(np.int64) == expected.view(np.int64)).all()
         assert (table[:2] == 7.0).all() and (table[6:] == 7.0).all()
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e-3), (-1e-3, 0.0), (5.0, 5.0 + 2e-3)])
+    def test_a_block_of_a_narrow_and_a_wide_leaf(self, lo, hi):
+        """The interval is narrow for the leaf of sigma 1 and wide for the
+        one at ``SIGMA_FLOOR``: the block takes the narrow test, the wide
+        leaf alone skips it, and each leaf gets the bits of its own call.
+        Both are within the sweep's bounds of 50-digit mpmath (the leaf at
+        ``SIGMA_FLOOR`` lies up to 5000 standard deviations out)."""
+        mpmath = pytest.importorskip("mpmath")
+        dist = Gaussian(np.array([[0.0], [0.0]]), np.array([[1.0], [SIGMA_FLOOR]]))
+        got = leaf_log_mass(dist, lo, hi)
+        alone = [leaf_log_mass(Gaussian(0.0, sigma), lo, hi) for sigma in (1.0, SIGMA_FLOOR)]
+        assert got[:, 0].tolist() == alone
+        ctx = mpmath.mp.clone()
+        ctx.dps = 50
+        root2 = ctx.sqrt(2)
+        for value, sigma in zip(alone, (1.0, SIGMA_FLOOR)):
+            za, zb = (ctx.mpf(x) / sigma / root2 for x in (lo, hi))
+            mass = (ctx.erfc(za) - ctx.erfc(zb) if za + zb > 0
+                    else ctx.erfc(-zb) - ctx.erfc(-za)) / 2
+            exact = float(ctx.log(mass))
+            assert abs(value - exact) <= max(2e-11, 1e-12 * abs(exact))
 
     @np.errstate(**_LEAF_ERRSTATE)
     def test_matches_mpmath_on_a_sweep(self):
