@@ -49,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
-    CategoricalTable,
     Gaussian,
     Multinomial,
     categorical_codes,
@@ -324,10 +323,10 @@ class Circuit:
         Returns ``(root_slot, chunk, leaves, groups, draws)``:
 
         - ``leaves``: per variable, ``(v, lo, hi, stacked)``, its block of
-          slots and its rows of its leaf block: a ``CategoricalTable`` of
-          ``(k, arity)`` log probabilities, or a ``Gaussian`` of ``(k, 1)``
-          mu/sigma columns, views of the block's one log-probability array
-          or of its mu and sigma vectors;
+          slots and its rows of its leaf block: the ``(k, arity)`` array of
+          their log probabilities, or a ``Gaussian`` of ``(k, 1)`` mu/sigma
+          columns, views of the block's one log-probability array or of its
+          mu and sigma vectors;
         - ``groups``: per nonempty step, ``(lo, hi, children,
           log_weights)``.  For a product group ``children`` is the CSR form
           of its node-by-slot matrix of ones, ``(indptr, indices, ones)``:
@@ -400,7 +399,7 @@ class Circuit:
                 for v in run:
                     rows = slice(lo - first, lo - first + len(by_var[v]))
                     stacked = (Gaussian(table.mu[rows, None], table.sigma[rows, None]) if gaussian
-                               else CategoricalTable(log_probs[rows]))
+                               else log_probs[rows])
                     leaves.append((v, lo, lo + len(by_var[v]), stacked))
                     lo += len(by_var[v])
 
@@ -662,14 +661,18 @@ class Circuit:
         Draw order from ``rng``: one ``rng.random(pairs)`` per sum group
         that rows reach, last step first, counted against the group's
         cumulative weights; then, per leaf block in slot order and per chunk
-        of its keys in sorted order, one ``rng.random(pairs)`` counted
-        against the block's cumulative probabilities, or one
-        ``rng.standard_normal(pairs)`` for the Gaussian block.  Consecutive
-        calls continue one stream, so the chunk size does not change the
-        draws.  The sum groups are the even steps of ``_compiled`` and the
-        leaf blocks its slot order, so a seeded sample follows that layout:
-        regrouping the nodes changes the draws, though not their
-        distribution.
+        of its pairs, one ``rng.random(pairs)`` counted against the block's
+        cumulative probabilities, or one ``rng.standard_normal(pairs)`` for
+        the Gaussian block.  A sum group or leaf block takes its pairs in
+        the order the pushes reached it, the root's first and then each sum
+        group's, last step first; each push is sorted by key (slot, then
+        row), but the pushes are not merged, so the pairs as a whole are not
+        in key order.  A leaf block whose pairs fill more than one chunk
+        chunks each push on its own.  Consecutive calls continue one stream,
+        so the chunk size does not change the draws.  The sum groups are
+        the even steps of ``_compiled`` and the leaf blocks its slot order,
+        so a seeded sample follows that layout: regrouping the nodes changes
+        the draws, though not their distribution.
         """
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"expected a non-negative integer number of rows, got {n!r}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators
-from .estimators import CategoricalTable, Gaussian, Multinomial, leaf_log_pdf
+from .estimators import Gaussian, Multinomial, leaf_log_pdf
 
 CENTROID_TOL = 1e-6
 COLLAPSE_TOL = 1e-8
@@ -388,7 +388,8 @@ def em_factorized(
     distributions are built once, from the last M-step, and the returned
     memberships are its posterior, evaluated leaf by leaf
     (``leaf_log_pdf``, one call per component and variable), a categorical
-    leaf as a ``CategoricalTable`` read at the codes checked on entry.
+    leaf as the bare array of its log probabilities, read at the codes
+    checked on entry.
 
     Raises ``ValueError`` if a categorical scope column holds a value
     that is not an integer in ``[0, arity)`` (``estimators.categorical_codes``),
@@ -479,11 +480,11 @@ def em_factorized(
     components = [[leaves[v][i] for v in scope] for i in range(k)]
     # repeats the last E-step leaf by leaf: bench/spans.py counts EM work
     # as leaf_log_pdf calls under an em_factorized call.  A categorical leaf
-    # goes in as a table of its log probabilities, read at the entry's codes
+    # goes in as the array of its log probabilities, read at the entry's codes
     codes = dict(zip(cats, icodes.T))
     with np.errstate(divide="ignore"):  # the log of a level without weight
         joint = np.log(priors)[:, None] + np.array(
-            [sum(leaf_log_pdf(CategoricalTable(np.log(np.asarray(dist.probs))), codes[v])
+            [sum(leaf_log_pdf(np.log(np.asarray(dist.probs)), codes[v])
                  if v in codes else leaf_log_pdf(dist, matrix[:, v])
                  for v, dist in zip(scope, comp))
              for comp in components]

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import CONT_MAX_ABS
+from .estimators import continuous_values
 from .schema import Schema, Variable
 
 SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train/valid/test shares of a mixed CSV's rows
@@ -233,8 +233,9 @@ def load_mixed_csv(
     (train/valid/test); a split left empty, as with fewer than 6 rows, a
     column name that appears twice in the header, a line that ``csv``
     rejects (a field longer than ``csv.field_size_limit()``, say) and a
-    continuous value that is not finite or exceeds ``CONT_MAX_ABS`` in
-    magnitude are ``DataError``s.  Categorical levels are
+    continuous column that fails ``estimators.continuous_values`` (a value
+    that is not finite or exceeds ``CONT_MAX_ABS`` in magnitude) are
+    ``DataError``s.  Categorical levels are
     dictionary-encoded in first-appearance order over the training split;
     a level appearing only in valid/test (the first such in file order is
     named), or a column with more than ``MAX_ARITY`` training levels, is a
@@ -292,15 +293,13 @@ def load_mixed_csv(
         raw = cols[j]
         if kind == "cont":
             try:
-                encoded[:, j] = [float(v) for v in raw]
+                values = [float(v) for v in raw]
             except ValueError as exc:
                 raise DataError(f"{csv_path}: column {colname!r}: non-numeric value") from exc
-            if not np.isfinite(encoded[:, j]).all():
-                raise DataError(f"{csv_path}: column {colname!r}: non-finite value")
-            huge = np.abs(encoded[:, j]) > CONT_MAX_ABS
-            if huge.any():
-                raise DataError(f"{csv_path}: column {colname!r}: value "
-                                f"{raw[int(huge.argmax())]!r} beyond +-{CONT_MAX_ABS:g}")
+            try:
+                encoded[:, j] = continuous_values(values, f"column {colname!r}: values")
+            except ValueError as exc:
+                raise DataError(f"{csv_path}: {exc}") from None
             variables.append(Variable("cont", name=colname))
         else:
             levels = {}

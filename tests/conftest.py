@@ -812,6 +812,49 @@ def binary_mixture(seed, sizes=(2000, 1000)):
     return rows[:sizes[0]], rows[sizes[0]:], truth
 
 
+def mixed_mixture(seed, sizes=(1050, 450)):
+    """``(train, test, truth)``: rows of a uniform mixture of 6 products of
+    8 Gaussian and 8 categorical leaves, 8 continuous then 8 categorical
+    columns, split into blocks of ``sizes`` rows, and the mixture itself as
+    a 103-node circuit (96 leaves, 6 products, 1 sum).
+
+    The rows are drawn as the grid-mixed benchmark draws them, from the
+    same streams.  A fixed population stream draws the means, N(0, 1.5**2),
+    the sigmas, U(0.5, 1.5), the arities, in [2, 6), and per categorical
+    column each component's levels, Dirichlet(0.5) mixed with 10% uniform
+    mass; ``seed`` draws each row's component, its continuous values, then
+    one uniform per categorical column, read against the cumulative
+    probabilities."""
+    n_components, n_cont, n_cat = 6, 8, 8
+    population = np.random.default_rng([20240321, 2, 0])
+    means = population.normal(0.0, 1.5, size=(n_components, n_cont))
+    sigmas = population.uniform(0.5, 1.5, size=(n_components, n_cont))
+    arities = population.integers(2, 6, size=n_cat)
+    cat_probs = [0.9 * population.dirichlet(np.full(a, 0.5), size=n_components) + 0.1 / a
+                 for a in arities]
+    n = sum(sizes)
+    rng = np.random.default_rng([seed, 12])
+    z = rng.integers(0, n_components, size=n)
+    cont = means[z] + sigmas[z] * rng.standard_normal((n, n_cont))
+    cats = np.empty((n, n_cat))
+    for j, probs in enumerate(cat_probs):
+        u = rng.random((n, 1))
+        cats[:, j] = np.minimum((u > np.cumsum(probs[z], axis=1)).sum(axis=1), len(probs[0]) - 1)
+    rows = np.hstack([cont, cats])
+    nodes, products = [], []
+    for c in range(n_components):
+        nodes += [LeafNode(v, Gaussian(float(means[c, v]), float(sigmas[c, v])))
+                  for v in range(n_cont)]
+        nodes += [LeafNode(n_cont + j, Multinomial(tuple(probs[c].tolist())))
+                  for j, probs in enumerate(cat_probs)]
+        nodes.append(ProductNode(tuple(range(len(nodes) - n_cont - n_cat, len(nodes)))))
+        products.append(len(nodes) - 1)
+    nodes.append(SumNode(tuple(products), (1.0 / n_components,) * n_components))
+    schema = Schema([*Schema.continuous(n_cont), *Schema.categorical(arities.tolist())])
+    truth = Circuit(nodes, len(nodes) - 1, schema)
+    return rows[:sizes[0]], rows[sizes[0]:], truth
+
+
 def pinned_data(kind):
     """Fixed 400-row sets: 6 binary columns, or cat(3), 2 continuous, binary."""
     rng = np.random.default_rng(7)

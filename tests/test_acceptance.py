@@ -26,7 +26,13 @@ from softpc.independence import weighted_chi2
 from softpc.learner import Hyperparams, WeightedDataset, factorized_circuit, learn_spn, soft_learn
 from softpc.schema import Schema
 
-from conftest import all_binary_rows, binary_mixture, singleton_split_membership, split_circuit
+from conftest import (
+    all_binary_rows,
+    binary_mixture,
+    mixed_mixture,
+    singleton_split_membership,
+    split_circuit,
+)
 
 DATA_DIR = Path(os.environ.get("SOFTPC_DATA_DIR", "datasets"))
 
@@ -448,4 +454,68 @@ def test_paper_claim_soft_learn_likelihoods_at_least_as_close_to_the_truth(truth
 )
 def test_paper_claim_soft_learn_samples_at_least_as_close_to_the_truth(truth_gaps):
     for seed, gap in truth_gaps.items():
+        assert gap["soft_learn"][2] <= gap["learn_spn"][2], seed
+
+
+# The same gaps on the grid-mixed benchmark's rows, by ROADMAP item 3's
+# protocol: 1050 rows to train and 450 to test, default Hyperparams (EM),
+# seeds 100, 101 and 102.
+MIXED_TRUTH_SEEDS = (100, 101, 102)
+
+
+@pytest.fixture(scope="module")
+def mixed_truth_gaps():
+    """As ``truth_gaps``, on mixed rows."""
+    gaps = {}
+    for seed in MIXED_TRUTH_SEEDS:
+        train, test, truth = mixed_mixture(seed)
+        truth_nll = -float(np.mean(truth.log_density(test)))
+        gaps[seed] = {"truth": truth_nll}
+        for learn in (learn_spn, soft_learn):
+            q, _ = learn(WeightedDataset(train, None, truth.schema), Hyperparams())
+            nll = -float(np.mean(q.log_density(test)))
+            samples = q.sample(np.random.default_rng(seed), TRUTH_SAMPLES)
+            reverse = float(np.mean(q.log_density(samples) - truth.log_density(samples)))
+            gaps[seed][learn.__name__] = (nll, nll - truth_nll, reverse)
+    return gaps
+
+
+def test_mixed_generating_mixture_is_a_valid_normalised_circuit():
+    _, _, truth = mixed_mixture(0)
+    kinds = [type(node).__name__ for node in truth.nodes]
+    assert [kinds.count(k) for k in ("LeafNode", "ProductNode", "SumNode")] == [96, 6, 1]
+    assert truth.validate() == []
+    assert abs(truth.log_marginal([None] * 16)) <= 1e-9
+
+
+@pytest.mark.parametrize("learner_name", ["learn_spn", "soft_learn"])
+def test_mixed_generating_mixture_has_the_lowest_test_nll(mixed_truth_gaps, learner_name):
+    for seed, gap in mixed_truth_gaps.items():
+        assert gap["truth"] < gap[learner_name][0], seed
+
+
+def test_learn_spn_forward_gap_on_mixed_rows_lies_in_its_band(mixed_truth_gaps):
+    """Measured at seeds 100, 101 and 102: 0.524, 0.616 and 0.385 nats/row."""
+    for seed, gap in mixed_truth_gaps.items():
+        forward = gap["learn_spn"][1]
+        assert 0.30 <= forward <= 0.75, (seed, forward)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: EM starts from soft k-means at beta=4, which collapses, "
+    "and soft_learn's forward gap on mixed rows is 4.4-4.7 nats/row, learn_spn's 0.39-0.62",
+)
+def test_paper_claim_soft_learn_likelihoods_at_least_as_close_to_the_mixed_truth(mixed_truth_gaps):
+    for seed, gap in mixed_truth_gaps.items():
+        assert gap["soft_learn"][1] <= gap["learn_spn"][1], seed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: from the same collapsed EM start, soft_learn's reverse gap "
+    "on mixed rows is 6.2-6.3 nats/row, learn_spn's 0.45-0.71",
+)
+def test_paper_claim_soft_learn_samples_at_least_as_close_to_the_mixed_truth(mixed_truth_gaps):
+    for seed, gap in mixed_truth_gaps.items():
         assert gap["soft_learn"][2] <= gap["learn_spn"][2], seed

@@ -1389,11 +1389,79 @@ class TestSamplerShapes:
                     assert np.shares_memory(stacked.sigma, table.sigma[lo:hi])
                     assert np.array_equal(stacked.mu[:, 0], table.mu[lo:hi])
                 else:
-                    block = stacked.log_probs.base
+                    assert type(stacked) is np.ndarray
+                    block = stacked.base
                     assert block is not None and block.shape == (end - first, len(table) + 1)
-                    assert np.shares_memory(stacked.log_probs, block[lo:hi])
-                    assert np.array_equal(stacked.log_probs, block[lo:hi])
-                    assert block is rows[0][2].log_probs.base
+                    assert np.shares_memory(stacked, block[lo:hi])
+                    assert np.array_equal(stacked, block[lo:hi])
+                    assert block is rows[0][2].base
+
+
+class RecordedDraws:
+    """Stands in for a numpy Generator: hands out ``uniforms`` in turn, and
+    as normals each one's position among the normals drawn, recording every
+    call as ``(kind, size)``."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+        self.calls = []
+        self.normals = 0
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        drawn, self.uniforms = self.uniforms[:size], self.uniforms[size:]
+        return np.array(drawn, dtype=float)
+
+    def standard_normal(self, size):
+        self.calls.append(("normal", size))
+        self.normals += size
+        return np.arange(self.normals - size, self.normals, dtype=float)
+
+
+class TestSampleDrawOrder:
+    """The draw order that ``Circuit.sample``'s docstring states, on a
+    circuit whose categorical leaf block is reached from two sum groups:
+    the root pushes rows to X1's leaves and to X0's sums, and those sums
+    push them on to X0's leaves, which sit in lower slots than X1's."""
+
+    @pytest.mark.parametrize("cells", [None, 16])
+    def test_pairs_go_in_push_order_sorted_within_each_push(self, cells, monkeypatch):
+        if cells is not None:  # two pairs per chunk of the arity-8 block
+            monkeypatch.setattr(circuit_module, "_SAMPLE_CELLS", cells)
+        uniform = Multinomial((0.125,) * 8)
+        nodes = [
+            *(LeafNode(0, uniform) for _ in range(4)),  # a0 b0 c0 d0
+            LeafNode(1, uniform), LeafNode(1, uniform),  # x1a x1b
+            LeafNode(2, Gaussian(0.0, 1.0)), LeafNode(2, Gaussian(0.0, 1.0)),  # g1 g2
+            SumNode((0, 1), (0.5, 0.5)),
+            SumNode((2, 3), (0.5, 0.5)),
+            ProductNode((8, 4, 6)),
+            ProductNode((9, 5, 7)),
+            SumNode((10, 11), (0.5, 0.5)),
+        ]
+        c = Circuit(nodes, 12, Schema([*Schema.categorical([8, 8]), *Schema.continuous(1)]))
+        assert c.validate() == []
+        *_, (_, _, _, _, blocks, leaf_var) = c._compiled()
+        # one categorical block, X0's leaves in its lower slots
+        assert blocks[0][0] == 0 and leaf_var.tolist() == [0, 0, 0, 0, 1, 1, 2, 2]
+        # the root: rows 0 and 2 to the first product, row 1 to the second;
+        # then the sum group's pairs in key order (a0|b0 row 0, a0|b0 row 2,
+        # c0|d0 row 1): row 0 to b0, row 2 to a0, row 1 to c0; then the
+        # leaf block, where uniform (i + 0.5) / 8 draws level i
+        rng = RecordedDraws([0.25, 0.75, 0.25, 0.75, 0.25, 0.25,
+                             *((i + 0.5) / 8 for i in range(6))])
+        rows = c.sample(rng, 3)
+        # each pair reads its position in the block's draws as its level:
+        # the root's push comes first, sorted (x1a rows 0 and 2, x1b row
+        # 1), then the sum group's, sorted (a0 row 2, b0 row 0, c0 row 1);
+        # key order over the block would have put X0's pairs first
+        assert rows[:, 1].tolist() == [0, 2, 1]
+        assert rows[:, 0].tolist() == [4, 5, 3]
+        # the Gaussian block, one push from the root: g1 rows 0 and 2, g2 row 1
+        assert rows[:, 2].tolist() == [0, 2, 1]
+        # past one chunk, each push is chunked on its own; the draws are the same
+        leaf_calls = [("random", 6)] if cells is None else [("random", 2), ("random", 1)] * 2
+        assert rng.calls == [("random", 3), ("random", 3), *leaf_calls, ("normal", 3)]
 
 
 class TestSampleDeterminism:

@@ -734,16 +734,17 @@ class TestEmFactorizedMatchesLoopReference:
         assert len(mixture.ll_trace) > 1
         # only the membership pass after the loop evaluates leaves one by one:
         # K * |scope| calls, whatever the number of iterations, in component
-        # and scope order; a categorical leaf goes in as the table of its
+        # and scope order; a categorical leaf goes in as the bare array of its
         # component's log probabilities, at the column's int64 codes
         assert len(leaf_evals) == 2 * 6
         expected = [(v, dist) for comp in mixture.components for v, dist in enumerate(comp)]
         for (got, x), (v, dist) in zip(leaf_evals, expected):
             assert np.array_equal(x, matrix[:, v])
             if schema.is_cat(v):
-                assert type(dist) is Multinomial and type(got) is estimators.CategoricalTable
+                assert type(dist) is Multinomial and type(got) is np.ndarray
                 assert x.dtype == np.int64
-                assert np.array_equal(got.log_probs, np.log(np.asarray(dist.probs)))
+                assert got.shape == (len(dist.probs),)
+                assert np.array_equal(got, np.log(np.asarray(dist.probs)))
             else:
                 assert type(dist) is Gaussian and got == dist
         assert np.allclose(resp.sum(axis=1), 1.0)

@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from softpc.datasets import (
-    CONT_MAX_ABS,
     DataError,
     DatasetBundle,
     DISCRETE_MANIFEST,
@@ -19,6 +18,7 @@ from softpc.datasets import (
     _read_discrete_lines,
     read_schema_spec,
 )
+from softpc.estimators import CONT_MAX_ABS
 from softpc.schema import Schema, Variable
 
 
@@ -340,8 +340,18 @@ class TestMixedCsv:
         csv, sidecar = self.write_csv(tmp_path)
         with open(csv, "a") as fh:
             fh.write(f"red,{value}\n")
-        with pytest.raises(DataError, match=f"column 'size': value '{value}' beyond"):
+        with pytest.raises(DataError) as info:
             load_mixed_csv(csv, sidecar)
+        assert str(info.value) == f"{csv}: column 'size': values must be at most 1e+100 in magnitude"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_continuous_value_rejected(self, tmp_path, value):
+        csv, sidecar = self.write_csv(tmp_path)
+        with open(csv, "a") as fh:
+            fh.write(f"red,{value}\n")
+        with pytest.raises(DataError) as info:
+            load_mixed_csv(csv, sidecar)
+        assert str(info.value) == f"{csv}: column 'size': values must be finite"
 
     def test_continuous_value_at_the_bound_loads(self, tmp_path):
         csv, sidecar = self.write_csv(tmp_path)

@@ -11,7 +11,6 @@ from softpc.estimators import (
     CONT_MAX_ABS,
     EPSILON_W,
     SIGMA_FLOOR,
-    CategoricalTable,
     Gaussian,
     Multinomial,
     distinct,
@@ -385,18 +384,21 @@ class TestLeafLogPdf:
         assert np.isneginf(got).any() and np.isfinite(got[0, 3])  # z * z alone overflows there
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
-    @pytest.mark.parametrize("which", ["categorical", "gaussian"])
+    @pytest.mark.parametrize("which", ["categorical", "multinomial", "gaussian"])
     @pytest.mark.parametrize("n", [8, 1])
     def test_out_writes_its_block_bit_for_bit(self, which, n):
         """With ``out``, a stacked leaf fills a (k, n) row block of a larger
         table with the allocating call's bits, touches nothing else, and
-        returns the block itself."""
+        returns the block itself.  A categorical block is the bare (k, arity)
+        array of its log probabilities; a ``Multinomial`` of the same probs
+        gives the same bits."""
         rng = np.random.default_rng(19)
-        if which == "categorical":
+        if which != "gaussian":
             probs = rng.dirichlet(np.ones(3), size=5)
             probs[1, 2] = probs[3, 0] = 0.0  # -inf for leaf 1 at code 2, leaf 3 at code 0
             with np.errstate(divide="ignore"):
-                dist = CategoricalTable(np.log(probs))
+                log_probs = np.log(probs)
+            dist = log_probs if which == "categorical" else Multinomial(probs)
             x = np.array([2.0, 0.0, 1.0, 2.0, 0.0, 1.0, 1.0, 2.0])[:n]
         else:
             dist = Gaussian(rng.normal(size=(5, 1)), rng.uniform(0.1, 2.0, size=(5, 1)))
@@ -408,8 +410,9 @@ class TestLeafLogPdf:
         assert leaf_log_pdf(dist, x, out=block) is block
         assert block.view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert (table[:4] == 7.0).all() and (table[9:] == 7.0).all()
-        if which == "categorical":
+        if which != "gaussian":
             assert np.isneginf(block).sum() == np.isneginf(expected).sum() > 0
+            assert expected.tolist() == log_probs[:, x.astype(int)].tolist()
 
 
 # what the evaluator's leaf layer sets: leaf_log_mass leaves the warnings of
