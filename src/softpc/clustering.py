@@ -388,8 +388,8 @@ def em_factorized(
     distributions are built once, from the last M-step, and the returned
     memberships are its posterior, evaluated leaf by leaf
     (``leaf_log_pdf``, one call per component and variable), a categorical
-    leaf as the bare array of its log probabilities, read at the codes
-    checked on entry.
+    leaf as its component's slice of the log of the last M-step's
+    probabilities, read at the codes checked on entry.
 
     Raises ``ValueError`` if a categorical scope column holds a value
     that is not an integer in ``[0, arity)`` (``estimators.categorical_codes``),
@@ -480,14 +480,17 @@ def em_factorized(
     components = [[leaves[v][i] for v in scope] for i in range(k)]
     # repeats the last E-step leaf by leaf: bench/spans.py counts EM work
     # as leaf_log_pdf calls under an em_factorized call.  A categorical leaf
-    # goes in as the array of its log probabilities, read at the entry's codes
-    codes = dict(zip(cats, icodes.T))
+    # goes in as its component's slice of the last M-step's log probabilities,
+    # read at the entry's codes
     with np.errstate(divide="ignore"):  # the log of a level without weight
+        log_probs = np.log(probs)
+        tables = {v: (log_probs[:, lo : lo + a], codes)
+                  for v, lo, a, codes in zip(cats, offsets, arities, icodes.T)}
         joint = np.log(priors)[:, None] + np.array(
-            [sum(leaf_log_pdf(np.log(np.asarray(dist.probs)), codes[v])
-                 if v in codes else leaf_log_pdf(dist, matrix[:, v])
+            [sum(leaf_log_pdf(tables[v][0][i], tables[v][1]) if v in tables
+                 else leaf_log_pdf(dist, matrix[:, v])
                  for v, dist in zip(scope, comp))
-             for comp in components]
+             for i, comp in enumerate(components)]
         )
     resp, _ = _normalize(joint)
     return np.ascontiguousarray(resp.T), FactorizedMixture(priors, components, tuple(scope), ll_trace)

@@ -228,36 +228,30 @@ def distinct(keys):
 def leaf_log_pdf(dist, x, out=None):
     """Log pmf/pdf of a leaf; broadcasts over array ``x`` and stacked parameters.
 
-    A categorical leaf is a ``Multinomial``, whose values ``x`` are
-    checked by ``categorical_codes``, or its log probabilities as a bare
-    array, one leaf's ``(arity,)`` row or stacked leaves' ``(k, arity)``
-    table, read at codes that the caller has checked: an out-of-range code
-    is clipped, not rejected.  A ``Multinomial`` becomes that array once
-    its codes are checked, so both are read by one ``take``.
+    A leaf is a ``Gaussian`` or a categorical leaf's log probabilities as
+    an array, one leaf's ``(arity,)`` row or stacked leaves' ``(k, arity)``
+    table, read at codes that the caller has checked with
+    ``categorical_codes``: an out-of-range code is clipped, not rejected.
+    Anything else is a ``TypeError``.
 
     With ``out``, a float array of the result's shape, the values are
     written into it and it is returned, so that a stacked leaf fills its
     block of a larger table without a temporary.  The values are the same
     bits either way.
     """
-    # the evaluator's categorical blocks, bare arrays, pass one test
-    if not isinstance(dist, np.ndarray):
-        if isinstance(dist, Gaussian):
-            # -0.5 * z * z - log(sigma) - log(sqrt(2 pi)) with z = (x - mu) / sigma,
-            # in place; (-0.5 * z) * z in that order, as z * z alone overflows sooner
-            out = np.subtract(np.asarray(x, dtype=float), dist.mu, out=out)
-            out /= dist.sigma
-            out *= -0.5 * out
-            out -= np.log(dist.sigma)
-            out -= LOG_SQRT_2PI
-            return float(out) if out.ndim == 0 else out
-        if not isinstance(dist, Multinomial):
-            raise TypeError(f"unknown leaf distribution {type(dist)!r}")
-        with np.errstate(divide="ignore"):
-            dist = np.log(np.asarray(dist.probs))
-        x = categorical_codes(x, dist.shape[-1])
-    # mode="clip" lets take write into ``out`` unbuffered; the codes are checked
-    out = dist.take(np.asarray(x).astype(np.intp), axis=-1, out=out, mode="clip")
+    if isinstance(dist, np.ndarray):
+        # mode="clip" lets take write into ``out`` unbuffered; the codes are checked
+        out = dist.take(np.asarray(x).astype(np.intp), axis=-1, out=out, mode="clip")
+    elif isinstance(dist, Gaussian):
+        # -0.5 * z * z - log(sigma) - log(sqrt(2 pi)) with z = (x - mu) / sigma,
+        # in place; (-0.5 * z) * z in that order, as z * z alone overflows sooner
+        out = np.subtract(np.asarray(x, dtype=float), dist.mu, out=out)
+        out /= dist.sigma
+        out *= -0.5 * out
+        out -= np.log(dist.sigma)
+        out -= LOG_SQRT_2PI
+    else:
+        raise TypeError(f"unknown leaf distribution {type(dist)!r}")
     return float(out) if out.ndim == 0 else out
 
 

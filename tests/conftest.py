@@ -139,11 +139,27 @@ def random_mixed_circuit(rng, n_vars: int = 5, max_depth: int = 3) -> Circuit:
     return Circuit(nodes, root, schema)
 
 
+def log_probs(probs) -> np.ndarray:
+    """The log of categorical probabilities, a level without mass at -inf:
+    the array that ``leaf_log_pdf`` reads a categorical leaf as."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(probs))
+
+
+def reference_leaf_log_pdf(dist, x):
+    """``leaf_log_pdf`` of one leaf at values ``x``: a ``Multinomial`` as
+    the array of its log probabilities, at the codes that
+    ``categorical_codes`` makes of ``x``."""
+    if isinstance(dist, Multinomial):
+        return leaf_log_pdf(log_probs(dist.probs), estimators.categorical_codes(x, dist.arity))
+    return leaf_log_pdf(dist, x)
+
+
 def reference_log_value(circuit: Circuit, query) -> float:
     """Log value of one query, evaluated node by node by recursion.
 
     Entries are as in ``Circuit.log_marginal``: ``None``, a point, or an
-    ``(lo, hi)`` interval.  Leaves use ``leaf_log_pdf`` one at a time; an
+    ``(lo, hi)`` interval.  Leaves use ``reference_leaf_log_pdf`` one at a time; an
     interval takes the tail on its own side of the leaf's mean, through
     ``log_ndtr``: ``log P(X > lo) + log1p(-P(X > hi) / P(X > lo))`` when
     its midpoint lies above the mean, the CDFs ``log P(X < hi) +
@@ -164,7 +180,7 @@ def reference_log_value(circuit: Circuit, query) -> float:
             if inner >= outer:
                 return -math.inf
             return outer + math.log1p(-math.exp(inner - outer))
-        return leaf_log_pdf(node.dist, entry)
+        return reference_leaf_log_pdf(node.dist, entry)
 
     @functools.lru_cache(maxsize=None)
     def value(i):
@@ -318,7 +334,7 @@ def _reference_height_groups(circuit: Circuit):
     for v in sorted(by_var):
         dists = [circuit.nodes[i].dist for i in by_var[v]]
         if isinstance(dists[0], Multinomial):
-            stacked = Multinomial(np.array([d.probs for d in dists]))
+            stacked = log_probs([d.probs for d in dists])
         else:
             stacked = Gaussian(np.array([[d.mu] for d in dists]), np.array([[d.sigma] for d in dists]))
         leaves.append((v, lo, lo + len(dists), stacked))
@@ -351,7 +367,8 @@ def reference_height_grouped(circuit: Circuit, columns, n: int) -> np.ndarray:
 
     ``columns[v]`` is ``None``, an ``(lo, hi)`` interval or an array of n
     values.  The leaf layer takes one ``leaf_log_pdf`` call per variable on
-    its stacked ``Multinomial`` or ``Gaussian``, or one ``leaf_log_mass``
+    its stacked ``Gaussian`` or ``(k, arity)`` array of log probabilities,
+    the latter at codes checked by ``categorical_codes``, or one ``leaf_log_mass``
     call for an interval; a product group is its CSR
     matrix of ones times the table, a sum group adds its log weights to
     its children gathered by position, takes the max over positions
@@ -368,6 +385,8 @@ def reference_height_grouped(circuit: Circuit, columns, n: int) -> np.ndarray:
             vals[lo:hi] = 0.0
         elif isinstance(entry, tuple):
             vals[lo:hi] = leaf_log_mass(dist, *entry)
+        elif isinstance(dist, np.ndarray):
+            vals[lo:hi] = leaf_log_pdf(dist, estimators.categorical_codes(entry, dist.shape[-1]))
         else:
             vals[lo:hi] = leaf_log_pdf(dist, entry)
     for lo, hi, children, log_weights in groups:
@@ -515,7 +534,7 @@ def reference_em_factorized(
     matrix, weights, scope, schema, k, max_iter=100, tol=1e-4, alpha=0.01, rng=None,
     init_membership=None, return_trace=False,
 ):
-    """EM with one leaf fit and one ``leaf_log_pdf`` call per component and variable.
+    """EM with one leaf fit and one ``reference_leaf_log_pdf`` call per component and variable.
 
     This is the loop ``em_factorized`` ran before its iterations became
     whole-matrix steps: ``fit_factorized`` drops weights below
@@ -569,7 +588,7 @@ def reference_em_factorized(
         for i in range(k):
             ll = np.zeros(n)
             for v, dist in zip(scope, components[i]):
-                ll += leaf_log_pdf(dist, matrix[:, v])
+                ll += reference_leaf_log_pdf(dist, matrix[:, v])
             joint[:, i] = np.log(priors[i]) + ll
         row_ll = logsumexp(joint, axis=1)
         resp = np.exp(joint - row_ll[:, None])
@@ -748,7 +767,7 @@ def reference_matrix_em(
         components = [[leaves[v][i] for v in scope] for i in range(k)]
         mixture = clustering.FactorizedMixture(priors, components, tuple(scope))
         joint = np.log(priors)[:, None] + np.array(
-            [sum(leaf_log_pdf(dist, matrix[:, v]) for v, dist in zip(scope, comp))
+            [sum(reference_leaf_log_pdf(dist, matrix[:, v]) for v, dist in zip(scope, comp))
              for comp in components]
         )
         resp, _ = _allocating_normalize(joint)

@@ -13,6 +13,7 @@ from softpc.estimators import (
     SIGMA_FLOOR,
     Gaussian,
     Multinomial,
+    categorical_codes,
     distinct,
     fit_gaussian,
     fit_multinomial,
@@ -329,34 +330,40 @@ class TestGaussian:
         assert np.isfinite(dist.mu)
 
 
-class TestLeafLogPdf:
-    def test_multinomial_log_pmf(self):
-        dist = Multinomial((0.75, 0.25))
-        assert leaf_log_pdf(dist, 0) == pytest.approx(math.log(0.75), abs=1e-15)
-        out = leaf_log_pdf(dist, np.array([0, 1, 1]))
-        assert np.allclose(out, np.log([0.75, 0.25, 0.25]))
-
-    def test_multinomial_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            leaf_log_pdf(Multinomial((0.5, 0.5)), 2)
+class TestCategoricalCodes:
+    def test_levels_become_int64_codes(self):
+        codes = categorical_codes(np.array([[0.0, 2.0], [1.0, 0.0]]), np.array([2, 3]))
+        assert codes.dtype == np.int64 and codes.tolist() == [[0, 2], [1, 0]]
 
     @pytest.mark.parametrize(
-        "codes", [-1, 0.5, math.nan, math.inf, [0, -1], [1.0, 2.0], [0.0, 1.5], np.int8(-1)]
+        "codes", [-1, 2, 0.5, math.nan, math.inf, [0, -1], [1.0, 2.0], [0.0, 1.5], np.int8(-1)]
     )
-    def test_multinomial_rejects_codes_that_are_not_levels(self, codes):
+    def test_rejects_values_that_are_not_levels(self, codes):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="out of range"):
-            leaf_log_pdf(Multinomial((0.5, 0.5)), codes)
+            categorical_codes(codes, 2)
 
-    def test_unknown_distribution_is_a_type_error(self):
-        with pytest.raises(TypeError, match="unknown leaf distribution"):
-            leaf_log_pdf("uniform", np.zeros(3))
 
-    def test_multinomial_empty_input(self):
-        out = leaf_log_pdf(Multinomial(np.array([[0.5, 0.5], [0.1, 0.9]])), np.empty(0))
+class TestLeafLogPdf:
+    def test_categorical_log_pmf(self):
+        table = np.log([0.75, 0.25])
+        assert leaf_log_pdf(table, 0) == pytest.approx(math.log(0.75), abs=1e-15)
+        out = leaf_log_pdf(table, np.array([0, 1, 1]))
+        assert np.allclose(out, np.log([0.75, 0.25, 0.25]))
+
+    @pytest.mark.parametrize("dist", ["uniform", Multinomial((0.5, 0.5)), (0.5, 0.5)])
+    def test_unknown_distribution_is_a_type_error(self, dist):
+        # a Multinomial is read as the array of its log probabilities
+        with pytest.raises(TypeError, match=f"unknown leaf distribution {type(dist)!r}"):
+            leaf_log_pdf(dist, 0)
+
+    def test_categorical_empty_input(self):
+        out = leaf_log_pdf(np.log([[0.5, 0.5], [0.1, 0.9]]), np.empty(0, dtype=np.int64))
         assert out.shape == (2, 0)
 
     def test_zero_probability_gives_neg_inf(self):
-        assert leaf_log_pdf(Multinomial((1.0, 0.0)), 1) == -math.inf
+        with np.errstate(divide="ignore"):
+            table = np.log([1.0, 0.0])
+        assert leaf_log_pdf(table, 1) == -math.inf
 
     def test_standard_normal_at_zero(self):
         val = leaf_log_pdf(Gaussian(0.0, 1.0), 0.0)
@@ -384,22 +391,20 @@ class TestLeafLogPdf:
         assert np.isneginf(got).any() and np.isfinite(got[0, 3])  # z * z alone overflows there
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
-    @pytest.mark.parametrize("which", ["categorical", "multinomial", "gaussian"])
+    @pytest.mark.parametrize("which", ["categorical", "gaussian"])
     @pytest.mark.parametrize("n", [8, 1])
     def test_out_writes_its_block_bit_for_bit(self, which, n):
         """With ``out``, a stacked leaf fills a (k, n) row block of a larger
         table with the allocating call's bits, touches nothing else, and
-        returns the block itself.  A categorical block is the bare (k, arity)
-        array of its log probabilities; a ``Multinomial`` of the same probs
-        gives the same bits."""
+        returns the block itself.  A categorical block is the (k, arity)
+        array of its log probabilities."""
         rng = np.random.default_rng(19)
-        if which != "gaussian":
+        if which == "categorical":
             probs = rng.dirichlet(np.ones(3), size=5)
             probs[1, 2] = probs[3, 0] = 0.0  # -inf for leaf 1 at code 2, leaf 3 at code 0
             with np.errstate(divide="ignore"):
-                log_probs = np.log(probs)
-            dist = log_probs if which == "categorical" else Multinomial(probs)
-            x = np.array([2.0, 0.0, 1.0, 2.0, 0.0, 1.0, 1.0, 2.0])[:n]
+                dist = np.log(probs)
+            x = np.array([2, 0, 1, 2, 0, 1, 1, 2])[:n]
         else:
             dist = Gaussian(rng.normal(size=(5, 1)), rng.uniform(0.1, 2.0, size=(5, 1)))
             x = rng.normal(size=n) * 3.0
@@ -410,9 +415,9 @@ class TestLeafLogPdf:
         assert leaf_log_pdf(dist, x, out=block) is block
         assert block.view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert (table[:4] == 7.0).all() and (table[9:] == 7.0).all()
-        if which != "gaussian":
+        if which == "categorical":
             assert np.isneginf(block).sum() == np.isneginf(expected).sum() > 0
-            assert expected.tolist() == log_probs[:, x.astype(int)].tolist()
+            assert expected.tolist() == dist[:, x].tolist()
 
 
 # what the evaluator's leaf layer sets: leaf_log_mass leaves the warnings of
