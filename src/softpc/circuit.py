@@ -469,8 +469,9 @@ class Circuit:
         count, so a row's value does not depend on the batch it came in.
         """
         root_slot, chunk, leaves, groups, _ = self._compiled()
-        # here, not at module level: scipy.sparse adds ~15 ms to importing
-        # softpc, and only evaluation needs it
+        # here, not at module level: scipy.sparse adds about 0.13-0.27 s to
+        # importing softpc (fresh processes, 2-core machine), and only
+        # evaluation needs it
         from scipy.sparse import _sparsetools
 
         matvecs = _sparsetools.csr_matvecs

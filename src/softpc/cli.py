@@ -174,7 +174,7 @@ def cmd_grid(args) -> int:
         return _run_cell(bundle, args.method, dataclasses.replace(hp, seed=hp.seed + rep))[1]
 
     tasks = [(hp, rep) for hp in todo for rep in range(args.reps)]
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads or 1) as pool:
         results = list(pool.map(run, tasks))  # in task order, so a cell's reps are adjacent
     rows = [_result_row(args, hp, results[i * args.reps:(i + 1) * args.reps])
             for i, hp in enumerate(todo)]
@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--data-dir", default="datasets", help="dataset directory")
     parser.add_argument("--seed", type=_non_negative_int, default=0)
-    parser.add_argument("--threads", type=_positive_int, default=1)
+    parser.add_argument("--threads", type=_positive_int, default=None,
+                        help="worker threads of grid (default 1)")
     parser.add_argument("--out", default=None, help="output path of grid and sample")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -398,6 +399,8 @@ def main(argv=None) -> int:
         if args.out is not None and args.command not in _OUT_COMMANDS:
             raise UsageError(f"--out is read only by {' and '.join(_OUT_COMMANDS)}, "
                              f"not by {args.command}")
+        if args.threads is not None and args.command != "grid":
+            raise UsageError(f"--threads is read only by grid, not by {args.command}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -212,7 +212,8 @@ def run_fresh(code: str) -> list:
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    """scipy.sparse adds ~15 ms to an import; only evaluation loads it."""
+    """scipy.sparse adds about 0.13-0.27 s to an import of softpc; only
+    evaluation loads it."""
     code = ("import sys, softpc\n"
             "print('scipy.sparse' in sys.modules)\n"
             "from softpc.circuit import Circuit, LeafNode\n"

@@ -655,6 +655,23 @@ class TestGlobalOut:
         assert not out.exists()
 
 
+class TestGlobalThreads:
+    @pytest.mark.parametrize(
+        "command", ["learn", "eval", "sample", "synthetic-quality", "toy-example", "validate-model"])
+    def test_command_that_ignores_threads_refuses_it(self, data_dir, tmp_path, capsys, command):
+        # learn and synthetic-quality used to run on one thread and exit 0
+        learning = ["--data", "twoblock", "--method", "learnspn"]
+        rest = {"learn": learning, "synthetic-quality": learning + ["--reps", 1],
+                "eval": ["--model", tmp_path / "m.json", "--data", "twoblock"],
+                "sample": ["--model", tmp_path / "m.json", "--n", 3],
+                "toy-example": ["--n", 10, "--out-dir", tmp_path / "toy"],
+                "validate-model": ["--model", tmp_path / "m.json"]}[command]
+        assert run(["--data-dir", data_dir, "--threads", 4, command] + rest) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--threads" in err and "grid" in err and command in err
+        assert not (tmp_path / "toy").exists()
+
+
 class TestGrid:
     def test_single_cell_matches_learn(self, data_dir, capsys):
         args = ["--data-dir", data_dir, "--seed", 2]
