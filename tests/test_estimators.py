@@ -352,7 +352,7 @@ class TestLeafLogPdf:
 
     @pytest.mark.parametrize("dist", ["uniform", Multinomial((0.5, 0.5)), (0.5, 0.5)])
     def test_unknown_distribution_is_a_type_error(self, dist):
-        # a Multinomial is read as the array of its log probabilities
+        # a Multinomial goes in as the array of its log probabilities, not itself
         with pytest.raises(TypeError, match=f"unknown leaf distribution {type(dist)!r}"):
             leaf_log_pdf(dist, 0)
 
