@@ -734,10 +734,11 @@ class TestEmFactorizedMatchesLoopReference:
         assert len(mixture.ll_trace) > 1
         # only the membership pass after the loop evaluates leaves one by one:
         # K * |scope| calls, whatever the number of iterations, in component
-        # and scope order; a categorical leaf goes in as the bare array of its
-        # component's log probabilities, at the column's int64 codes
+        # and scope order; a categorical leaf goes in as its component's slice
+        # of one array of log probabilities, at the column's int64 codes
         assert len(leaf_evals) == 2 * 6
         expected = [(v, dist) for comp in mixture.components for v, dist in enumerate(comp)]
+        tables = set()
         for (got, x), (v, dist) in zip(leaf_evals, expected):
             assert np.array_equal(x, matrix[:, v])
             if schema.is_cat(v):
@@ -745,8 +746,11 @@ class TestEmFactorizedMatchesLoopReference:
                 assert x.dtype == np.int64
                 assert got.shape == (len(dist.probs),)
                 assert np.array_equal(got, np.log(np.asarray(dist.probs)))
+                assert got.base is not None
+                tables.add(id(got.base))
             else:
                 assert type(dist) is Gaussian and got == dist
+        assert len(tables) == 1
         assert np.allclose(resp.sum(axis=1), 1.0)
 
     @pytest.mark.parametrize("code", ["negative", "arity", "fraction", "nan"])
